@@ -26,7 +26,7 @@ from .powermodel import (
     model_masks,
     solve_unit_costs,
 )
-from .quality import ErrorModel, calibrate_ratios, quality_error
+from .quality import ErrorModel, calibrate_ratios, quality_error, reference_moments
 from .scenario import Scenario
 from .simgpu import (
     ProbeResult,
@@ -228,12 +228,26 @@ def _write_summary(path: Path, summary: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _true_error(scenario: Scenario, config: RenderingConfiguration, frame: int) -> float:
-    if all(lvl == 0 for lvl in config):
-        return 0.0
-    reference = render_frame(scenario.synthesizer, scenario.roster.best_config(), frame)
-    candidate = render_frame(scenario.synthesizer, config, frame)
-    return quality_error(reference, candidate)
+def _true_errors(
+    scenario: Scenario, frame: int, configs: list[RenderingConfiguration]
+) -> list[float]:
+    """Exact ``1 - SSIM`` of each configuration at ``frame``.
+
+    Every configuration is scored against one render of the all-best
+    reference, which itself scores exactly 0.0 without rendering. When more
+    than one distinct configuration needs an SSIM, the reference's moments are
+    computed once and shared.
+    """
+    best = scenario.roster.best_config()
+    degraded = dict.fromkeys(c for c in configs if c != best)
+    if not degraded:
+        return [0.0] * len(configs)
+    synth = scenario.synthesizer
+    reference = render_frame(synth, best, frame)
+    moments = reference_moments(reference) if len(degraded) > 1 else None
+    for config in degraded:
+        degraded[config] = quality_error(reference, render_frame(synth, config, frame), moments)
+    return [degraded.get(c, 0.0) for c in configs]
 
 
 def _mean(values) -> float:
@@ -241,14 +255,23 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def replay_trace(scenario: Scenario, config: RenderingConfiguration) -> dict:
-    """Run the trace with one pinned configuration; no governor involved."""
+def replay_trace(scenario: Scenario, config: RenderingConfiguration, on_frame=None) -> dict:
+    """Run the trace with one pinned configuration; no governor involved.
+
+    ``on_frame(frame, measured_power, true_error)``, if given, sees every
+    frame; ``true_error`` is None on frames whose error is not sampled.
+    """
     scenario.roster.validate_config(config)
     powers, errors = [], []
     for frame in range(scenario.trace.frame_count):
-        powers.append(measure_power(scenario.oracle, config, frame, scenario.trace))
+        measured = measure_power(scenario.oracle, config, frame, scenario.trace)
+        true_err = None
         if frame % scenario.error_sample_every == 0:
-            errors.append(_true_error(scenario, config, frame))
+            (true_err,) = _true_errors(scenario, frame, [config])
+            errors.append(true_err)
+        powers.append(measured)
+        if on_frame is not None:
+            on_frame(frame, measured, true_err)
     return {
         "mean_power": _mean(powers),
         "mean_error": _mean(errors),
@@ -259,7 +282,13 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration) -> dict:
 
 def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     """Initialization plus the governed frame loop, with min/max-quality
-    replays as in-run baselines."""
+    replays as in-run baselines.
+
+    The baselines ride along in the governed loop: every frame also measures
+    the best and worst configurations, and every sampled frame scores the
+    worst one against the same reference as ``s_eff``. The best
+    configuration's error is exactly 0.0, so its baseline is power only.
+    """
     init = initialize(scenario)
     gov = Governor(
         roster=scenario.roster,
@@ -273,20 +302,23 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         render=lambda cfg, frame: render_frame(scenario.synthesizer, cfg, frame),
         initial_config=scenario.initial_config,
     )
+    best = scenario.roster.best_config()
+    worst = scenario.roster.worst_config()
 
     rows = []
     powers, errors = [], []
+    best_powers, worst_powers, worst_errors = [], [], []
     for frame in range(scenario.trace.frame_count):
         tick = gov.tick(frame)
         true_err = None
         if frame % scenario.error_sample_every == 0:
-            true_err = _true_error(scenario, tick.s_eff, frame)
+            worst_err, true_err = _true_errors(scenario, frame, [worst, tick.s_eff])
             errors.append(true_err)
+            worst_errors.append(worst_err)
         powers.append(tick.record.measured_power)
+        best_powers.append(measure_power(scenario.oracle, best, frame, scenario.trace))
+        worst_powers.append(measure_power(scenario.oracle, worst, frame, scenario.trace))
         rows.append(_record_row(tick.record, true_err))
-
-    best = replay_trace(scenario, scenario.roster.best_config())
-    worst = replay_trace(scenario, scenario.roster.worst_config())
 
     summary = {
         "scenario": scenario.name,
@@ -307,10 +339,10 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         "fit_count": gov.fit_count,
         "infeasible_count": gov.infeasible_count,
         "fit_clamp_total": gov.clamp_total,
-        "replay_best_mean_power": best["mean_power"],
-        "replay_best_mean_error": best["mean_error"],
-        "replay_worst_mean_power": worst["mean_power"],
-        "replay_worst_mean_error": worst["mean_error"],
+        "replay_best_mean_power": _mean(best_powers),
+        "replay_best_mean_error": 0.0,
+        "replay_worst_mean_power": _mean(worst_powers),
+        "replay_worst_mean_error": _mean(worst_errors),
     }
 
     log_path = summary_path = None
@@ -331,38 +363,32 @@ def replay(
     init = initialize(scenario)
     budget = budget_watts(scenario.governor, init.power_model.saturation)
     rows = []
-    powers, errors = [], []
-    for frame in range(scenario.trace.frame_count):
-        measured = measure_power(scenario.oracle, config, frame, scenario.trace)
-        predicted = exact_power(scenario.oracle, config, frame, scenario.trace)
-        true_err = None
-        if frame % scenario.error_sample_every == 0:
-            true_err = _true_error(scenario, config, frame)
-            errors.append(true_err)
-        powers.append(measured)
+
+    def log_frame(frame: int, measured: float, true_err: float | None) -> None:
         record = RunLogRecord(
             frame=frame,
             phase="replay",
             s_eff=config,
             budget_watts=budget,
-            predicted_power=predicted,
+            predicted_power=exact_power(scenario.oracle, config, frame, scenario.trace),
             measured_power=measured,
             e_worst=tuple(0.0 for _ in scenario.roster.passes),
             staleness=tuple(-1 for _ in scenario.roster.passes),
         )
         rows.append(_record_row(record, true_err))
 
+    stats = replay_trace(scenario, config, log_frame)
     summary = {
         "scenario": scenario.name,
         "seed": scenario.seed,
         "replay_config": str(config),
-        "frames": scenario.trace.frame_count,
+        "frames": stats["frames"],
         "budget_watts": budget,
         "p_min_probed": init.p_min_probed,
         "p_max_probed": init.probe.p_max_observed,
-        "mean_power": _mean(powers),
-        "mean_error": _mean(errors),
-        "error_samples": len(errors),
+        "mean_power": stats["mean_power"],
+        "mean_error": stats["mean_error"],
+        "error_samples": stats["error_samples"],
     }
     log_path = summary_path = None
     if out_dir is not None:
@@ -383,18 +409,12 @@ def oracle_table(scenario: Scenario, frame: int) -> list[tuple[RenderingConfigur
     """
     if not 0 <= frame < scenario.trace.frame_count:
         raise ValueError(f"frame {frame} outside the trace [0, {scenario.trace.frame_count})")
-    reference = render_frame(scenario.synthesizer, scenario.roster.best_config(), frame)
-    rows = []
-    for config in enumerate_configurations(scenario.roster):
-        power = exact_power(scenario.oracle, config, frame, scenario.trace)
-        if all(lvl == 0 for lvl in config):
-            err = 0.0
-        else:
-            err = quality_error(
-                reference, render_frame(scenario.synthesizer, config, frame)
-            )
-        rows.append((config, power, err))
-    return rows
+    configs = enumerate_configurations(scenario.roster)
+    errors = _true_errors(scenario, frame, configs)
+    return [
+        (config, exact_power(scenario.oracle, config, frame, scenario.trace), err)
+        for config, err in zip(configs, errors)
+    ]
 
 
 def write_oracle_table(scenario: Scenario, frame: int, out_dir: str | Path) -> Path:

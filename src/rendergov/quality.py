@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .configspace import (
     PassRoster,
@@ -63,16 +62,59 @@ def _gaussian_taps(window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.n
     return g / g.sum()
 
 
-def _windowed_mean(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    # Separable Gaussian, then crop to windows fully inside the image.
-    half = len(taps) // 2
-    out = correlate1d(img, taps, axis=0, mode="constant")
-    out = correlate1d(out, taps, axis=1, mode="constant")
-    return out[half:-half, half:-half]
+_TAPS = _gaussian_taps()
+_HALF = SSIM_WINDOW // 2
 
 
-def ssim(reference: FrameImage, candidate: FrameImage) -> float:
-    """Mean local structural similarity over Gaussian-weighted 11x11 windows."""
+def _valid_correlate(img: np.ndarray) -> np.ndarray:
+    """Gaussian along axis 0, only where the window lies inside ``img``.
+
+    Accumulates in the order scipy.ndimage.correlate1d uses for symmetric
+    taps (centre tap, then mirrored pairs from the outermost in), so every
+    value is bitwise equal to scipy's.
+    """
+    n = img.shape[0]
+    out = img[_HALF : n - _HALF] * _TAPS[_HALF]
+    for j in range(_HALF, 0, -1):
+        pair = img[_HALF - j : n - _HALF - j] + img[_HALF + j : n - _HALF + j]
+        out += pair * _TAPS[_HALF - j]
+    return out
+
+
+def _windowed_mean(img: np.ndarray) -> np.ndarray:
+    # Separable Gaussian over the windows fully inside the image; the second
+    # pass runs on a transposed copy so both passes slice whole rows.
+    return _valid_correlate(_valid_correlate(img).T.copy()).T
+
+
+@dataclass(frozen=True)
+class ReferenceMoments:
+    """Windowed mean and mean square of a reference frame, for every window.
+
+    Computed once per reference and passed to :func:`ssim`, so scoring many
+    candidates against one reference filters only the candidate terms.
+    """
+
+    mean: np.ndarray
+    mean_sq: np.ndarray
+
+
+def reference_moments(reference: FrameImage) -> ReferenceMoments:
+    x = reference.pixels
+    return ReferenceMoments(_windowed_mean(x), _windowed_mean(x * x))
+
+
+def ssim(
+    reference: FrameImage, candidate: FrameImage, moments: ReferenceMoments | None = None
+) -> float:
+    """Mean local structural similarity over Gaussian-weighted 11x11 windows.
+
+    ``moments``, if given, must come from :func:`reference_moments` of
+    ``reference``. A window covering only rows where the images agree scores
+    exactly 1.0, so only the windows that reach a differing row are computed;
+    the rest of the map stays 1.0 and the mean runs over the whole map, which
+    keeps the result bitwise equal to filtering the full frame.
+    """
     if reference.pixels.shape != candidate.pixels.shape:
         raise ValueError(
             f"image dimensions differ: {reference.pixels.shape} vs {candidate.pixels.shape}"
@@ -81,25 +123,39 @@ def ssim(reference: FrameImage, candidate: FrameImage) -> float:
         raise ValueError(f"images must be at least {SSIM_WINDOW} pixels on each side")
     x = reference.pixels
     y = candidate.pixels
-    taps = _gaussian_taps()
+    h, w = x.shape
+    ssim_map = np.ones((h - 2 * _HALF, w - 2 * _HALF))
+    differing = np.flatnonzero((x != y).any(axis=1))
+    if differing.size:
+        # Map row r covers image rows r .. r + 2*_HALF.
+        lo = max(int(differing[0]) - 2 * _HALF, 0)
+        hi = min(int(differing[-1]), h - 2 * _HALF - 1) + 1
+        xs = x[lo : hi + 2 * _HALF]
+        ys = y[lo : hi + 2 * _HALF]
+        if moments is None:
+            mu_x = _windowed_mean(xs)
+            mean_sq_x = _windowed_mean(xs * xs)
+        else:
+            mu_x = moments.mean[lo:hi]
+            mean_sq_x = moments.mean_sq[lo:hi]
+        mu_y = _windowed_mean(ys)
+        var_x = mean_sq_x - mu_x * mu_x
+        var_y = _windowed_mean(ys * ys) - mu_y * mu_y
+        cov = _windowed_mean(xs * ys) - mu_x * mu_y
 
-    mu_x = _windowed_mean(x, taps)
-    mu_y = _windowed_mean(y, taps)
-    var_x = _windowed_mean(x * x, taps) - mu_x * mu_x
-    var_y = _windowed_mean(y * y, taps) - mu_y * mu_y
-    cov = _windowed_mean(x * y, taps) - mu_x * mu_y
-
-    c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
-    c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
-    ssim_map = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    )
+        c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
+        c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
+        ssim_map[lo:hi] = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+            (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+        )
     return float(ssim_map.mean())
 
 
-def quality_error(reference: FrameImage, candidate: FrameImage) -> float:
+def quality_error(
+    reference: FrameImage, candidate: FrameImage, moments: ReferenceMoments | None = None
+) -> float:
     """1 - SSIM, clamped at zero."""
-    return max(0.0, 1.0 - ssim(reference, candidate))
+    return max(0.0, 1.0 - ssim(reference, candidate, moments))
 
 
 @dataclass(frozen=True)

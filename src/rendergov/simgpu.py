@@ -335,7 +335,10 @@ class PassDegradation:
 @lru_cache(maxsize=64)
 def _base_pattern(seed: int, frame_index: int, height: int, width: int) -> np.ndarray:
     """Smooth deterministic test pattern that slowly evolves with the frame."""
-    y, x = np.mgrid[0:height, 0:width].astype(float)
+    # Row and column coordinates broadcast to the grid; the terms that depend
+    # on one axis only are evaluated once per row or column.
+    y = np.arange(height, dtype=float)[:, None]
+    x = np.arange(width, dtype=float)
     t = float(frame_index)
     s = float(seed % 997)
     img = (
@@ -362,7 +365,8 @@ def _block_average(band: np.ndarray, block: int) -> np.ndarray:
 
 
 def _structured_noise(shape: tuple[int, int], frame_index: int, pass_index: int) -> np.ndarray:
-    y, x = np.mgrid[0 : shape[0], 0 : shape[1]].astype(float)
+    y = np.arange(shape[0], dtype=float)[:, None]
+    x = np.arange(shape[1], dtype=float)
     phase = 2.0 * np.pi * ((frame_index * 0.137 + pass_index * 0.61) % 1.0)
     return np.sin(2 * np.pi * x / 3.7 + phase) * np.cos(2 * np.pi * y / 2.9 + 0.5 * phase)
 

@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,10 @@ from rendergov.harness import (
     run,
     write_oracle_table,
 )
+from rendergov.quality import quality_error
+from rendergov.simgpu import exact_power, render_frame
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +70,49 @@ def test_governed_means_sit_between_replay_baselines(mini_run):
     assert s["governed_mean_error"] <= s["replay_worst_mean_error"]
 
 
+def _is_float(text: str) -> bool:
+    """A float as the logs print it (its repr), not an integer or text."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return not text.lstrip("-").isdigit()
+
+
+def _assert_matches_golden(got: str, want: str) -> None:
+    """Same lines and fields; integers and text exactly, floats to rtol 1e-12,
+    so last-place drift between numpy/scipy builds does not fail."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for n, (g_line, w_line) in enumerate(zip(got_lines, want_lines)):
+        g_fields, w_fields = re.split(r",| = ", g_line), re.split(r",| = ", w_line)
+        assert len(g_fields) == len(w_fields), f"line {n}"
+        for g, w in zip(g_fields, w_fields):
+            if _is_float(w):
+                assert math.isclose(float(g), float(w), rel_tol=1e-12), f"line {n}: {g} != {w}"
+            else:
+                assert g == w, f"line {n}: {g} != {w}"
+
+
+def test_mini_run_matches_golden(mini_run):
+    result, _ = mini_run
+    golden = GOLDEN_DIR / "mini"
+    _assert_matches_golden(result.log_path.read_text(), (golden / "run_log.csv").read_text())
+    _assert_matches_golden(
+        result.summary_path.read_text(), (golden / "summary.txt").read_text()
+    )
+
+
+def test_run_baselines_equal_pinned_replays(mini_scenario, mini_run, regime_scenario):
+    cases = ((mini_scenario, mini_run[0].summary), (regime_scenario, run(regime_scenario).summary))
+    for scenario, summary in cases:
+        roster = scenario.roster
+        for tag, config in (("best", roster.best_config()), ("worst", roster.worst_config())):
+            pinned = replay_trace(scenario, config)
+            assert summary[f"replay_{tag}_mean_power"] == pinned["mean_power"]
+            assert summary[f"replay_{tag}_mean_error"] == pinned["mean_error"]
+
+
 def test_zero_frame_trace_produces_empty_log(mini_scenario, tmp_path):
     scenario = dataclasses.replace(
         mini_scenario, trace=dataclasses.replace(mini_scenario.trace, frame_count=0)
@@ -103,6 +153,14 @@ def test_oracle_table_covers_enumeration_with_zero_error_reference(mini_scenario
     assert by_cfg[best][1] == 0.0
     worst = mini_scenario.roster.worst_config()
     assert by_cfg[worst][0] == min(p for p, _ in by_cfg.values())
+
+
+def test_oracle_table_matches_independent_ground_truth(mini_scenario):
+    sc, frame = mini_scenario, 7
+    reference = render_frame(sc.synthesizer, sc.roster.best_config(), frame)
+    for config, power, err in oracle_table(sc, frame):
+        assert power == exact_power(sc.oracle, config, frame, sc.trace)
+        assert err == quality_error(reference, render_frame(sc.synthesizer, config, frame))
 
 
 def test_oracle_table_frame_bounds(mini_scenario):

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from scipy.ndimage import correlate1d
 
-from rendergov.configspace import PassDescriptor, PassRoster, RenderingConfiguration
+from rendergov.configspace import (
+    PassDescriptor,
+    PassRoster,
+    RenderingConfiguration,
+    single_degradation_config,
+)
 from rendergov.quality import (
     ErrorModel,
     ErrorRatioTable,
@@ -11,11 +17,11 @@ from rendergov.quality import (
     calibrate_ratios,
     estimate_error,
     quality_error,
+    reference_moments,
     ssim,
     update_worst_errors,
 )
 from rendergov.simgpu import FrameSynthesizer, PassDegradation, render_frame
-
 
 
 def _pattern(size=16, shift=0.0):
@@ -44,6 +50,80 @@ def test_ssim_matches_naive_reference_on_blurred_pattern(naive_ssim):
     a = _pattern(16)
     b = uniform_filter(a, size=3)
     assert abs(ssim(FrameImage(a), FrameImage(b)) - naive_ssim(a, b)) <= 1e-9
+
+
+def _full_frame_ssim(x: np.ndarray, y: np.ndarray) -> float:
+    """SSIM as computed before row cropping: padded scipy filters over the
+    whole frame, cropped to the valid windows, mean over the full map."""
+    half = np.arange(11) - 5.0
+    taps = np.exp(-(half * half) / (2.0 * 1.5 * 1.5))
+    taps /= taps.sum()
+
+    def windowed_mean(img):
+        out = correlate1d(img, taps, axis=0, mode="constant")
+        return correlate1d(out, taps, axis=1, mode="constant")[5:-5, 5:-5]
+
+    mu_x, mu_y = windowed_mean(x), windowed_mean(y)
+    var_x = windowed_mean(x * x) - mu_x * mu_x
+    var_y = windowed_mean(y * y) - mu_y * mu_y
+    cov = windowed_mean(x * y) - mu_x * mu_y
+    c1, c2 = 0.01**2, 0.03**2
+    ssim_map = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    )
+    return float(ssim_map.mean())
+
+
+def _bit_exact_pairs():
+    rng = np.random.default_rng(21)
+    base = rng.uniform(0.0, 1.0, (64, 48))
+    pairs = [("identical", base, base.copy())]
+    for name, row in (("first row", 0), ("middle row", 31), ("last row", 63)):
+        y = base.copy()
+        y[row] = rng.uniform(0.0, 1.0, 48)
+        pairs.append((name, base, y))
+    pairs.append(("all rows", base, rng.uniform(0.0, 1.0, base.shape)))
+    pairs.append(("11x11", rng.uniform(0.0, 1.0, (11, 11)), rng.uniform(0.0, 1.0, (11, 11))))
+    y = base.copy()
+    y[5:9, :] = 0.5
+    y[40:44, 3:7] = 0.25
+    pairs.append(("two separate bands", base, y))
+    for k in range(3):
+        pairs.append((f"random {k}", *rng.uniform(0.0, 1.0, (2, 33, 29))))
+    # Noisy bands of random height and place: summing the computed rows
+    # apart from the rows of ones would drift in the last place on some.
+    for k in range(24):
+        y = base.copy()
+        r0 = rng.integers(0, 60)
+        r1 = r0 + rng.integers(1, 9)
+        y[r0:r1] = np.clip(y[r0:r1] + rng.normal(0.0, 0.1, y[r0:r1].shape), 0.0, 1.0)
+        pairs.append((f"noisy band {k}", base, y))
+    roster = PassRoster(tuple(PassDescriptor(n, 3, uses_fragments=True) for n in "abcd"))
+    synth = FrameSynthesizer(
+        roster=roster,
+        degradations=(
+            PassDegradation("blur", (0.0, 1.0, 2.0)),
+            PassDegradation("noise", (0.0, 0.05, 0.1)),
+            PassDegradation("pixelate", (0.0, 2.0, 4.0)),
+            PassDegradation("area_noise", (0.0, 0.3, 0.6)),
+        ),
+        height=64,
+        width=64,
+        seed=9,
+    )
+    ref = render_frame(synth, roster.best_config(), 17).pixels
+    for i in range(roster.size):
+        band = render_frame(synth, single_degradation_config(roster, i, 2), 17).pixels
+        pairs.append((f"synthesizer band {i}", ref, band))
+    return pairs
+
+
+def test_cropped_ssim_is_bit_exact():
+    for name, x, y in _bit_exact_pairs():
+        ref, candidate = FrameImage(x), FrameImage(y)
+        want = _full_frame_ssim(x, y)
+        assert ssim(ref, candidate) == want, name
+        assert ssim(ref, candidate, reference_moments(ref)) == want, name
 
 
 def test_ssim_dimension_mismatch_rejected():

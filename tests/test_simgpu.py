@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from rendergov.simgpu import (
     PassDegradation,
     ProbeError,
     TraceEvent,
+    _base_pattern,
+    _structured_noise,
     empty_trace,
     exact_power,
     measure_power,
@@ -105,6 +108,26 @@ def test_count_event_scales_primitives(mini_scenario):
     scaled = trace.primitives_for(sc.roster, cfg, 5)
     assert scaled[0][0] == pytest.approx(2.0 * base[0][0])
     assert scaled[1] == base[1]
+
+
+def test_patterns_equal_full_grid_evaluation():
+    # The row/column-vector evaluation must give the same bits as evaluating
+    # every term on the full coordinate grid.
+    for seed, frame, h, w in ((0, 0, 11, 11), (777, 31, 64, 64), (20180427, 1103, 128, 96)):
+        y, x = np.mgrid[0:h, 0:w].astype(float)
+        t, s = float(frame), float(seed % 997)
+        img = (
+            0.5
+            + 0.21
+            * np.sin(2 * np.pi * (x * 3.1 / w) + 0.9 * math.sin(0.011 * t) + 0.01 * s)
+            * np.cos(2 * np.pi * (y * 2.3 / h) + 1.3 * math.sin(0.007 * t))
+            + 0.14 * np.sin(2 * np.pi * (x + 2.0 * y) / 23.0 + 0.05 * t + 0.02 * s)
+            + 0.08 * np.cos(2 * np.pi * (x * y) / (w * 11.0) + 0.03 * t)
+        )
+        assert np.clip(img, 0.03, 0.97).tobytes() == _base_pattern(seed, frame, h, w).tobytes()
+        phase = 2.0 * np.pi * ((frame * 0.137 + 3 * 0.61) % 1.0)
+        noise = np.sin(2 * np.pi * x / 3.7 + phase) * np.cos(2 * np.pi * y / 2.9 + 0.5 * phase)
+        assert noise.tobytes() == _structured_noise((h, w), frame, 3).tobytes()
 
 
 def test_render_best_config_is_bit_identical_to_reference(mini_scenario):
