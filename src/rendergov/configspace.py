@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PassDescriptor:
@@ -150,6 +152,16 @@ def enumerate_configurations(roster: PassRoster) -> list[RenderingConfiguration]
     """All configurations in lexicographic order; length is the product of level counts."""
     ranges = [range(p.level_count) for p in roster.passes]
     return [RenderingConfiguration(levels) for levels in itertools.product(*ranges)]
+
+
+def level_grid(roster: PassRoster) -> tuple[np.ndarray, ...]:
+    """Each pass's level across the lattice, as broadcastable index arrays.
+
+    ``grid[i]`` spans axis i of the ``(L_0, ..., L_{n-1})`` lattice and has
+    length 1 on the others, so ``table[grid[i]]`` spreads a per-level table of
+    pass i over every configuration; ``ravel()`` gives enumeration order.
+    """
+    return np.indices(tuple(p.level_count for p in roster.passes), sparse=True)
 
 
 def config_index(roster: PassRoster, config: RenderingConfiguration) -> int:

@@ -12,9 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .configspace import (
     PassRoster,
     RenderingConfiguration,
+    config_at,
     single_degradation_config,
 )
 from .powermodel import (
@@ -29,7 +32,7 @@ from .powermodel import (
     predict_power,
     solve_unit_costs,
 )
-from .quality import ErrorModel, estimate_error, update_worst_errors
+from .quality import ErrorModel, estimate_all_errors, estimate_error, update_worst_errors
 
 PHASE_STEADY = "steady"
 PHASE_SELECTING = "selecting"
@@ -96,60 +99,79 @@ def budget_watts(config: GovernorConfig, saturation: SaturationConstants) -> flo
     return saturation.p_min + config.budget_percent * saturation.span
 
 
+def _check_predictions(roster: PassRoster, predictions: np.ndarray) -> np.ndarray:
+    predictions = np.asarray(predictions, dtype=float)
+    if predictions.shape != (roster.config_count,):
+        raise ValueError(
+            f"need one prediction per configuration ({roster.config_count}), "
+            f"got shape {predictions.shape}"
+        )
+    return predictions
+
+
+def _first_min(candidates: np.ndarray, primary: np.ndarray, secondary: np.ndarray) -> int:
+    """Index of the lexicographic minimum of (primary, secondary, index) over
+    the candidates."""
+    candidates = candidates & (primary == primary[candidates].min())
+    candidates = candidates & (secondary == secondary[candidates].min())
+    return int(np.flatnonzero(candidates)[0])
+
+
+def _result(
+    roster: PassRoster,
+    predictions: np.ndarray,
+    error_model: ErrorModel,
+    index: int,
+    infeasible: bool,
+) -> SelectionResult:
+    config = config_at(roster, index)
+    return SelectionResult(
+        config, infeasible, float(predictions[index]), estimate_error(error_model, config)
+    )
+
+
 def select_configuration(
-    predictions: dict[RenderingConfiguration, float],
+    roster: PassRoster,
+    predictions: np.ndarray,
     error_model: ErrorModel,
     budget: float,
 ) -> SelectionResult:
     """Lowest estimated error among configurations predicted strictly under budget.
 
+    ``predictions`` holds one power per configuration in enumeration order.
     Ties break toward lower predicted power, then enumeration order. With no
     feasible configuration, falls back to the minimum-power one and raises the
     infeasibility flag.
     """
-    if not predictions:
-        raise ValueError("empty prediction map")
-    best = None  # (error, power, config)
-    min_power = None
-    for cfg, power in predictions.items():
-        if min_power is None or power < min_power[0]:
-            min_power = (power, cfg)
-        if power < budget:
-            err = estimate_error(error_model, cfg)
-            if best is None or (err, power) < (best[0], best[1]):
-                best = (err, power, cfg)
-    if best is not None:
-        return SelectionResult(best[2], False, best[1], best[0])
-    power, cfg = min_power
-    return SelectionResult(cfg, True, power, estimate_error(error_model, cfg))
+    predictions = _check_predictions(roster, predictions)
+    feasible = predictions < budget
+    if not feasible.any():
+        return _result(roster, predictions, error_model, int(np.argmin(predictions)), True)
+    errors = estimate_all_errors(error_model, roster)
+    index = _first_min(feasible, errors, predictions)
+    return _result(roster, predictions, error_model, index, False)
 
 
 def select_configuration_error_budget(
-    predictions: dict[RenderingConfiguration, float],
+    roster: PassRoster,
+    predictions: np.ndarray,
     error_model: ErrorModel,
     error_budget: float,
 ) -> SelectionResult:
     """Lowest predicted power among configurations with error strictly under budget.
 
+    ``predictions`` holds one power per configuration in enumeration order.
     Ties break toward lower error, then enumeration order. The all-best
     configuration has error zero, so infeasibility only arises for a
     nonpositive budget; it is then returned flagged.
     """
-    if not predictions:
-        raise ValueError("empty prediction map")
-    best = None  # (power, error, config)
-    first = None
-    for cfg, power in predictions.items():
-        if first is None:
-            first = cfg
-        err = estimate_error(error_model, cfg)
-        if err < error_budget:
-            if best is None or (power, err) < (best[0], best[1]):
-                best = (power, err, cfg)
-    if best is not None:
-        return SelectionResult(best[2], False, best[0], best[1])
-    s0 = RenderingConfiguration(tuple(0 for _ in first))
-    return SelectionResult(s0, True, predictions[s0], estimate_error(error_model, s0))
+    predictions = _check_predictions(roster, predictions)
+    errors = estimate_all_errors(error_model, roster)
+    feasible = errors < error_budget
+    if not feasible.any():
+        return _result(roster, predictions, error_model, 0, True)
+    index = _first_min(feasible, predictions, errors)
+    return _result(roster, predictions, error_model, index, False)
 
 
 def temporal_filter(
@@ -358,10 +380,12 @@ class Governor:
         predictions = predict_all(self.power_model, lambda c: self._primitives(c, frame))
         if self.config.mode == "error":
             result = select_configuration_error_budget(
-                predictions, self.error_model, self.config.error_budget
+                self.roster, predictions, self.error_model, self.config.error_budget
             )
         else:
-            result = select_configuration(predictions, self.error_model, self.budget)
+            result = select_configuration(
+                self.roster, predictions, self.error_model, self.budget
+            )
         self.selection_count += 1
         if result.infeasible:
             self.infeasible_count += 1

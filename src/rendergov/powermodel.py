@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import PassRoster, RenderingConfiguration
+from .configspace import PassRoster, RenderingConfiguration, config_index, level_grid
 
 # Normalized powers are clamped this fraction of (P_M - P_m) away from the
 # saturation bounds before the log transform, keeping targets finite.
@@ -190,11 +190,6 @@ class PowerModel:
             return self.coefficients
         return coefficients_for_config(
             self.unit_costs, self.cost_table, config, self.coefficients, self.roster
-        )
-
-    def predict(self, config: RenderingConfiguration, primitives) -> float:
-        return predict_power(
-            self.saturation, self.coefficients_for(config), primitives, model_masks(self.roster)
         )
 
 
@@ -453,17 +448,57 @@ def coefficients_for_config(
     return PowerCoefficients(tuple(per_pass))
 
 
-def predict_all(model: PowerModel, primitives_for) -> dict[RenderingConfiguration, float]:
-    """One power prediction per enumerated configuration.
+def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
+    """Predicted watts for every configuration, in enumeration order.
 
     ``primitives_for`` maps a configuration to its per-pass (b, v, f) counts,
     already reflecting per-level multipliers and the resolution fragment scale.
-    """
-    from .configspace import enumerate_configurations
 
-    masks = model_masks(model.roster)
-    out: dict[RenderingConfiguration, float] = {}
-    for config in enumerate_configurations(model.roster):
-        coeffs = model.coefficients_for(config)
-        out[config] = predict_power(model.saturation, coeffs, primitives_for(config), masks)
+    Pass i's load term depends only on its own level and the resolution level,
+    so the hook is called once per level-diagonal configuration (every pass at
+    ``min(l, L_i - 1)``, resolution at ``r``) to fill one ``L_i x L_res`` table
+    per pass. The tables are summed over the lattice in roster order, which is
+    the left-to-right order of :func:`predict_power`, so every entry equals
+    the scalar formula bit for bit. The fitted configuration keeps its raw
+    coefficients, as in :meth:`PowerModel.coefficients_for`.
+    """
+    roster = model.roster
+    sat = model.saturation
+    masks = model_masks(roster)
+    model_indices = roster.model_pass_indices
+    res = roster.resolution_index
+    res_count = 1 if res is None else roster.passes[res].level_count
+    counts = [roster.passes[i].level_count for i in model_indices]
+    tables = [np.empty((n, res_count)) for n in counts]
+    for lvl in range(max(counts, default=1)):
+        for r in range(res_count):
+            levels = [min(lvl, p.level_count - 1) for p in roster.passes]
+            if res is not None:
+                levels[res] = r
+            config = RenderingConfiguration(tuple(levels))
+            # Reuse coefficients even where the probe is the fitted
+            # configuration: other configurations share its per-pass levels.
+            coeffs = coefficients_for_config(
+                model.unit_costs, model.cost_table, config, model.coefficients, roster
+            )
+            terms = load_terms(sat, coeffs, primitives_for(config), masks)
+            for table, n, term in zip(tables, counts, terms):
+                if lvl < n:
+                    table[lvl, r] = term
+
+    grid = level_grid(roster)
+    res_levels = 0 if res is None else grid[res]
+    alpha = np.zeros(tuple(p.level_count for p in roster.passes))
+    for table, i in zip(tables, model_indices):
+        alpha = alpha + table[grid[i], res_levels]
+    # math.exp, not np.exp: the vectorized exp can differ from the scalar one
+    # in the last bit, and predictions must equal predict_power's exactly.
+    decay = np.array([math.exp(-a) for a in alpha.ravel().tolist()])
+    out = np.minimum(
+        sat.p_min + sat.span * (1.0 - decay), math.nextafter(sat.p_max, -math.inf)
+    )
+    fitted = model.fitted_config
+    out[config_index(roster, fitted)] = predict_power(
+        sat, model.coefficients, primitives_for(fitted), masks
+    )
     return out

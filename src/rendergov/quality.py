@@ -16,6 +16,7 @@ import numpy as np
 from .configspace import (
     PassRoster,
     RenderingConfiguration,
+    level_grid,
     single_degradation_config,
 )
 
@@ -295,3 +296,19 @@ def estimate_error(error_model: ErrorModel, config: RenderingConfiguration) -> f
         if lvl > 0:
             total += error_model.ratios.ratios[i][lvl] * error_model.e_worst[i]
     return total
+
+
+def estimate_all_errors(error_model: ErrorModel, roster: PassRoster) -> np.ndarray:
+    """:func:`estimate_error` for every configuration, in enumeration order.
+
+    Per-pass tables (``ratio * e_worst``, 0.0 at level 0) are summed in roster
+    order, so every entry equals the scalar estimate exactly.
+    """
+    grid = level_grid(roster)
+    total = np.zeros(tuple(p.level_count for p in roster.passes))
+    for i, p in enumerate(roster.passes):
+        e = error_model.e_worst[i]
+        ratios = error_model.ratios.ratios[i]
+        table = np.array([0.0] + [ratios[lvl] * e for lvl in range(1, p.level_count)])
+        total = total + table[grid[i]]
+    return total.ravel()

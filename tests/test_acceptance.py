@@ -255,7 +255,7 @@ def test_criterion_05_selection_oracle_equivalence():
             )[2]
             expect_flag = True
             infeasible_seen += 1
-        got = select_configuration(predictions, em, budget)
+        got = select_configuration(roster, np.array(list(predictions.values())), em, budget)
         assert got.config == expect_cfg and got.infeasible == expect_flag, trial
 
         feasible_e = [
@@ -268,7 +268,9 @@ def test_criterion_05_selection_oracle_equivalence():
         else:
             expect_cfg_e = roster.best_config()
             expect_flag_e = True
-        got_e = select_configuration_error_budget(predictions, em, e_budget)
+        got_e = select_configuration_error_budget(
+            roster, np.array(list(predictions.values())), em, e_budget
+        )
         assert got_e.config == expect_cfg_e and got_e.infeasible == expect_flag_e, trial
 
     elapsed = time.perf_counter() - started

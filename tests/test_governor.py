@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -89,7 +90,7 @@ def test_select_generous_budget_returns_best_quality():
     roster = _roster([2, 2])
     em = _error_model(roster)
     preds = {cfg: 20.0 + 5.0 * sum(cfg) for cfg in enumerate_configurations(roster)}
-    res = select_configuration(preds, em, budget=1000.0)
+    res = select_configuration(roster, np.array(list(preds.values())), em, budget=1000.0)
     assert tuple(res.config) == (0, 0)
     assert not res.infeasible
 
@@ -98,7 +99,7 @@ def test_select_impossible_budget_falls_back_to_min_power():
     roster = _roster([2, 2])
     em = _error_model(roster)
     preds = {cfg: 50.0 - 5.0 * sum(cfg) for cfg in enumerate_configurations(roster)}
-    res = select_configuration(preds, em, budget=1.0)
+    res = select_configuration(roster, np.array(list(preds.values())), em, budget=1.0)
     assert res.infeasible
     assert tuple(res.config) == (1, 1)
 
@@ -112,18 +113,20 @@ def test_select_matches_brute_force_hand_case():
         RenderingConfiguration((1, 0)): 35.0,
         RenderingConfiguration((1, 1)): 20.0,
     }
-    res = select_configuration(preds, em, budget=45.0)
+    res = select_configuration(roster, np.array(list(preds.values())), em, budget=45.0)
     want, flag = brute_force_power_budget(preds, em, 45.0)
     assert res.config == want and res.infeasible == flag
     assert tuple(res.config) == (0, 1)
 
 
 def test_select_rejects_empty_predictions():
+    """Empty and wrong-length prediction arrays are both rejected."""
     roster = _roster([2])
-    with pytest.raises(ValueError):
-        select_configuration({}, _error_model(roster), 10.0)
-    with pytest.raises(ValueError):
-        select_configuration_error_budget({}, _error_model(roster), 0.1)
+    for wrong in (np.array([]), np.array([10.0, 20.0, 30.0])):
+        with pytest.raises(ValueError):
+            select_configuration(roster, wrong, _error_model(roster), 10.0)
+        with pytest.raises(ValueError):
+            select_configuration_error_budget(roster, wrong, _error_model(roster), 0.1)
 
 
 @given(st.data())
@@ -135,22 +138,32 @@ def test_selection_equals_brute_force(data):
     )
     roster = _roster(shape)
     configs = enumerate_configurations(roster)
-    # coarse grids force plenty of ties
-    preds = {
-        cfg: data.draw(st.integers(min_value=0, max_value=6)) * 10.0 for cfg in configs
-    }
-    e_worst = tuple(
-        data.draw(st.integers(min_value=0, max_value=4)) * 0.05 for _ in range(roster.size)
-    )
-    em = _error_model(roster, e_worst=e_worst)
-    budget = data.draw(st.integers(min_value=-1, max_value=7)) * 10.0 + 5.0
-    res = select_configuration(preds, em, budget)
+    if data.draw(st.booleans()):
+        # coarse grids force plenty of ties
+        preds = {
+            cfg: data.draw(st.integers(min_value=0, max_value=6)) * 10.0 for cfg in configs
+        }
+        e_worst = tuple(
+            data.draw(st.integers(min_value=0, max_value=4)) * 0.05 for _ in range(roster.size)
+        )
+        em = _error_model(roster, e_worst=e_worst)
+        budget = data.draw(st.integers(min_value=-1, max_value=7)) * 10.0 + 5.0
+        e_bgt = data.draw(st.integers(min_value=0, max_value=5)) * 0.05
+    else:
+        # real-valued powers with budgets equal to one of the values exercise
+        # the strict <; one shared e_worst forces error ties between passes
+        # with equal level counts
+        preds = {cfg: data.draw(st.floats(min_value=10.0, max_value=100.0)) for cfg in configs}
+        em = _error_model(roster, e_worst=(data.draw(st.floats(0.0, 0.5)),) * roster.size)
+        budget = data.draw(st.sampled_from(list(preds.values())))
+        e_bgt = data.draw(st.sampled_from([estimate_error(em, cfg) for cfg in configs]))
+    power = np.array(list(preds.values()))
+    res = select_configuration(roster, power, em, budget)
     want, flag = brute_force_power_budget(preds, em, budget)
     assert res.config == want
     assert res.infeasible == flag
 
-    e_bgt = data.draw(st.integers(min_value=0, max_value=5)) * 0.05
-    res2 = select_configuration_error_budget(preds, em, e_bgt)
+    res2 = select_configuration_error_budget(roster, power, em, e_bgt)
     want2, flag2 = brute_force_error_budget(preds, em, e_bgt)
     assert res2.config == want2
     assert res2.infeasible == flag2
@@ -160,7 +173,9 @@ def test_error_budget_all_feasible_returns_min_power():
     roster = _roster([2, 2])
     em = _error_model(roster, e_worst=(0.01, 0.01))
     preds = {cfg: 50.0 - 5.0 * sum(cfg) for cfg in enumerate_configurations(roster)}
-    res = select_configuration_error_budget(preds, em, e_bgt := 10.0)
+    res = select_configuration_error_budget(
+        roster, np.array(list(preds.values())), em, e_bgt := 10.0
+    )
     assert tuple(res.config) == (1, 1)
     assert not res.infeasible
 
@@ -169,7 +184,7 @@ def test_error_budget_zero_budget_flags_best_config():
     roster = _roster([2, 2])
     em = _error_model(roster)
     preds = {cfg: 20.0 for cfg in enumerate_configurations(roster)}
-    res = select_configuration_error_budget(preds, em, 0.0)
+    res = select_configuration_error_budget(roster, np.array(list(preds.values())), em, 0.0)
     assert res.infeasible
     assert tuple(res.config) == (0, 0)
 

@@ -76,6 +76,6 @@ def test_generic_fit_tracks_ground_truth_across_space(demo_scenario):
     devs = []
     for frame in (50, 500, 1000):
         preds = predict_all(model, lambda c: sc.trace.primitives_for(sc.roster, c, frame))
-        for cfg, p in preds.items():
+        for cfg, p in zip(enumerate_configurations(sc.roster), preds):
             devs.append(abs(p - exact_power(sc.oracle, cfg, frame, sc.trace)))
     assert float(np.mean(devs)) <= 0.10 * sat.span

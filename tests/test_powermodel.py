@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,10 @@ from rendergov.configspace import (
     PassDescriptor,
     PassRoster,
     RenderingConfiguration,
+    config_index,
+    enumerate_configurations,
 )
+from rendergov.harness import initialize
 from rendergov.powermodel import (
     CostTable,
     FrameSample,
@@ -22,6 +26,7 @@ from rendergov.powermodel import (
     fit_generic,
     linearize_sample,
     load_terms,
+    model_masks,
     predict_all,
     predict_power,
     solve_unit_costs,
@@ -328,7 +333,7 @@ def test_predict_all_produces_one_prediction_per_configuration(demo_scenario):
     zero = tuple((0.0, 0.0, 0.0) for _ in range(n))
     preds = predict_all(model, lambda cfg: zero)
     assert len(preds) == 729
-    assert all(p == sat.p_min for p in preds.values())
+    assert all(p == sat.p_min for p in preds)
 
 
 def test_predict_all_empty_frame_is_p_min_everywhere():
@@ -344,7 +349,120 @@ def test_predict_all_empty_frame_is_p_min_everywhere():
     )
     zero = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     preds = predict_all(model, lambda cfg: zero)
-    assert all(p == TWO_PASS_SAT.p_min for p in preds.values())
+    assert all(p == TWO_PASS_SAT.p_min for p in preds)
+
+
+def _per_config_predictions(model, primitives_for):
+    """The scalar formula one configuration at a time: the oracle for predict_all."""
+    masks = model_masks(model.roster)
+    return [
+        predict_power(model.saturation, model.coefficients_for(cfg), primitives_for(cfg), masks)
+        for cfg in enumerate_configurations(model.roster)
+    ]
+
+
+def _synthetic_model(roster, rng, fitted_levels):
+    """Random but valid saturation, coefficients, cost table and unit costs."""
+    model_passes = roster.model_passes
+    sat = SaturationConstants(
+        12.0,
+        95.0,
+        tuple(tuple(rng.uniform(50.0, 5e5, size=3)) for _ in model_passes),
+    )
+
+    def nonincreasing(n, top):
+        return tuple(sorted(rng.uniform(0.0, top, size=n), reverse=True))
+
+    table = CostTable(
+        ins_v=tuple(rng.uniform(100.0, 400.0, size=len(model_passes))),
+        ins_f=tuple(nonincreasing(p.level_count, 600.0) for p in model_passes),
+        tex_f=tuple(nonincreasing(p.level_count, 20.0) for p in model_passes),
+    )
+    coeffs = PowerCoefficients(
+        tuple(tuple(rng.uniform(0.1, 1.5, size=3)) for _ in model_passes)
+    )
+    return _model_for(
+        roster, table, sat, coeffs, UnitCosts(0.002, 0.01),
+        RenderingConfiguration(fitted_levels),
+    )
+
+
+def _synthetic_primitives(roster, rng, saturation):
+    """A primitives hook in which pass i's counts depend only on its own level
+    and the resolution scale; it leaves unused kinds nonzero, so the model's
+    masks decide."""
+    base = [rng.uniform(0.0, 0.8, size=3) * big for big in saturation.per_pass]
+    shrink = [rng.uniform(0.3, 1.0, size=(p.level_count, 3)) for p in roster.model_passes]
+
+    def primitives_for(config):
+        frag = roster.fragment_scale(config)
+        out = []
+        for mi, ri in enumerate(roster.model_pass_indices):
+            b, v, f = base[mi] * shrink[mi][config[ri]]
+            out.append((float(b), float(v), float(f) * frag))
+        return tuple(out)
+
+    return primitives_for
+
+
+def test_predict_all_equals_per_config_formula(demo_scenario):
+    sc = demo_scenario
+    fitted = RenderingConfiguration((1, 2, 0, 1, 2, 1))
+    model = dataclasses.replace(initialize(sc).power_model, fitted_config=fitted)
+    masks = model_masks(sc.roster)
+    for frame in (40, 480, 1100):
+        hook = lambda cfg: sc.trace.primitives_for(sc.roster, cfg, frame)  # noqa: E731
+        want = _per_config_predictions(model, hook)
+        got = predict_all(model, hook)
+        assert isinstance(got, np.ndarray) and got.shape == (729,)
+        assert got.tolist() == want
+        # The fitted configuration's raw coefficients are not its reuse ones.
+        reuse = coefficients_for_config(
+            model.unit_costs, model.cost_table, fitted, model.coefficients, sc.roster
+        )
+        assert want[config_index(sc.roster, fitted)] != predict_power(
+            model.saturation, reuse, hook(fitted), masks
+        )
+
+    rng = np.random.default_rng(20180427)
+    no_resolution = PassRoster(
+        tuple(
+            PassDescriptor(f"p{i}", n, uses_batches=True, uses_vertices=True, uses_fragments=True)
+            for i, n in enumerate((3, 2, 3))
+        )
+    )
+    mixed = PassRoster(
+        (
+            PassDescriptor("a", 1, uses_batches=True, uses_vertices=True, uses_fragments=True),
+            PassDescriptor("b", 4, uses_vertices=True, uses_fragments=True),
+            PassDescriptor("res", 3, is_resolution=True, fragment_scale_per_level=(1.0, 0.75, 0.5)),
+            PassDescriptor("c", 2, uses_fragments=True),
+            PassDescriptor("d", 3, uses_batches=True),
+            PassDescriptor("e", 4, uses_batches=True, uses_fragments=True),
+        )
+    )
+    for roster, fitted_levels in ((no_resolution, (2, 1, 0)), (mixed, (0, 3, 1, 1, 0, 2))):
+        for _ in range(5):
+            model = _synthetic_model(roster, rng, fitted_levels)
+            hook = _synthetic_primitives(roster, rng, model.saturation)
+            assert predict_all(model, hook).tolist() == _per_config_predictions(model, hook)
+
+
+def test_predict_all_calls_the_primitives_hook_once_per_level_diagonal():
+    roster = PassRoster(
+        (PassDescriptor("res", 3, is_resolution=True, fragment_scale_per_level=(1.0, 0.8, 0.6)),)
+        + tuple(
+            PassDescriptor(f"p{i}", 3, uses_batches=True, uses_vertices=True, uses_fragments=True)
+            for i in range(7)
+        )
+    )
+    rng = np.random.default_rng(3)
+    model = _synthetic_model(roster, rng, (1,) * 8)
+    hook = _synthetic_primitives(roster, rng, model.saturation)
+    calls = []
+    preds = predict_all(model, lambda cfg: calls.append(cfg) or hook(cfg))
+    assert preds.shape == (3**8,)
+    assert len(calls) <= 3 * 3 + 1
 
 
 def test_two_pass_prediction_is_sum_of_per_pass_load_terms():
