@@ -26,7 +26,15 @@ from .powermodel import (
     model_masks,
     solve_unit_costs,
 )
-from .quality import ErrorModel, calibrate_ratios, quality_error, reference_moments
+from .quality import (
+    SSIM_WINDOW,
+    ErrorModel,
+    calibrate_ratios,
+    check_intensities,
+    quality_error,  # noqa: F401 -- perfbench/run.py wraps this name as its speed-probe hook
+    reference_moments,
+    ssim_rows,
+)
 from .scenario import Scenario
 from .simgpu import (
     ProbeResult,
@@ -35,6 +43,7 @@ from .simgpu import (
     measure_power,
     probe_min_power,
     probe_saturation,
+    render_band,
     render_frame,
 )
 
@@ -237,6 +246,17 @@ def _true_errors(
     reference, which itself scores exactly 0.0 without rendering. When more
     than one distinct configuration needs an SSIM, the reference's moments are
     computed once and shared.
+
+    Work is shared across candidates per band instead of per frame. A pass
+    degrades only its own band, and an SSIM map row depends only on the image
+    rows its window covers, so a map row is a function of the levels of the
+    passes whose bands that window touches. The map splits into segments,
+    runs of rows whose windows touch the same passes; each (pass, level) band
+    is rendered once, and each (segment, levels) run of map rows is computed
+    once and copied into every later candidate that shares it. Rows whose
+    passes are all at level 0 stay 1.0, as :func:`quality.ssim` leaves them,
+    and each map is averaged in full, so every score is bitwise the one
+    :func:`quality_error` gives for the whole frame.
     """
     best = scenario.roster.best_config()
     degraded = dict.fromkeys(c for c in configs if c != best)
@@ -245,8 +265,63 @@ def _true_errors(
     synth = scenario.synthesizer
     reference = render_frame(synth, best, frame)
     moments = reference_moments(reference) if len(degraded) > 1 else None
+    x = reference.pixels
+    span = SSIM_WINDOW - 1
+    n_rows = x.shape[0] - span
+    starts = [synth.band(i)[0] for i in range(synth.roster.size)]
+    # Map row r's window covers image rows r .. r + span, which belong to
+    # passes band_of[r] .. band_of[r + span]; a segment starts wherever
+    # either end changes.
+    band_of = np.searchsorted(starts, np.arange(x.shape[0]), side="right") - 1
+    first, last = band_of[:n_rows], band_of[span:]
+    cuts = np.flatnonzero((first[1:] != first[:-1]) | (last[1:] != last[:-1])) + 1
+    bounds = [0, *cuts.tolist(), n_rows]
+    segments = [
+        (bounds[s], bounds[s + 1], int(first[bounds[s]]), int(last[bounds[s]]) + 1)
+        for s in range(len(bounds) - 1)
+    ]
+
+    bands: dict[tuple[int, int], np.ndarray] = {}
+    memo: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+
+    def band(i: int, level: int) -> np.ndarray:
+        if (i, level) not in bands:
+            rows = render_band(synth, i, level, frame)
+            check_intensities(rows)
+            bands[i, level] = rows
+        return bands[i, level]
+
+    def fill(ssim_map, config, run) -> None:
+        # One filter over a run of adjacent uncached segments, split into the memo.
+        lo, hi = segments[run[0]][0], segments[run[-1]][1]
+        p0, p1 = segments[run[0]][2], segments[run[-1]][3]
+        ys = np.concatenate([band(i, config[i]) for i in range(p0, p1)])
+        ys = ys[lo - starts[p0] : hi + span - starts[p0]]
+        rows = ssim_rows(
+            x[lo : hi + span], ys, None if moments is None else moments.rows(lo, hi)
+        )
+        ssim_map[lo:hi] = rows
+        for s in run:
+            a, b, q0, q1 = segments[s]
+            memo[s, config.levels[q0:q1]] = rows[a - lo : b - lo]
+
     for config in degraded:
-        degraded[config] = quality_error(reference, render_frame(synth, config, frame), moments)
+        ssim_map = np.ones((n_rows, x.shape[1] - span))
+        run: list[int] = []
+        for s, (a, b, q0, q1) in enumerate(segments):
+            levels = config.levels[q0:q1]
+            cached = memo.get((s, levels))
+            if cached is None and any(levels):
+                run.append(s)
+                continue
+            if run:
+                fill(ssim_map, config, run)
+                run = []
+            if cached is not None:
+                ssim_map[a:b] = cached
+        if run:
+            fill(ssim_map, config, run)
+        degraded[config] = max(0.0, 1.0 - float(ssim_map.mean()))
     return [degraded.get(c, 0.0) for c in configs]
 
 

@@ -41,8 +41,7 @@ class FrameImage:
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2:
             raise ValueError("pixels must be a 2-D array")
-        if px.size and (px.min() < 0.0 or px.max() > 1.0):
-            raise ValueError("intensities must lie in [0, 1]")
+        check_intensities(px)
         px = px.copy()
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
@@ -54,6 +53,12 @@ class FrameImage:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
+
+
+def check_intensities(pixels: np.ndarray) -> None:
+    """Raise ValueError unless every intensity lies in [0, 1]."""
+    if pixels.size and (pixels.min() < 0.0 or pixels.max() > 1.0):
+        raise ValueError("intensities must lie in [0, 1]")
 
 
 def _gaussian_taps(window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
@@ -99,10 +104,42 @@ class ReferenceMoments:
     mean: np.ndarray
     mean_sq: np.ndarray
 
+    def rows(self, lo: int, hi: int) -> "ReferenceMoments":
+        """The moments of map rows ``lo .. hi - 1``."""
+        return ReferenceMoments(self.mean[lo:hi], self.mean_sq[lo:hi])
+
 
 def reference_moments(reference: FrameImage) -> ReferenceMoments:
     x = reference.pixels
     return ReferenceMoments(_windowed_mean(x), _windowed_mean(x * x))
+
+
+def ssim_rows(
+    xs: np.ndarray, ys: np.ndarray, moments: ReferenceMoments | None = None
+) -> np.ndarray:
+    """SSIM map rows for a run of reference rows ``xs`` and candidate rows ``ys``.
+
+    Map row r covers image rows r .. r + 10 of the slices, so the result has
+    10 rows and 10 columns fewer than they do. Every entry depends only on its
+    own window, so it is bitwise the same whichever rows around it are
+    computed with it. ``moments``, if given, must be the reference moments of
+    exactly these map rows.
+    """
+    if moments is None:
+        mu_x = _windowed_mean(xs)
+        mean_sq_x = _windowed_mean(xs * xs)
+    else:
+        mu_x, mean_sq_x = moments.mean, moments.mean_sq
+    mu_y = _windowed_mean(ys)
+    var_x = mean_sq_x - mu_x * mu_x
+    var_y = _windowed_mean(ys * ys) - mu_y * mu_y
+    cov = _windowed_mean(xs * ys) - mu_x * mu_y
+
+    c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
+    c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
+    return ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    )
 
 
 def ssim(
@@ -131,23 +168,10 @@ def ssim(
         # Map row r covers image rows r .. r + 2*_HALF.
         lo = max(int(differing[0]) - 2 * _HALF, 0)
         hi = min(int(differing[-1]), h - 2 * _HALF - 1) + 1
-        xs = x[lo : hi + 2 * _HALF]
-        ys = y[lo : hi + 2 * _HALF]
-        if moments is None:
-            mu_x = _windowed_mean(xs)
-            mean_sq_x = _windowed_mean(xs * xs)
-        else:
-            mu_x = moments.mean[lo:hi]
-            mean_sq_x = moments.mean_sq[lo:hi]
-        mu_y = _windowed_mean(ys)
-        var_x = mean_sq_x - mu_x * mu_x
-        var_y = _windowed_mean(ys * ys) - mu_y * mu_y
-        cov = _windowed_mean(xs * ys) - mu_x * mu_y
-
-        c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
-        c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
-        ssim_map[lo:hi] = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-            (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+        ssim_map[lo:hi] = ssim_rows(
+            x[lo : hi + 2 * _HALF],
+            y[lo : hi + 2 * _HALF],
+            None if moments is None else moments.rows(lo, hi),
         )
     return float(ssim_map.mean())
 

@@ -432,6 +432,27 @@ class FrameSynthesizer:
         return r0, r1
 
 
+def render_band(
+    synth: FrameSynthesizer, pass_index: int, level: int, frame_index: int
+) -> np.ndarray:
+    """The rows of ``synth.band(pass_index)`` with that pass at ``level``.
+
+    A pass's degradation reads and writes only its own band, so a frame is
+    the base pattern with each degraded pass's band replaced; level 0 returns
+    the base rows. The rows are not range-checked here: :class:`FrameImage`
+    checks whole frames, and callers that score bands without one check each
+    band with :func:`quality.check_intensities`.
+    """
+    spec = synth.degradations[pass_index]
+    if not 0 <= level < len(spec.strength):
+        raise ValueError(f"pass {pass_index} has no level {level}")
+    r0, r1 = synth.band(pass_index)
+    rows = _base_pattern(synth.seed, frame_index, synth.height, synth.width)[r0:r1]
+    if level:
+        rows = _apply_degradation(rows, spec, spec.strength[level], frame_index, pass_index)
+    return rows
+
+
 def render_frame(
     synth: FrameSynthesizer, config: RenderingConfiguration, frame_index: int
 ) -> FrameImage:
@@ -442,12 +463,9 @@ def render_frame(
         return FrameImage(base)
     img = base.copy()
     for i, lvl in enumerate(config):
-        if lvl == 0:
-            continue
-        spec = synth.degradations[i]
-        strength = spec.strength[lvl]
-        r0, r1 = synth.band(i)
-        img[r0:r1, :] = _apply_degradation(img[r0:r1, :], spec, strength, frame_index, i)
+        if lvl:
+            r0, r1 = synth.band(i)
+            img[r0:r1] = render_band(synth, i, lvl, frame_index)
     return FrameImage(img)
 
 

@@ -1,9 +1,10 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rendergov.scenario import load_scenario
+from rendergov.scenario import load_scenario, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -11,6 +12,13 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 @pytest.fixture(scope="session")
 def demo_scenario():
     return load_scenario(SCENARIO_DIR / "demo.json")
+
+
+@pytest.fixture(scope="session")
+def demo_40px_scenario():
+    doc = json.loads((SCENARIO_DIR / "demo.json").read_text())
+    doc["synthesizer"]["size"] = 40
+    return scenario_from_dict(doc)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from rendergov import simgpu
 from rendergov.configspace import RenderingConfiguration
 from rendergov.harness import (
     initialize,
@@ -155,12 +156,31 @@ def test_oracle_table_covers_enumeration_with_zero_error_reference(mini_scenario
     assert by_cfg[worst][0] == min(p for p, _ in by_cfg.values())
 
 
-def test_oracle_table_matches_independent_ground_truth(mini_scenario):
-    sc, frame = mini_scenario, 7
-    reference = render_frame(sc.synthesizer, sc.roster.best_config(), frame)
-    for config, power, err in oracle_table(sc, frame):
-        assert power == exact_power(sc.oracle, config, frame, sc.trace)
-        assert err == quality_error(reference, render_frame(sc.synthesizer, config, frame))
+def test_oracle_table_matches_independent_ground_truth(
+    mini_scenario, demo_scenario, demo_40px_scenario
+):
+    # At 40 px the demo's bands are 6-7 rows, so an SSIM window spans up to
+    # three passes.
+    for sc, frame in ((mini_scenario, 7), (demo_scenario, 450), (demo_40px_scenario, 31)):
+        reference = render_frame(sc.synthesizer, sc.roster.best_config(), frame)
+        for config, power, err in oracle_table(sc, frame):
+            assert power == exact_power(sc.oracle, config, frame, sc.trace)
+            assert err == quality_error(reference, render_frame(sc.synthesizer, config, frame))
+
+
+def test_oracle_table_renders_each_band_level_once(demo_scenario, monkeypatch):
+    calls = []
+    apply = simgpu._apply_degradation
+
+    def counted(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(simgpu, "_apply_degradation", counted)
+    oracle_table(demo_scenario, 600)
+    degraded_levels = sum(p.level_count - 1 for p in demo_scenario.roster.passes)
+    assert degraded_levels == 12
+    assert len(calls) <= degraded_levels
 
 
 def test_oracle_table_frame_bounds(mini_scenario):

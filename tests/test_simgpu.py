@@ -34,6 +34,7 @@ from rendergov.simgpu import (
     measure_power,
     probe_min_power,
     probe_saturation,
+    render_band,
     render_frame,
 )
 
@@ -152,6 +153,17 @@ def test_render_degradation_confined_to_band(mini_scenario):
         outside[r0:r1] = False
         assert np.array_equal(img.pixels[outside], ref.pixels[outside])
         assert not np.array_equal(img.pixels[r0:r1], ref.pixels[r0:r1])
+
+
+def test_render_band_level_zero_is_base_rows_and_unknown_levels_raise(mini_scenario):
+    synth = mini_scenario.synthesizer
+    ref = render_frame(synth, mini_scenario.roster.best_config(), 3)
+    for i, p in enumerate(mini_scenario.roster.passes):
+        r0, r1 = synth.band(i)
+        assert np.array_equal(render_band(synth, i, 0, 3), ref.pixels[r0:r1])
+        for level in (-1, p.level_count):
+            with pytest.raises(ValueError):
+                render_band(synth, i, level, 3)
 
 
 def test_render_error_monotone_in_level(demo_scenario):
