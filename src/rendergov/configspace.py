@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,21 +95,31 @@ class PassRoster:
     def size(self) -> int:
         return len(self.passes)
 
-    @property
+    # The roster is frozen, so the derived views below are computed once per
+    # instance; they live in the instance __dict__, outside the dataclass
+    # fields, and dataclasses.replace starts without them.
+    @cached_property
     def resolution_index(self) -> int | None:
         for i, p in enumerate(self.passes):
             if p.is_resolution:
                 return i
         return None
 
-    @property
+    @cached_property
     def model_pass_indices(self) -> tuple[int, ...]:
         """Roster indices of the passes that enter the power formula."""
         return tuple(i for i, p in enumerate(self.passes) if not p.is_resolution)
 
-    @property
+    @cached_property
     def model_passes(self) -> tuple[PassDescriptor, ...]:
         return tuple(p for p in self.passes if not p.is_resolution)
+
+    @cached_property
+    def model_masks(self) -> tuple[tuple[bool, bool, bool], ...]:
+        """(uses_batches, uses_vertices, uses_fragments) per model pass."""
+        return tuple(
+            (p.uses_batches, p.uses_vertices, p.uses_fragments) for p in self.model_passes
+        )
 
     @property
     def config_count(self) -> int:

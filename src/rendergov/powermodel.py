@@ -195,9 +195,7 @@ class PowerModel:
 
 def model_masks(roster: PassRoster) -> tuple[tuple[bool, bool, bool], ...]:
     """(uses_batches, uses_vertices, uses_fragments) per non-resolution pass."""
-    return tuple(
-        (p.uses_batches, p.uses_vertices, p.uses_fragments) for p in roster.model_passes
-    )
+    return roster.model_masks
 
 
 def load_terms(

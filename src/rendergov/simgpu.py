@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,7 +26,6 @@ from .powermodel import (
     PowerCoefficients,
     SaturationConstants,
     UnitCosts,
-    load_terms,
     model_masks,
 )
 from .quality import FrameImage
@@ -100,6 +100,12 @@ class SceneTrace:
     pass i. ``level_scale_*[i][l]`` multiplies the respective count when pass i
     runs at level l; fragments are additionally scaled by the resolution
     pass's fragment scale.
+
+    Every configuration measured at one frame shares that frame's curve
+    values and event scales, so the trace keeps them for the most recent
+    ``(roster, frame)`` only, and the cumulative event scales for the most
+    recent roster. Both memos live on the instance and are set up empty in
+    ``__post_init__``, which ``dataclasses.replace`` runs again.
     """
 
     frame_count: int
@@ -126,6 +132,8 @@ class SceneTrace:
         frames = [e.frame for e in self.events]
         if frames != sorted(frames):
             raise ValueError("events must be sorted by frame")
+        object.__setattr__(self, "_event_memo", None)
+        object.__setattr__(self, "_frame_memo", None)
 
     @property
     def is_empty(self) -> bool:
@@ -133,38 +141,58 @@ class SceneTrace:
             e.count_scale != 1.0 for e in self.events
         )
 
-    def _event_scales(self, roster: PassRoster, frame: int) -> tuple[list[float], list[float]]:
-        counts = [1.0] * len(roster.model_pass_indices)
-        costs = [1.0] * len(roster.model_pass_indices)
+    def _event_table(self, roster: PassRoster):
+        """Event frames, and the per-model-pass (count, cost) scales in
+        effect after each prefix of the events; entry k follows k events."""
+        memo = self._event_memo
+        if memo is not None and (memo[0] is roster or memo[0] == roster):
+            return memo[1]
         names = [roster.passes[i].name for i in roster.model_pass_indices]
+        counts = [1.0] * len(names)
+        costs = [1.0] * len(names)
+        table = [(tuple(counts), tuple(costs))]
         for e in self.events:
-            if e.frame > frame:
-                break
             mi = names.index(e.pass_name)
             counts[mi] *= e.count_scale
             costs[mi] *= e.cost_scale
-        return counts, costs
+            table.append((tuple(counts), tuple(costs)))
+        result = ([e.frame for e in self.events], table)
+        object.__setattr__(self, "_event_memo", (roster, result))
+        return result
+
+    def _frame_terms(self, roster: PassRoster, frame: int):
+        """Per-pass curve values (b, v, f) and the (count, cost) event scales
+        at ``frame``."""
+        memo = self._frame_memo
+        if memo is not None and memo[1] == frame and (memo[0] is roster or memo[0] == roster):
+            return memo[2]
+        frames, table = self._event_table(roster)
+        counts, costs = table[bisect_right(frames, frame)]
+        values = tuple(tuple(c.value(frame) for c in triple) for triple in self.curves)
+        terms = (values, counts, costs)
+        object.__setattr__(self, "_frame_memo", (roster, frame, terms))
+        return terms
 
     def cost_scales(self, roster: PassRoster, frame: int) -> tuple[float, ...]:
         """Hidden per-pass cost multipliers in effect at ``frame``."""
-        return tuple(self._event_scales(roster, frame)[1])
+        return self._frame_terms(roster, frame)[2]
 
     def primitives_for(
         self, roster: PassRoster, config: RenderingConfiguration, frame: int
     ) -> tuple[tuple[float, float, float], ...]:
         """Observable (b, v, f) per model pass for one frame and configuration."""
         roster.validate_config(config)
-        count_scales, _ = self._event_scales(roster, frame)
+        values, count_scales, _ = self._frame_terms(roster, frame)
         frag_scale = roster.fragment_scale(config)
         masks = model_masks(roster)
         out = []
         for mi, ri in enumerate(roster.model_pass_indices):
             lvl = config[ri]
-            cb, cv, cf = self.curves[mi]
+            vb, vv, vf = values[mi]
             scale = count_scales[mi]
-            b = cb.value(frame) * self.level_scale_batches[mi][lvl] * scale
-            v = cv.value(frame) * self.level_scale_vertices[mi][lvl] * scale
-            f = cf.value(frame) * self.level_scale_fragments[mi][lvl] * scale * frag_scale
+            b = vb * self.level_scale_batches[mi][lvl] * scale
+            v = vv * self.level_scale_vertices[mi][lvl] * scale
+            f = vf * self.level_scale_fragments[mi][lvl] * scale * frag_scale
             ub, uv, uf = masks[mi]
             out.append((b if ub else 0.0, v if uv else 0.0, f if uf else 0.0))
         return tuple(out)
@@ -208,6 +236,10 @@ class HiddenPowerOracle:
     ``cost_distortion`` is a multiplicative factor: each true cost entry is the
     public entry times factor**u with a seeded u in [-1, 1], so 1.0 means the
     public cost table is exactly true.
+
+    The unscaled vertex and per-level fragment coefficients are computed once
+    from the true costs, and :meth:`noise` keeps the most recent frame's
+    draw, so power queries for many configurations at one frame share both.
     """
 
     roster: PassRoster
@@ -227,6 +259,8 @@ class HiddenPowerOracle:
             raise ValueError("cost distortion factor must be >= 1.0")
         if len(self.k_b) != len(self.roster.model_pass_indices):
             raise ValueError("k_b must have one entry per model pass")
+        if any(k < 0 for k in self.k_b):
+            raise ValueError("k_b entries must be nonnegative")
         d = self.cost_distortion
         s = self.seed
         ins_v = tuple(
@@ -240,40 +274,75 @@ class HiddenPowerOracle:
             tuple(x * _entry_jitter(s, f"tex_f/{i}/{l}", d) for l, x in enumerate(row))
             for i, row in enumerate(self.public_costs.tex_f)
         )
-        object.__setattr__(self, "true_costs", CostTable(ins_v, ins_f, tex_f))
+        true_costs = CostTable(ins_v, ins_f, tex_f)
+        object.__setattr__(self, "true_costs", true_costs)
+        chi, psi = self.unit_costs.chi, self.unit_costs.psi
+        object.__setattr__(self, "_k_v", tuple(chi * x for x in true_costs.ins_v))
+        object.__setattr__(
+            self,
+            "_k_f",
+            tuple(
+                tuple(chi * i_f + psi * t_f for i_f, t_f in zip(ins_row, tex_row))
+                for ins_row, tex_row in zip(true_costs.ins_f, true_costs.tex_f)
+            ),
+        )
+        object.__setattr__(self, "_noise_memo", None)
 
     def true_coefficients(
         self, config: RenderingConfiguration, cost_scales=None
     ) -> PowerCoefficients:
-        levels = tuple(config[i] for i in self.roster.model_pass_indices)
+        """Per-pass (k_b, k_v, k_f) at the configuration's levels, each times
+        the pass's cost scale: k_v = chi*Ins_v and k_f = chi*Ins_f + psi*Tex_f
+        over the true costs."""
         per_pass = []
-        for i, lvl in enumerate(levels):
+        for i, ri in enumerate(self.roster.model_pass_indices):
             scale = 1.0 if cost_scales is None else cost_scales[i]
-            kb = self.k_b[i] * scale
-            kv = self.unit_costs.chi * self.true_costs.ins_v[i] * scale
-            kf = (
-                self.unit_costs.chi * self.true_costs.ins_f[i][lvl]
-                + self.unit_costs.psi * self.true_costs.tex_f[i][lvl]
-            ) * scale
-            per_pass.append((kb, kv, kf))
+            per_pass.append(
+                (self.k_b[i] * scale, self._k_v[i] * scale, self._k_f[i][config[ri]] * scale)
+            )
         return PowerCoefficients(tuple(per_pass))
 
     def exact_power_from_primitives(
         self, config: RenderingConfiguration, primitives, cost_scales=None
     ) -> float:
-        coeffs = self.true_coefficients(config, cost_scales)
-        alpha = sum(
-            load_terms(self.saturation, coeffs, primitives, model_masks(self.roster))
-        )
-        return self.saturation.p_min + self.saturation.span * (1.0 - math.exp(-alpha))
+        """The power formula with :meth:`true_coefficients`, term for term as
+        :func:`powermodel.load_terms` evaluates it, without building them:
+        every power query pays only for its own arithmetic."""
+        sat = self.saturation
+        n = len(sat.per_pass)
+        model_indices = self.roster.model_pass_indices
+        if len(model_indices) != n or len(primitives) != n:
+            raise ValueError("saturation, coefficients, and primitives disagree on pass count")
+        masks = model_masks(self.roster)
+        terms = []
+        for i, ri in enumerate(model_indices):
+            scale = 1.0 if cost_scales is None else cost_scales[i]
+            big_b, big_v, big_f = sat.per_pass[i]
+            b, v, f = primitives[i]
+            ub, uv, uf = masks[i]
+            b = b if ub else 0.0
+            v = v if uv else 0.0
+            f = f if uf else 0.0
+            terms.append(
+                self.k_b[i] * scale * b / big_b
+                + self._k_v[i] * scale * v / big_v
+                + self._k_f[i][config[ri]] * scale * f / big_f
+            )
+        alpha = sum(terms)
+        return sat.p_min + sat.span * (1.0 - math.exp(-alpha))
 
     def noise(self, frame_index: int) -> float:
         if self.noise_sigma == 0.0:
             return 0.0
+        memo = self._noise_memo
+        if memo is not None and memo[0] == frame_index:
+            return memo[1]
         rng = np.random.default_rng([self.seed, frame_index])
         draw = float(rng.standard_normal())
         draw = max(-3.0, min(3.0, draw))
-        return draw * self.noise_sigma * self.saturation.span
+        value = draw * self.noise_sigma * self.saturation.span
+        object.__setattr__(self, "_noise_memo", (frame_index, value))
+        return value
 
 
 def exact_power(
@@ -283,6 +352,8 @@ def exact_power(
     trace: SceneTrace,
 ) -> float:
     """Noise-free ground-truth power for one frame."""
+    if not 0 <= frame_index < trace.frame_count:
+        raise ValueError(f"frame {frame_index} outside the trace [0, {trace.frame_count})")
     primitives = trace.primitives_for(oracle.roster, config, frame_index)
     cost_scales = trace.cost_scales(oracle.roster, frame_index)
     return oracle.exact_power_from_primitives(config, primitives, cost_scales)
@@ -294,9 +365,8 @@ def measure_power(
     frame_index: int,
     trace: SceneTrace,
 ) -> float:
-    """Ground-truth power plus seeded Gaussian noise (clamped at 3 sigma)."""
-    if frame_index >= trace.frame_count:
-        raise ValueError(f"frame {frame_index} beyond trace length {trace.frame_count}")
+    """Ground-truth power plus seeded Gaussian noise (clamped at 3 sigma);
+    :func:`exact_power` rejects frames outside the trace before any draw."""
     p = exact_power(oracle, config, frame_index, trace) + oracle.noise(frame_index)
     return max(p, 1e-9)
 

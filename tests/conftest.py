@@ -22,6 +22,28 @@ def demo_40px_scenario():
 
 
 @pytest.fixture(scope="session")
+def lattice_scenario():
+    """demo.json grown to 8 passes (3**8 configurations) by cloning two passes."""
+    doc = json.loads((SCENARIO_DIR / "demo.json").read_text())
+    clones = ("shadows", "metals")
+    roster = []
+    for entry in doc["roster"]:
+        roster.append(entry)
+        if entry["name"] in clones:
+            roster.append({**entry, "name": entry["name"] + "_2"})
+    doc["roster"] = roster
+    for section in (
+        doc["cost_table"],
+        doc["oracle"]["passes"],
+        doc["trace"]["passes"],
+        doc["synthesizer"]["passes"],
+    ):
+        for name in clones:
+            section[name + "_2"] = section[name]
+    return scenario_from_dict(doc)
+
+
+@pytest.fixture(scope="session")
 def mini_scenario():
     return load_scenario(SCENARIO_DIR / "mini.json")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
@@ -115,3 +117,21 @@ def test_validate_config_bounds():
         roster.validate_config(RenderingConfiguration((0, 2)))
     with pytest.raises(ValueError):
         roster.validate_config(RenderingConfiguration((0,)))
+
+
+def test_derived_roster_views_are_per_instance():
+    roster = default_roster()
+    assert roster.resolution_index == 0
+    assert roster.model_pass_indices == (1, 2, 3, 4, 5)
+    assert roster.model_masks[-1] == (False, False, True)
+    assert roster.model_pass_indices is roster.model_pass_indices  # computed once
+    assert roster == default_roster() and hash(roster) == hash(default_roster())
+    # A replaced roster derives its views afresh instead of inheriting them.
+    swapped = dataclasses.replace(roster, passes=roster.passes[1:] + roster.passes[:1])
+    assert swapped.resolution_index == 5
+    assert swapped.model_pass_indices == (0, 1, 2, 3, 4)
+    assert swapped.model_passes == roster.model_passes
+    assert swapped.model_masks == roster.model_masks
+    plain = dataclasses.replace(roster, passes=roster.passes[1:])
+    assert plain.resolution_index is None
+    assert plain.fragment_scale(plain.worst_config()) == 1.0

@@ -104,6 +104,18 @@ def test_mini_run_matches_golden(mini_run):
     )
 
 
+def test_regime_change_run_matches_golden(regime_scenario, tmp_path):
+    # regime_change has a hidden cost event that forces a live refit, which
+    # the mini golden does not cover.
+    result = run(regime_scenario, tmp_path)
+    assert result.summary["refit_count"] > 0
+    golden = GOLDEN_DIR / "regime_change"
+    _assert_matches_golden(result.log_path.read_text(), (golden / "run_log.csv").read_text())
+    _assert_matches_golden(
+        result.summary_path.read_text(), (golden / "summary.txt").read_text()
+    )
+
+
 def test_run_baselines_equal_pinned_replays(mini_scenario, mini_run, regime_scenario):
     cases = ((mini_scenario, mini_run[0].summary), (regime_scenario, run(regime_scenario).summary))
     for scenario, summary in cases:

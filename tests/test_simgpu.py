@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from rendergov.configspace import (
 from rendergov.powermodel import (
     CostTable,
     FrameSample,
+    PowerCoefficients,
     SaturationConstants,
     UnitCosts,
     fit_coefficients,
+    load_terms,
     model_masks,
     predict_power,
 )
@@ -26,6 +29,7 @@ from rendergov.simgpu import (
     HiddenPowerOracle,
     PassDegradation,
     ProbeError,
+    SceneTrace,
     TraceEvent,
     _base_pattern,
     _structured_noise,
@@ -319,3 +323,186 @@ def test_empty_trace_is_empty(mini_scenario):
     trace = empty_trace(mini_scenario.roster, 5)
     assert trace.is_empty
     assert not mini_scenario.trace.is_empty
+
+
+def test_power_queries_reject_frames_outside_the_trace(mini_scenario):
+    sc = mini_scenario
+    assert sc.oracle.noise_sigma > 0.0  # a noisy meter must not reach its draw
+    cfg = sc.roster.worst_config()
+    for frame in (-1, -240, sc.trace.frame_count, 10**6):
+        for query in (exact_power, measure_power):
+            with pytest.raises(ValueError, match=rf"frame {frame} outside .*\[0, 240\)"):
+                query(sc.oracle, cfg, frame, sc.trace)
+    assert exact_power(sc.oracle, cfg, 0, sc.trace) > 0.0
+    assert measure_power(sc.oracle, cfg, sc.trace.frame_count - 1, sc.trace) > 0.0
+
+
+def test_oracle_rejects_negative_batch_cost(mini_scenario):
+    with pytest.raises(ValueError, match="k_b"):
+        dataclasses.replace(mini_scenario.oracle, k_b=(0.8, -0.1))
+
+
+# Per-call formulas of the power path, kept as the oracle for the memoized
+# one: a scan over the events, the true coefficients from the true costs plus
+# load_terms, and a fresh generator per noise draw.
+
+
+def _scanned_event_scales(trace, roster, frame):
+    names = [roster.passes[i].name for i in roster.model_pass_indices]
+    counts = [1.0] * len(names)
+    costs = [1.0] * len(names)
+    for e in trace.events:
+        if e.frame > frame:
+            break
+        mi = names.index(e.pass_name)
+        counts[mi] *= e.count_scale
+        costs[mi] *= e.cost_scale
+    return counts, costs
+
+
+def _per_call_primitives(trace, roster, config, frame):
+    count_scales, _ = _scanned_event_scales(trace, roster, frame)
+    frag_scale = roster.fragment_scale(config)
+    out = []
+    for mi, ri in enumerate(roster.model_pass_indices):
+        lvl = config[ri]
+        cb, cv, cf = trace.curves[mi]
+        scale = count_scales[mi]
+        b = cb.value(frame) * trace.level_scale_batches[mi][lvl] * scale
+        v = cv.value(frame) * trace.level_scale_vertices[mi][lvl] * scale
+        f = cf.value(frame) * trace.level_scale_fragments[mi][lvl] * scale * frag_scale
+        ub, uv, uf = model_masks(roster)[mi]
+        out.append((b if ub else 0.0, v if uv else 0.0, f if uf else 0.0))
+    return tuple(out)
+
+
+def _per_call_power_from_primitives(oracle, config, primitives, cost_scales):
+    chi, psi, true = oracle.unit_costs.chi, oracle.unit_costs.psi, oracle.true_costs
+    per_pass = []
+    for i, ri in enumerate(oracle.roster.model_pass_indices):
+        lvl = config[ri]
+        scale = 1.0 if cost_scales is None else cost_scales[i]
+        kb = oracle.k_b[i] * scale
+        kv = chi * true.ins_v[i] * scale
+        kf = (chi * true.ins_f[i][lvl] + psi * true.tex_f[i][lvl]) * scale
+        per_pass.append((kb, kv, kf))
+    coeffs = PowerCoefficients(tuple(per_pass))
+    assert oracle.true_coefficients(config, cost_scales) == coeffs
+    alpha = sum(load_terms(oracle.saturation, coeffs, primitives, model_masks(oracle.roster)))
+    return oracle.saturation.p_min + oracle.saturation.span * (1.0 - math.exp(-alpha))
+
+
+def _per_call_noise(oracle, frame):
+    if oracle.noise_sigma == 0.0:
+        return 0.0
+    draw = float(np.random.default_rng([oracle.seed, frame]).standard_normal())
+    return max(-3.0, min(3.0, draw)) * oracle.noise_sigma * oracle.saturation.span
+
+
+def _partial_uses_case():
+    """Three passes, no resolution pass, 2/4/1 levels, partial ``uses`` masks,
+    nonzero curves for the unused kinds, distorted costs, and stacked count
+    and cost events on one pass."""
+    roster = PassRoster(
+        (
+            PassDescriptor("geometry", 2, uses_batches=True),
+            PassDescriptor("lighting", 4, uses_vertices=True, uses_fragments=True),
+            PassDescriptor("overlay", 1, uses_batches=True, uses_fragments=True),
+        )
+    )
+    curve = lambda base, phase: CurveSpec(base, 0.3, 97.0, phase, 0.1, 5.0)  # noqa: E731
+    trace = SceneTrace(
+        frame_count=200,
+        curves=tuple(
+            (curve(800.0 + 100 * i, 0.3 * i), curve(3e5, 1.1 + i), curve(4e5, 2.3 * i))
+            for i in range(3)
+        ),
+        level_scale_batches=((1.0, 0.9), (1.0, 0.95, 0.7, 0.41), (1.0,)),
+        level_scale_vertices=((1.0, 0.8), (1.0, 0.83, 0.66, 0.37), (1.0,)),
+        level_scale_fragments=((1.0, 0.7), (1.0, 0.71, 0.53, 0.29), (1.0,)),
+        events=(
+            TraceEvent(20, "lighting", count_scale=1.1, cost_scale=1.3),
+            TraceEvent(20, "geometry", count_scale=0.7),
+            TraceEvent(57, "lighting", count_scale=0.7, cost_scale=0.9),
+            TraceEvent(90, "lighting", count_scale=1.3, cost_scale=1.7),
+            TraceEvent(91, "overlay", cost_scale=2.2),
+            TraceEvent(150, "lighting", count_scale=0.3, cost_scale=0.3),
+        ),
+    )
+    oracle = HiddenPowerOracle(
+        roster=roster,
+        saturation=SaturationConstants(
+            9.0, 140.0, ((900.0, 2e6, 9e5), (700.0, 5e5, 1.1e6), (1500.0, 3e6, 6e5))
+        ),
+        k_b=(0.7, 0.3, 1.1),
+        unit_costs=UnitCosts(0.0021, 0.013),
+        public_costs=CostTable(
+            ins_v=(120.0, 310.0, 45.0),
+            ins_f=((380.0, 170.0), (520.0, 300.0, 150.0, 60.0), (210.0,)),
+            tex_f=((11.0, 4.0), (17.0, 9.0, 5.0, 1.0), (3.0,)),
+        ),
+        cost_distortion=1.3,
+        noise_sigma=0.004,
+        seed=11,
+    )
+    return roster, trace, oracle
+
+
+def test_power_path_equals_per_call_formula(
+    demo_scenario, regime_scenario, lattice_scenario
+):
+    regime_events = regime_scenario.trace.events + (
+        TraceEvent(120, "shading", count_scale=0.6),
+        TraceEvent(200, "postfx", count_scale=1.3, cost_scale=0.8),
+    )
+    cases = [
+        (demo_scenario.roster, demo_scenario.trace, demo_scenario.oracle),
+        (
+            regime_scenario.roster,
+            dataclasses.replace(regime_scenario.trace, events=regime_events),
+            regime_scenario.oracle,
+        ),
+        (lattice_scenario.roster, lattice_scenario.trace, lattice_scenario.oracle),
+        _partial_uses_case(),
+    ]
+    rng = random.Random(20181018)
+    checked = 0
+    for roster, trace, oracle in cases:
+        assert trace.events, "each case needs events for the event table to matter"
+        frames = {e.frame for e in trace.events} | {e.frame - 1 for e in trace.events}
+        frames |= {0, trace.frame_count - 1} | set(rng.sample(range(trace.frame_count), 8))
+        frames = sorted(frames)
+        rng.shuffle(frames)
+        # Warm the memos of the originals at the first frame, then derive the
+        # others with dataclasses.replace: a copied memo would answer for them.
+        exact_power(oracle, roster.worst_config(), frames[0], trace)
+        measure_power(oracle, roster.worst_config(), frames[0], trace)
+        oracles = [
+            dataclasses.replace(oracle, seed=oracle.seed + 1, noise_sigma=0.01),
+            dataclasses.replace(oracle, seed=oracle.seed + 2, noise_sigma=0.003),
+        ]
+        traces = [trace, dataclasses.replace(trace, events=())]
+        pairs = [(o, t) for o in oracles for t in traces]
+        for frame in frames:
+            rng.shuffle(pairs)
+            for o, t in pairs:
+                configs = [roster.best_config(), roster.worst_config()] + [
+                    RenderingConfiguration(
+                        tuple(rng.randrange(p.level_count) for p in roster.passes)
+                    )
+                    for _ in range(4)
+                ]
+                _, costs = _scanned_event_scales(t, roster, frame)
+                assert t.cost_scales(roster, frame) == tuple(costs)
+                for cfg in configs:
+                    prims = _per_call_primitives(t, roster, cfg, frame)
+                    assert t.primitives_for(roster, cfg, frame) == prims
+                    exact = _per_call_power_from_primitives(o, cfg, prims, costs)
+                    assert exact_power(o, cfg, frame, t) == exact
+                    noisy = max(exact + _per_call_noise(o, frame), 1e-9)
+                    assert measure_power(o, cfg, frame, t) == noisy
+                    assert o.exact_power_from_primitives(
+                        cfg, prims
+                    ) == _per_call_power_from_primitives(o, cfg, prims, None)
+                    checked += 1
+    assert checked > 1000
