@@ -4,7 +4,8 @@ compare them byte for byte with an earlier set.
 
 For each ``scenarios/*.json`` it writes ``OUT_DIR/<name>/run_log.csv`` and
 ``summary.txt`` from a governed run at the scenario's default seed (or at
-``--seed``), plus ``OUT_DIR/demo/oracle_frame200.csv``. With ``--against
+``--seed``), plus demo's ``oracle_frame200.csv`` and the log and summary of a
+``replay`` of its worst configuration. With ``--against
 REF_DIR`` it then compares every file present on either side and exits 1,
 naming each differing file and its first differing line; 0 means every byte
 matched. Outputs are byte-identical only within one numpy/scipy build.
@@ -24,9 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rendergov.cli import _apply_overrides  # noqa: E402
-from rendergov.harness import run, write_oracle_table  # noqa: E402
+from rendergov.harness import replay, run, write_oracle_table  # noqa: E402
 from rendergov.scenario import load_scenario  # noqa: E402
 
+# The scenario whose oracle table and worst-configuration replay are written.
 ORACLE_SCENARIO = "demo"
 ORACLE_FRAME = 200
 
@@ -38,6 +40,7 @@ def write_outputs(out_dir: Path, seed: int | None) -> None:
         run(scenario, target)
         if path.stem == ORACLE_SCENARIO:
             write_oracle_table(scenario, ORACLE_FRAME, target)
+            replay(scenario, scenario.roster.worst_config(), target)
 
 
 def first_difference(a: bytes, b: bytes) -> str:

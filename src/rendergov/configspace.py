@@ -128,12 +128,6 @@ class PassRoster:
             n *= p.level_count
         return n
 
-    def index_of(self, name: str) -> int:
-        for i, p in enumerate(self.passes):
-            if p.name == name:
-                return i
-        raise KeyError(name)
-
     def validate_config(self, config: RenderingConfiguration) -> None:
         if len(config) != self.size:
             raise ValueError(

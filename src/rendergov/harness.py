@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +73,7 @@ _BASE_COLUMNS = [
     "err_update_value",
     "true_error",
 ]
+_TRUE_ERROR = _BASE_COLUMNS.index("true_error")
 
 
 def log_columns(scenario: Scenario) -> list[str]:
@@ -325,6 +330,60 @@ def _true_errors(
     return [degraded.get(c, 0.0) for c in configs]
 
 
+def _score_part(scenario: Scenario, jobs, cpu: int | None = None) -> list[list[float]]:
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+    return [_true_errors(scenario, frame, configs) for frame, configs in jobs]
+
+
+def _frame_truths(
+    scenario: Scenario,
+    jobs: list[tuple[int, list[RenderingConfiguration]]],
+    workers: int | None = None,
+) -> list[list[float]]:
+    """:func:`_true_errors` of each ``(frame, configurations)`` job, in job order.
+
+    Jobs are independent, so they are dealt out interleaved (``jobs[i::n]``)
+    over n workers, one per CPU this process may run on and at most one per
+    job (``workers``, for tests, replaces the CPU count). n - 1 parts run in
+    forked children and the last in this process, each pinned to its own CPU,
+    because the scheduler can leave a forked child on its parent's CPU for the
+    whole part; this process gets its CPU set back after. The scores are the
+    floats the serial loop gives. That loop runs here alone, starting no
+    process, when n <= 1, when CPU affinity or ``fork`` is not available,
+    when this process is daemonic (it may not have children) or when another
+    thread is running (a forked child would inherit any lock that thread
+    holds).
+    """
+    pinnable = hasattr(os, "sched_getaffinity")
+    allowed = os.sched_getaffinity(0) if pinnable else set()
+    n = min(len(allowed) if workers is None else workers, len(jobs))
+    if (
+        n <= 1
+        or not pinnable
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return _score_part(scenario, jobs)
+    parts = [jobs[i::n] for i in range(n)]
+    cpus = sorted(allowed)
+    try:
+        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [
+                pool.submit(_score_part, scenario, part, cpus[i % len(cpus)])
+                for i, part in enumerate(parts[:-1])
+            ]
+            last = _score_part(scenario, parts[-1], cpus[(n - 1) % len(cpus)])
+            scored = [future.result() for future in futures] + [last]
+    finally:
+        os.sched_setaffinity(0, allowed)
+    truths: list[list[float]] = [None] * len(jobs)
+    for i, part in enumerate(scored):
+        truths[i::n] = part
+    return truths
+
+
 def _mean(values) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
@@ -334,19 +393,19 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration, on_frame=No
     """Run the trace with one pinned configuration; no governor involved.
 
     ``on_frame(frame, measured_power, true_error)``, if given, sees every
-    frame; ``true_error`` is None on frames whose error is not sampled.
+    frame; ``true_error`` is None on frames whose error is not sampled. The
+    configuration is pinned, so every sampled frame is scored up front.
     """
     scenario.roster.validate_config(config)
-    powers, errors = [], []
+    sampled = range(0, scenario.trace.frame_count, scenario.error_sample_every)
+    errors = [err for (err,) in _frame_truths(scenario, [(f, [config]) for f in sampled])]
+    truths = dict(zip(sampled, errors))
+    powers = []
     for frame in range(scenario.trace.frame_count):
         measured = measure_power(scenario.oracle, config, frame, scenario.trace)
-        true_err = None
-        if frame % scenario.error_sample_every == 0:
-            (true_err,) = _true_errors(scenario, frame, [config])
-            errors.append(true_err)
         powers.append(measured)
         if on_frame is not None:
-            on_frame(frame, measured, true_err)
+            on_frame(frame, measured, truths.get(frame))
     return {
         "mean_power": _mean(powers),
         "mean_error": _mean(errors),
@@ -363,6 +422,10 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     the best and worst configurations, and every sampled frame scores the
     worst one against the same reference as ``s_eff``. The best
     configuration's error is exactly 0.0, so its baseline is power only.
+
+    No decision reads a true error, so the loop only notes each sampled
+    frame's ``(frame, [worst, s_eff])``; :func:`_frame_truths` scores them all
+    after it and fills in the rows' ``true_error`` cells.
     """
     init = initialize(scenario)
     gov = Governor(
@@ -380,20 +443,22 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     best = scenario.roster.best_config()
     worst = scenario.roster.worst_config()
 
-    rows = []
-    powers, errors = [], []
-    best_powers, worst_powers, worst_errors = [], [], []
+    rows, jobs = [], []
+    powers, best_powers, worst_powers = [], [], []
     for frame in range(scenario.trace.frame_count):
         tick = gov.tick(frame)
-        true_err = None
         if frame % scenario.error_sample_every == 0:
-            worst_err, true_err = _true_errors(scenario, frame, [worst, tick.s_eff])
-            errors.append(true_err)
-            worst_errors.append(worst_err)
+            jobs.append((frame, [worst, tick.s_eff]))
         powers.append(tick.record.measured_power)
         best_powers.append(measure_power(scenario.oracle, best, frame, scenario.trace))
         worst_powers.append(measure_power(scenario.oracle, worst, frame, scenario.trace))
-        rows.append(_record_row(tick.record, true_err))
+        rows.append(_record_row(tick.record, None))
+
+    errors, worst_errors = [], []
+    for (frame, _), (worst_err, true_err) in zip(jobs, _frame_truths(scenario, jobs)):
+        rows[frame][_TRUE_ERROR] = true_err
+        errors.append(true_err)
+        worst_errors.append(worst_err)
 
     summary = {
         "scenario": scenario.name,

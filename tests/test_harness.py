@@ -1,13 +1,19 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from rendergov import simgpu
+from rendergov import harness, simgpu
 from rendergov.configspace import RenderingConfiguration
 from rendergov.harness import (
+    _frame_truths,
+    _true_errors,
     initialize,
     log_columns,
     oracle_table,
@@ -220,3 +226,98 @@ def test_initialization_is_deterministic(mini_scenario):
     assert a.p_min_probed == b.p_min_probed
     assert a.probe.saturation == b.probe.saturation
     assert a.error_model.ratios == b.error_model.ratios
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"),
+    reason="splitting needs the fork start method and CPU affinity",
+)
+
+
+def _truth_jobs(scenario, count):
+    """``count`` jobs over repeated and spread frames, mixing the worst, best,
+    mid and mixed configurations, some of them twice in one job."""
+    roster = scenario.roster
+    worst, best = roster.worst_config(), roster.best_config()
+    mid = RenderingConfiguration(tuple(p.level_count // 2 for p in roster.passes))
+    mixed = RenderingConfiguration(tuple(i % p.level_count for i, p in enumerate(roster.passes)))
+    lists = [[worst, mid], [best], [mixed, worst, mixed], [mid, best, worst], [worst]]
+    frames = [0, 7, 7, 31, 120, 199, 238]
+    return [(frames[k % len(frames)], lists[k % len(lists)]) for k in range(count)]
+
+
+@needs_fork
+def test_frame_truths_equal_serial_for_any_split(mini_scenario, demo_scenario):
+    allowed = os.sched_getaffinity(0)
+    for scenario in (mini_scenario, demo_scenario):
+        for count in (0, 1, 7):
+            jobs = _truth_jobs(scenario, count)
+            serial = [_true_errors(scenario, frame, configs) for frame, configs in jobs]
+            for workers in (1, 2, 3, count + 2):
+                assert _frame_truths(scenario, jobs, workers=workers) == serial, (
+                    scenario.name,
+                    count,
+                    workers,
+                )
+                assert os.sched_getaffinity(0) == allowed
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_frame_truths_child_error_reaches_caller(mini_scenario, monkeypatch):
+    started = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    roster = mini_scenario.roster
+    bad = RenderingConfiguration(tuple(p.level_count for p in roster.passes))
+    with pytest.raises(ValueError) as serial:
+        _true_errors(mini_scenario, 3, [bad])
+    # With two workers the first job is the forked child's part.
+    jobs = [(3, [bad]), (5, [roster.worst_config()])]
+    allowed = os.sched_getaffinity(0)
+    with pytest.raises(ValueError) as forked:
+        _frame_truths(mini_scenario, jobs, workers=2)
+    assert started == [(1,)]
+    assert os.sched_getaffinity(0) == allowed
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value) == "pass 0 has no level 2"
+    assert multiprocessing.active_children() == []
+
+
+def test_frame_truths_starts_no_process_when_it_cannot_fork(mini_scenario, monkeypatch):
+    class NoProcesses:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", NoProcesses)
+    jobs = _truth_jobs(mini_scenario, 5)
+    serial = [_true_errors(mini_scenario, frame, configs) for frame, configs in jobs]
+    if "fork" in multiprocessing.get_all_start_methods():
+        # The stub is reached whenever the helper would fork.
+        with pytest.raises(AssertionError, match="a process pool was started"):
+            _frame_truths(mini_scenario, jobs, workers=2)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _frame_truths(mini_scenario, jobs) == serial
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+        assert _frame_truths(mini_scenario, jobs, workers=3) == serial
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing.current_process(), "daemon", True)
+        assert _frame_truths(mini_scenario, jobs, workers=3) == serial
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        assert _frame_truths(mini_scenario, jobs, workers=3) == serial
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert multiprocessing.active_children() == []
