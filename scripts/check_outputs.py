@@ -4,8 +4,10 @@ compare them byte for byte with an earlier set.
 
 For each ``scenarios/*.json`` it writes ``OUT_DIR/<name>/run_log.csv`` and
 ``summary.txt`` from a governed run at the scenario's default seed (or at
-``--seed``), plus demo's ``oracle_frame200.csv`` and the log and summary of a
-``replay`` of its worst configuration. With ``--against
+``--seed``), plus demo's ``oracle_frame200.csv`` and the logs and summaries of
+``replay``s of its worst and best configurations, and ``mini_cut/``: a mini
+run whose trace is cut to 203 frames, not a whole number of the 16-frame
+chunks ``run`` scores its baselines and ground truth in. With ``--against
 REF_DIR`` it then compares every file present on either side and exits 1,
 naming each differing file and its first differing line; 0 means every byte
 matched. Outputs are byte-identical only within one numpy/scipy build.
@@ -18,6 +20,7 @@ then on the change with ``--against REF_DIR``.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,9 +31,14 @@ from rendergov.cli import _apply_overrides  # noqa: E402
 from rendergov.harness import replay, run, write_oracle_table  # noqa: E402
 from rendergov.scenario import load_scenario  # noqa: E402
 
-# The scenario whose oracle table and worst-configuration replay are written.
+# The scenario whose oracle table and best- and worst-configuration replays
+# are written.
 ORACLE_SCENARIO = "demo"
 ORACLE_FRAME = 200
+# The scenario also run with its trace cut short, to a frame count that is
+# not a multiple of the scoring chunk.
+CUT_SCENARIO = "mini"
+CUT_FRAMES = 203
 
 
 def write_outputs(out_dir: Path, seed: int | None) -> None:
@@ -41,6 +49,10 @@ def write_outputs(out_dir: Path, seed: int | None) -> None:
         if path.stem == ORACLE_SCENARIO:
             write_oracle_table(scenario, ORACLE_FRAME, target)
             replay(scenario, scenario.roster.worst_config(), target)
+            replay(scenario, scenario.roster.best_config(), target)
+        if path.stem == CUT_SCENARIO:
+            trace = dataclasses.replace(scenario.trace, frame_count=CUT_FRAMES)
+            run(dataclasses.replace(scenario, trace=trace), out_dir / f"{path.stem}_cut")
 
 
 def first_difference(a: bytes, b: bytes) -> str:

@@ -8,6 +8,7 @@ files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -330,10 +331,125 @@ def _true_errors(
     return [degraded.get(c, 0.0) for c in configs]
 
 
-def _score_part(scenario: Scenario, jobs, cpu: int | None = None) -> list[list[float]]:
-    if cpu is not None:
-        os.sched_setaffinity(0, {cpu})
-    return [_true_errors(scenario, frame, configs) for frame, configs in jobs]
+# Frames per scoring task in :func:`run`. After the loop the caller scores the
+# chunks no worker has taken yet, so the last one it waits for is at most a
+# chunk long: 64 frames made short runs slower than 16, and 8 gained less.
+_CHUNK = 16
+
+# The scenario a forked scoring worker serves. Its initializer sets it, so a
+# task carries only its frames and jobs.
+_worker_scenario: Scenario | None = None
+
+
+def _score_chunk(
+    scenario: Scenario, frames: range, jobs: list[tuple[int, list[RenderingConfiguration]]]
+) -> tuple[list[tuple[float, float]], list[list[float]]]:
+    """The best and worst configurations' measured power at each of
+    ``frames``, and :func:`_true_errors` of each ``(frame, configurations)``
+    job."""
+    roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
+    best, worst = roster.best_config(), roster.worst_config()
+    powers = [
+        (measure_power(oracle, best, f, trace), measure_power(oracle, worst, f, trace))
+        for f in frames
+    ]
+    return powers, [_true_errors(scenario, frame, configs) for frame, configs in jobs]
+
+
+def _start_worker(scenario: Scenario, cpus) -> None:
+    global _worker_scenario
+    _worker_scenario = scenario
+    os.sched_setaffinity(0, {cpus.get()})
+
+
+def _score_in_worker(frames: range, jobs) -> tuple[list[tuple[float, float]], list[list[float]]]:
+    return _score_chunk(_worker_scenario, frames, jobs)
+
+
+class _Scorer:
+    """Scores chunks with :func:`_score_chunk` beside the caller; a context
+    manager.
+
+    With n = min(CPUs this process may run on, ``tasks``) > 1 (``workers``,
+    for tests, replaces the CPU count), n - 1 workers are forked from one
+    process pool when the first chunk is submitted, and score chunks while
+    the caller goes on. Each worker and the caller is pinned to its own CPU,
+    because the scheduler can leave a forked child on its parent's CPU; the
+    caller gets its CPU set back on exit. :meth:`results` has the caller
+    score, from the last chunk back, every chunk no worker has taken yet.
+
+    Each chunk is scored as it is submitted, with no process, when n <= 1,
+    when CPU affinity or ``fork`` is not available, when the caller is
+    daemonic (it may not have children) or when another thread is running (a
+    forked child would inherit any lock that thread holds). Either way the
+    scores are the same floats.
+    """
+
+    def __init__(self, scenario: Scenario, tasks: int, workers: int | None = None):
+        self.scenario = scenario
+        self.pool: ProcessPoolExecutor | None = None
+        self.workers = 1  # processes scoring, the caller included
+        # Scored results without a pool; (frames, jobs, future) with one.
+        self.chunks: list = []
+        self._exit = contextlib.ExitStack()
+        pinnable = hasattr(os, "sched_getaffinity")
+        allowed = os.sched_getaffinity(0) if pinnable else set()
+        n = min(len(allowed) if workers is None else workers, tasks)
+        if (
+            n <= 1
+            or not pinnable
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1
+        ):
+            return
+        context = multiprocessing.get_context("fork")
+        cpus = sorted(allowed)
+        with contextlib.ExitStack() as stack:
+            stack.callback(os.sched_setaffinity, 0, allowed)
+            worker_cpus = context.SimpleQueue()
+            stack.callback(worker_cpus.close)
+            for i in range(n - 1):
+                worker_cpus.put(cpus[i % len(cpus)])
+            self.pool = ProcessPoolExecutor(
+                n - 1,
+                mp_context=context,
+                initializer=_start_worker,
+                initargs=(scenario, worker_cpus),
+            )
+            stack.callback(self.pool.shutdown, cancel_futures=True)
+            os.sched_setaffinity(0, {cpus[(n - 1) % len(cpus)]})
+            self.workers = n
+            self._exit = stack.pop_all()
+
+    def __enter__(self) -> _Scorer:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._exit.close()
+
+    def submit(self, frames: range, jobs: list[tuple[int, list[RenderingConfiguration]]]) -> None:
+        if self.pool is None:
+            self.chunks.append(_score_chunk(self.scenario, frames, jobs))
+        else:
+            self.chunks.append((frames, jobs, self.pool.submit(_score_in_worker, frames, jobs)))
+
+    def results(self) -> list[tuple[list[tuple[float, float]], list[list[float]]]]:
+        """Every chunk's :func:`_score_chunk` result, in submission order."""
+        if self.pool is None:
+            return self.chunks
+        scored = [None] * len(self.chunks)
+        # Workers take chunks in order, so the first one that cannot be
+        # cancelled ends the caller's share.
+        for i in reversed(range(len(self.chunks))):
+            frames, jobs, future = self.chunks[i]
+            if not future.cancel():
+                break
+            scored[i] = _score_chunk(self.scenario, frames, jobs)
+        return [
+            future.result() if done is None else done
+            for (_, _, future), done in zip(self.chunks, scored)
+        ]
 
 
 def _frame_truths(
@@ -341,47 +457,21 @@ def _frame_truths(
     jobs: list[tuple[int, list[RenderingConfiguration]]],
     workers: int | None = None,
 ) -> list[list[float]]:
-    """:func:`_true_errors` of each ``(frame, configurations)`` job, in job order.
+    """:func:`_true_errors` of each ``(frame, configurations)`` job, in job
+    order: the batch form of the scoring :func:`run` does beside its loop.
 
-    Jobs are independent, so they are dealt out interleaved (``jobs[i::n]``)
-    over n workers, one per CPU this process may run on and at most one per
-    job (``workers``, for tests, replaces the CPU count). n - 1 parts run in
-    forked children and the last in this process, each pinned to its own CPU,
-    because the scheduler can leave a forked child on its parent's CPU for the
-    whole part; this process gets its CPU set back after. The scores are the
-    floats the serial loop gives. That loop runs here alone, starting no
-    process, when n <= 1, when CPU affinity or ``fork`` is not available,
-    when this process is daemonic (it may not have children) or when another
-    thread is running (a forked child would inherit any lock that thread
-    holds).
+    The jobs are split into chunks of at most :data:`_CHUNK` jobs, at least
+    one chunk per worker, with at most one worker per job; ``workers`` is
+    passed to :class:`_Scorer`. Jobs that hold only the all-best configuration score
+    0.0 without rendering, so then no process is started.
     """
-    pinnable = hasattr(os, "sched_getaffinity")
-    allowed = os.sched_getaffinity(0) if pinnable else set()
-    n = min(len(allowed) if workers is None else workers, len(jobs))
-    if (
-        n <= 1
-        or not pinnable
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-        or threading.active_count() > 1
-    ):
-        return _score_part(scenario, jobs)
-    parts = [jobs[i::n] for i in range(n)]
-    cpus = sorted(allowed)
-    try:
-        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [
-                pool.submit(_score_part, scenario, part, cpus[i % len(cpus)])
-                for i, part in enumerate(parts[:-1])
-            ]
-            last = _score_part(scenario, parts[-1], cpus[(n - 1) % len(cpus)])
-            scored = [future.result() for future in futures] + [last]
-    finally:
-        os.sched_setaffinity(0, allowed)
-    truths: list[list[float]] = [None] * len(jobs)
-    for i, part in enumerate(scored):
-        truths[i::n] = part
-    return truths
+    best = scenario.roster.best_config()
+    renders = any(config != best for _, configs in jobs for config in configs)
+    with _Scorer(scenario, len(jobs) if renders else 0, workers) as scorer:
+        size = max(1, min(_CHUNK, -(-len(jobs) // scorer.workers)))
+        for i in range(0, len(jobs), size):
+            scorer.submit(range(0), jobs[i : i + size])
+        return [truth for _, truths in scorer.results() for truth in truths]
 
 
 def _mean(values) -> float:
@@ -418,14 +508,17 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     """Initialization plus the governed frame loop, with min/max-quality
     replays as in-run baselines.
 
-    The baselines ride along in the governed loop: every frame also measures
-    the best and worst configurations, and every sampled frame scores the
-    worst one against the same reference as ``s_eff``. The best
+    The baselines ride along with the governed loop: every frame also
+    measures the best and worst configurations, and every sampled frame
+    scores the worst one against the same reference as ``s_eff``. The best
     configuration's error is exactly 0.0, so its baseline is power only.
 
-    No decision reads a true error, so the loop only notes each sampled
-    frame's ``(frame, [worst, s_eff])``; :func:`_frame_truths` scores them all
-    after it and fills in the rows' ``true_error`` cells.
+    No decision reads a baseline or a true error, so the loop itself only
+    ticks the governor and builds each frame's row. It hands every
+    :data:`_CHUNK` frames, with each sampled frame's ``(frame, [worst,
+    s_eff])``, to a :class:`_Scorer`, which scores them beside the loop in
+    forked workers, or serially where it cannot fork. The rows'
+    ``true_error`` cells are filled in after the loop.
     """
     init = initialize(scenario)
     gov = Governor(
@@ -440,22 +533,28 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         render=lambda cfg, frame: render_frame(scenario.synthesizer, cfg, frame),
         initial_config=scenario.initial_config,
     )
-    best = scenario.roster.best_config()
     worst = scenario.roster.worst_config()
+    frame_count = scenario.trace.frame_count
+    every = scenario.error_sample_every
 
-    rows, jobs = [], []
-    powers, best_powers, worst_powers = [], [], []
-    for frame in range(scenario.trace.frame_count):
-        tick = gov.tick(frame)
-        if frame % scenario.error_sample_every == 0:
-            jobs.append((frame, [worst, tick.s_eff]))
-        powers.append(tick.record.measured_power)
-        best_powers.append(measure_power(scenario.oracle, best, frame, scenario.trace))
-        worst_powers.append(measure_power(scenario.oracle, worst, frame, scenario.trace))
-        rows.append(_record_row(tick.record, None))
+    rows, powers = [], []
+    with _Scorer(scenario, -(-frame_count // _CHUNK)) as scorer:
+        for start in range(0, frame_count, _CHUNK):
+            frames = range(start, min(start + _CHUNK, frame_count))
+            jobs = []
+            for frame in frames:
+                tick = gov.tick(frame)
+                if frame % every == 0:
+                    jobs.append((frame, [worst, tick.s_eff]))
+                powers.append(tick.record.measured_power)
+                rows.append(_record_row(tick.record, None))
+            scorer.submit(frames, jobs)
+        scored = scorer.results()
+    baselines = [pair for chunk_powers, _ in scored for pair in chunk_powers]
+    truths = [truth for _, chunk_truths in scored for truth in chunk_truths]
 
     errors, worst_errors = [], []
-    for (frame, _), (worst_err, true_err) in zip(jobs, _frame_truths(scenario, jobs)):
+    for frame, (worst_err, true_err) in zip(range(0, frame_count, every), truths):
         rows[frame][_TRUE_ERROR] = true_err
         errors.append(true_err)
         worst_errors.append(worst_err)
@@ -479,9 +578,9 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         "fit_count": gov.fit_count,
         "infeasible_count": gov.infeasible_count,
         "fit_clamp_total": gov.clamp_total,
-        "replay_best_mean_power": _mean(best_powers),
+        "replay_best_mean_power": _mean(power for power, _ in baselines),
         "replay_best_mean_error": 0.0,
-        "replay_worst_mean_power": _mean(worst_powers),
+        "replay_worst_mean_power": _mean(power for _, power in baselines),
         "replay_worst_mean_error": _mean(worst_errors),
     }
 

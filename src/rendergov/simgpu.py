@@ -402,21 +402,37 @@ class PassDegradation:
         object.__setattr__(self, "strength", s)
 
 
+@lru_cache(maxsize=8)
+def _pattern_indices(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each pixel reads the pattern's two full-grid terms: ``x + 2y``,
+    which is its own index, and ``x * y``, an index into the grid's sorted
+    distinct products (returned too, as floats)."""
+    y = np.arange(height)[:, None]
+    x = np.arange(width)
+    products, inverse = np.unique(x * y, return_inverse=True)
+    return x + 2 * y, products.astype(float), inverse.reshape(height, width)
+
+
 @lru_cache(maxsize=64)
 def _base_pattern(seed: int, frame_index: int, height: int, width: int) -> np.ndarray:
     """Smooth deterministic test pattern that slowly evolves with the frame."""
     # Row and column coordinates broadcast to the grid; the terms that depend
-    # on one axis only are evaluated once per row or column.
+    # on one axis only are evaluated once per row or column. The two that
+    # depend on x + 2y and on x * y are evaluated once per distinct value and
+    # gathered: every coordinate is an integer, so each value is the exact
+    # float the full grid would hold, and the terms keep their bits.
     y = np.arange(height, dtype=float)[:, None]
     x = np.arange(width, dtype=float)
     t = float(frame_index)
     s = float(seed % 997)
+    diagonal, products, product_index = _pattern_indices(height, width)
+    sums = np.arange(width + 2 * height - 2, dtype=float)
     img = (
         0.5
         + 0.21 * np.sin(2 * np.pi * (x * 3.1 / width) + 0.9 * math.sin(0.011 * t) + 0.01 * s)
         * np.cos(2 * np.pi * (y * 2.3 / height) + 1.3 * math.sin(0.007 * t))
-        + 0.14 * np.sin(2 * np.pi * (x + 2.0 * y) / 23.0 + 0.05 * t + 0.02 * s)
-        + 0.08 * np.cos(2 * np.pi * (x * y) / (width * 11.0) + 0.03 * t)
+        + (0.14 * np.sin(2 * np.pi * sums / 23.0 + 0.05 * t + 0.02 * s))[diagonal]
+        + (0.08 * np.cos(2 * np.pi * products / (width * 11.0) + 0.03 * t))[product_index]
     )
     img = np.clip(img, 0.03, 0.97)
     img.setflags(write=False)

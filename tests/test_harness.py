@@ -321,3 +321,84 @@ def test_frame_truths_starts_no_process_when_it_cannot_fork(mini_scenario, monke
         other.join(timeout=10)
     assert not other.is_alive()
     assert multiprocessing.active_children() == []
+
+
+needs_two_cpus = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="scoring beside the loop needs fork, CPU affinity and two CPUs",
+)
+
+
+def _recording_pools(monkeypatch) -> list:
+    started = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    return started
+
+
+@needs_two_cpus
+def test_run_scored_beside_loop_equals_serial(mini_scenario, monkeypatch, tmp_path):
+    # 203 frames end in a partial chunk; sampling every 37th frame leaves
+    # chunks with no sampled frame.
+    assert 203 % harness._CHUNK and 37 > harness._CHUNK
+    trace = dataclasses.replace(mini_scenario.trace, frame_count=203)
+    allowed = os.sched_getaffinity(0)
+    for every in (2, 37):
+        scenario = dataclasses.replace(mini_scenario, trace=trace, error_sample_every=every)
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            serial = run(scenario, tmp_path / f"serial{every}")
+        started = _recording_pools(monkeypatch)
+        forked = run(scenario, tmp_path / f"forked{every}")
+        assert started == [(len(allowed) - 1,)]
+        assert os.sched_getaffinity(0) == allowed
+        for name in ("log_path", "summary_path"):
+            assert getattr(forked, name).read_bytes() == getattr(serial, name).read_bytes()
+        assert forked.summary["governed_error_samples"] == len(range(0, 203, every))
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+@needs_two_cpus
+def test_run_worker_error_reaches_caller(mini_scenario, monkeypatch):
+    parent = os.getpid()
+    true_errors = harness._true_errors
+
+    def failing_in_worker(scenario, frame, configs):
+        # Frame 8 is in the first chunk, which a worker takes while the loop
+        # still runs.
+        if frame == 8 and os.getpid() != parent:
+            raise ValueError("frame 8 cannot be scored")
+        return true_errors(scenario, frame, configs)
+
+    monkeypatch.setattr(harness, "_true_errors", failing_in_worker)
+    started = _recording_pools(monkeypatch)
+    allowed = os.sched_getaffinity(0)
+    with pytest.raises(ValueError) as raised:
+        run(mini_scenario)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "frame 8 cannot be scored"
+    assert len(started) == 1
+    assert os.sched_getaffinity(0) == allowed
+    assert multiprocessing.active_children() == []
+
+
+def test_frame_truths_starts_no_process_for_best_only_jobs(mini_scenario, monkeypatch, tmp_path):
+    class NoProcesses:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", NoProcesses)
+    best = mini_scenario.roster.best_config()
+    jobs = [(frame, [best, best]) for frame in range(0, 40, 2)]
+    assert _frame_truths(mini_scenario, jobs, workers=2) == [[0.0, 0.0]] * len(jobs)
+    result = replay(mini_scenario, best, tmp_path)
+    assert result.summary["mean_error"] == 0.0
+    assert result.summary["error_samples"] == 120

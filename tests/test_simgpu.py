@@ -118,7 +118,11 @@ def test_count_event_scales_primitives(mini_scenario):
 def test_patterns_equal_full_grid_evaluation():
     # The row/column-vector evaluation must give the same bits as evaluating
     # every term on the full coordinate grid.
-    for seed, frame, h, w in ((0, 0, 11, 11), (777, 31, 64, 64), (20180427, 1103, 128, 96)):
+    # The pattern gathers two terms per distinct x + 2y and x * y, so the
+    # shapes include both orientations of a non-square grid.
+    shapes = ((11, 11), (64, 64), (128, 96), (96, 128), (128, 128))
+    cases = itertools.product((0, 777, 997, 20180427), (0, 31, 1103, 10**6 + 7), shapes)
+    for seed, frame, (h, w) in cases:
         y, x = np.mgrid[0:h, 0:w].astype(float)
         t, s = float(frame), float(seed % 997)
         img = (
