@@ -5,7 +5,8 @@ compare them byte for byte with an earlier set.
 For each ``scenarios/*.json`` it writes ``OUT_DIR/<name>/run_log.csv`` and
 ``summary.txt`` from a governed run at the scenario's default seed (or at
 ``--seed``), plus demo's ``oracle_frame200.csv`` and the logs and summaries of
-``replay``s of its worst and best configurations, and ``mini_cut/``: a mini
+``replay``s of its worst and best configurations, ``demo_error/``: a demo run
+in error mode, which selects by the dual objective, and ``mini_cut/``: a mini
 run whose trace is cut to 203 frames, not a whole number of the 16-frame
 chunks ``run`` scores its baselines and ground truth in. With ``--against
 REF_DIR`` it then compares every file present on either side and exits 1,
@@ -32,7 +33,7 @@ from rendergov.harness import replay, run, write_oracle_table  # noqa: E402
 from rendergov.scenario import load_scenario  # noqa: E402
 
 # The scenario whose oracle table and best- and worst-configuration replays
-# are written.
+# are written, and which is also run in error mode.
 ORACLE_SCENARIO = "demo"
 ORACLE_FRAME = 200
 # The scenario also run with its trace cut short, to a frame count that is
@@ -50,6 +51,8 @@ def write_outputs(out_dir: Path, seed: int | None) -> None:
             write_oracle_table(scenario, ORACLE_FRAME, target)
             replay(scenario, scenario.roster.worst_config(), target)
             replay(scenario, scenario.roster.best_config(), target)
+            errors = _apply_overrides(scenario, argparse.Namespace(seed=None, mode="error"))
+            run(errors, out_dir / f"{path.stem}_error")
         if path.stem == CUT_SCENARIO:
             trace = dataclasses.replace(scenario.trace, frame_count=CUT_FRAMES)
             run(dataclasses.replace(scenario, trace=trace), out_dir / f"{path.stem}_cut")

@@ -227,14 +227,14 @@ class GovernorState:
 
 @dataclass(frozen=True)
 class RunLogRecord:
-    """One structured record per simulated frame."""
+    """One structured record per simulated frame: the governor's decisions.
+    The frame's measured and predicted power are not decisions, so the
+    harness computes them beside the loop."""
 
     frame: int
     phase: str
     s_eff: RenderingConfiguration
     budget_watts: float
-    predicted_power: float
-    measured_power: float
     selection: bool = False
     refit: bool = False
     reuse: bool = False
@@ -266,6 +266,11 @@ class Governor:
     - ``measure(config, frame) -> watts``      (the power meter)
     - ``primitives(config, frame) -> per-pass (b, v, f)``  (pipeline queries)
     - ``render(config, frame) -> FrameImage``  (background renders)
+
+    Like the paper's governor, it reads the meter, and the counts of the
+    configuration it renders, only on frames whose sample fills the
+    accuracy-check or fitting window; a steady or filtering tick queries
+    neither. Selection asks ``primitives`` for the configurations it predicts.
     """
 
     def __init__(
@@ -415,6 +420,12 @@ class Governor:
 
     # -- the frame loop body ---------------------------------------------------
 
+    def _sample(self, frame: int) -> FrameSample:
+        """The meter reading and pipeline counts of ``s_eff`` at ``frame``."""
+        s_eff = self.state.s_eff
+        primitives = self._primitives(s_eff, frame)
+        return FrameSample(self._measure(s_eff, frame), primitives)
+
     def tick(self, frame: int) -> TickResult:
         st = self.state
         cfg = self.config
@@ -448,18 +459,8 @@ class Governor:
                 if phase_label != PHASE_SELECTING:
                     phase_label = PHASE_FILTERING
 
-        primitives = self._primitives(st.s_eff, frame)
-        measured = self._measure(st.s_eff, frame)
-        predicted = predict_power(
-            self.power_model.saturation,
-            self.power_model.coefficients_for(st.s_eff),
-            primitives,
-            model_masks(self.roster),
-        )
-        sample = FrameSample(measured, primitives)
-
         if st.phase == PHASE_CHECK:
-            st.accuracy_buffer.append(sample)
+            st.accuracy_buffer.append(self._sample(frame))
             if len(st.accuracy_buffer) >= cfg.accuracy_check_window:
                 needs_refit = accuracy_check(
                     self.power_model, st.accuracy_buffer, cfg.accuracy_threshold, st.s_eff
@@ -472,7 +473,7 @@ class Governor:
                 else:
                     st.phase = PHASE_STEADY
         elif st.phase == PHASE_FITTING:
-            st.fitting_buffer.append(sample)
+            st.fitting_buffer.append(self._sample(frame))
             if len(st.fitting_buffer) >= cfg.fitting_window:
                 self._issue_fit(frame, st.s_eff)
                 st.phase = PHASE_STEADY
@@ -485,8 +486,6 @@ class Governor:
             phase=phase_label,
             s_eff=st.s_eff,
             budget_watts=self.budget,
-            predicted_power=predicted,
-            measured_power=measured,
             selection=flags.get("selection", False),
             refit=flags.get("refit", False),
             reuse=flags.get("reuse", False),

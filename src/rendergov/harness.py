@@ -29,6 +29,7 @@ from .powermodel import (
     UnitCosts,
     fit_generic,
     model_masks,
+    predict_power,
     solve_unit_costs,
 )
 from .quality import (
@@ -74,6 +75,9 @@ _BASE_COLUMNS = [
     "err_update_value",
     "true_error",
 ]
+# The cells run and replay fill in after the row is built.
+_PREDICTED = _BASE_COLUMNS.index("predicted_w")
+_MEASURED = _BASE_COLUMNS.index("measured_w")
 _TRUE_ERROR = _BASE_COLUMNS.index("true_error")
 
 
@@ -213,14 +217,16 @@ def _write_csv(path: Path, scenario: Scenario, rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _record_row(record: RunLogRecord, true_error: float | None) -> list:
+def _record_row(record: RunLogRecord) -> list:
+    """The record's CSV row, with the ``predicted_w``, ``measured_w`` and
+    ``true_error`` cells left empty."""
     return [
         record.frame,
         record.phase,
         str(record.s_eff),
         record.budget_watts,
-        record.predicted_power,
-        record.measured_power,
+        None,
+        None,
         record.selection,
         record.refit,
         record.reuse,
@@ -232,7 +238,7 @@ def _record_row(record: RunLogRecord, true_error: float | None) -> list:
         record.bg_request,
         record.err_update_pass,
         record.err_update_value,
-        true_error,
+        None,
         *record.e_worst,
         *record.staleness,
     ]
@@ -341,18 +347,49 @@ _CHUNK = 16
 _worker_scenario: Scenario | None = None
 
 
+# One governed frame handed to the scorer: the frame, its s_eff and the power
+# model the governor held after its tick.
+_Governed = tuple[int, RenderingConfiguration, PowerModel]
+# Per governed frame: the best and worst configurations' measured power, and
+# s_eff's measured and predicted power.
+_FramePowers = tuple[float, float, float, float]
+
+
 def _score_chunk(
-    scenario: Scenario, frames: range, jobs: list[tuple[int, list[RenderingConfiguration]]]
-) -> tuple[list[tuple[float, float]], list[list[float]]]:
-    """The best and worst configurations' measured power at each of
-    ``frames``, and :func:`_true_errors` of each ``(frame, configurations)``
-    job."""
+    scenario: Scenario,
+    frames: list[_Governed],
+    jobs: list[tuple[int, list[RenderingConfiguration]]],
+) -> tuple[list[_FramePowers], list[list[float]]]:
+    """The :data:`_FramePowers` of each governed frame, and
+    :func:`_true_errors` of each ``(frame, configurations)`` job.
+
+    Coefficients are computed once per distinct (model, configuration) in
+    the chunk; a frame's noise draw, curve values and s_eff's counts are
+    memoized on the oracle and the trace, so the prediction reuses the
+    counts its measurement queried.
+    """
     roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
     best, worst = roster.best_config(), roster.worst_config()
-    powers = [
-        (measure_power(oracle, best, f, trace), measure_power(oracle, worst, f, trace))
-        for f in frames
-    ]
+    masks = model_masks(roster)
+    coefficients: dict[tuple[int, RenderingConfiguration], PowerCoefficients] = {}
+    powers = []
+    for f, config, model in frames:
+        key = id(model), config
+        if key not in coefficients:
+            coefficients[key] = model.coefficients_for(config)
+        powers.append(
+            (
+                measure_power(oracle, best, f, trace),
+                measure_power(oracle, worst, f, trace),
+                measure_power(oracle, config, f, trace),
+                predict_power(
+                    model.saturation,
+                    coefficients[key],
+                    trace.primitives_for(roster, config, f),
+                    masks,
+                ),
+            )
+        )
     return powers, [_true_errors(scenario, frame, configs) for frame, configs in jobs]
 
 
@@ -362,7 +399,7 @@ def _start_worker(scenario: Scenario, cpus) -> None:
     os.sched_setaffinity(0, {cpus.get()})
 
 
-def _score_in_worker(frames: range, jobs) -> tuple[list[tuple[float, float]], list[list[float]]]:
+def _score_in_worker(frames, jobs) -> tuple[list[_FramePowers], list[list[float]]]:
     return _score_chunk(_worker_scenario, frames, jobs)
 
 
@@ -428,13 +465,15 @@ class _Scorer:
     def __exit__(self, *exc) -> None:
         self._exit.close()
 
-    def submit(self, frames: range, jobs: list[tuple[int, list[RenderingConfiguration]]]) -> None:
+    def submit(
+        self, frames: list[_Governed], jobs: list[tuple[int, list[RenderingConfiguration]]]
+    ) -> None:
         if self.pool is None:
             self.chunks.append(_score_chunk(self.scenario, frames, jobs))
         else:
             self.chunks.append((frames, jobs, self.pool.submit(_score_in_worker, frames, jobs)))
 
-    def results(self) -> list[tuple[list[tuple[float, float]], list[list[float]]]]:
+    def results(self) -> list[tuple[list[_FramePowers], list[list[float]]]]:
         """Every chunk's :func:`_score_chunk` result, in submission order."""
         if self.pool is None:
             return self.chunks
@@ -470,7 +509,7 @@ def _frame_truths(
     with _Scorer(scenario, len(jobs) if renders else 0, workers) as scorer:
         size = max(1, min(_CHUNK, -(-len(jobs) // scorer.workers)))
         for i in range(0, len(jobs), size):
-            scorer.submit(range(0), jobs[i : i + size])
+            scorer.submit([], jobs[i : i + size])
         return [truth for _, truths in scorer.results() for truth in truths]
 
 
@@ -513,12 +552,15 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     scores the worst one against the same reference as ``s_eff``. The best
     configuration's error is exactly 0.0, so its baseline is power only.
 
-    No decision reads a baseline or a true error, so the loop itself only
-    ticks the governor and builds each frame's row. It hands every
-    :data:`_CHUNK` frames, with each sampled frame's ``(frame, [worst,
-    s_eff])``, to a :class:`_Scorer`, which scores them beside the loop in
-    forked workers, or serially where it cannot fork. The rows'
-    ``true_error`` cells are filled in after the loop.
+    No decision reads a baseline, a true error, or the power of a frame
+    outside the governor's accuracy-check and fitting windows, so the loop
+    itself only ticks the governor and builds each frame's row. It hands
+    every :data:`_CHUNK` frames, each with its ``s_eff`` and the governor's
+    power model after the tick, and each sampled frame's ``(frame, [worst,
+    s_eff])``, to a :class:`_Scorer`, which measures and predicts every
+    frame's power and scores the sampled frames beside the loop in forked
+    workers, or serially where it cannot fork. The rows' ``predicted_w``,
+    ``measured_w`` and ``true_error`` cells are filled in after the loop.
     """
     init = initialize(scenario)
     gov = Governor(
@@ -537,22 +579,24 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     frame_count = scenario.trace.frame_count
     every = scenario.error_sample_every
 
-    rows, powers = [], []
+    rows = []
     with _Scorer(scenario, -(-frame_count // _CHUNK)) as scorer:
         for start in range(0, frame_count, _CHUNK):
-            frames = range(start, min(start + _CHUNK, frame_count))
-            jobs = []
-            for frame in frames:
+            frames, jobs = [], []
+            for frame in range(start, min(start + _CHUNK, frame_count)):
                 tick = gov.tick(frame)
+                frames.append((frame, tick.s_eff, gov.power_model))
                 if frame % every == 0:
                     jobs.append((frame, [worst, tick.s_eff]))
-                powers.append(tick.record.measured_power)
-                rows.append(_record_row(tick.record, None))
+                rows.append(_record_row(tick.record))
             scorer.submit(frames, jobs)
         scored = scorer.results()
-    baselines = [pair for chunk_powers, _ in scored for pair in chunk_powers]
+    powers = [frame_powers for chunk_powers, _ in scored for frame_powers in chunk_powers]
     truths = [truth for _, chunk_truths in scored for truth in chunk_truths]
 
+    for row, (_, _, measured, predicted) in zip(rows, powers):
+        row[_PREDICTED] = predicted
+        row[_MEASURED] = measured
     errors, worst_errors = [], []
     for frame, (worst_err, true_err) in zip(range(0, frame_count, every), truths):
         rows[frame][_TRUE_ERROR] = true_err
@@ -570,7 +614,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         "p_min_probed": init.p_min_probed,
         "p_max_probed": init.probe.p_max_observed,
         "probe_frames_used": init.probe_frames_used,
-        "governed_mean_power": _mean(powers),
+        "governed_mean_power": _mean(measured for _, _, measured, _ in powers),
         "governed_mean_error": _mean(errors),
         "governed_error_samples": len(errors),
         "selection_count": gov.selection_count,
@@ -578,9 +622,9 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         "fit_count": gov.fit_count,
         "infeasible_count": gov.infeasible_count,
         "fit_clamp_total": gov.clamp_total,
-        "replay_best_mean_power": _mean(power for power, _ in baselines),
+        "replay_best_mean_power": _mean(best for best, _, _, _ in powers),
         "replay_best_mean_error": 0.0,
-        "replay_worst_mean_power": _mean(power for _, power in baselines),
+        "replay_worst_mean_power": _mean(worst for _, worst, _, _ in powers),
         "replay_worst_mean_error": _mean(worst_errors),
     }
 
@@ -609,12 +653,14 @@ def replay(
             phase="replay",
             s_eff=config,
             budget_watts=budget,
-            predicted_power=exact_power(scenario.oracle, config, frame, scenario.trace),
-            measured_power=measured,
             e_worst=tuple(0.0 for _ in scenario.roster.passes),
             staleness=tuple(-1 for _ in scenario.roster.passes),
         )
-        rows.append(_record_row(record, true_err))
+        row = _record_row(record)
+        row[_PREDICTED] = exact_power(scenario.oracle, config, frame, scenario.trace)
+        row[_MEASURED] = measured
+        row[_TRUE_ERROR] = true_err
+        rows.append(row)
 
     stats = replay_trace(scenario, config, log_frame)
     summary = {

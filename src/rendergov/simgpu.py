@@ -104,7 +104,11 @@ class SceneTrace:
     Every configuration measured at one frame shares that frame's curve
     values and event scales, so the trace keeps them for the most recent
     ``(roster, frame)`` only, and the cumulative event scales for the most
-    recent roster. Both memos live on the instance and are set up empty in
+    recent roster. A frame's power is often measured and predicted for one
+    configuration, so :meth:`primitives_for` keeps its most recent answer
+    too, for a repeated query with the same configuration and roster
+    objects; identity keeps a miss, the common case, cheap. The memos live
+    on the instance and are set up empty in
     ``__post_init__``, which ``dataclasses.replace`` runs again.
     """
 
@@ -134,6 +138,7 @@ class SceneTrace:
             raise ValueError("events must be sorted by frame")
         object.__setattr__(self, "_event_memo", None)
         object.__setattr__(self, "_frame_memo", None)
+        object.__setattr__(self, "_query_memo", None)
 
     @property
     def is_empty(self) -> bool:
@@ -181,6 +186,9 @@ class SceneTrace:
         self, roster: PassRoster, config: RenderingConfiguration, frame: int
     ) -> tuple[tuple[float, float, float], ...]:
         """Observable (b, v, f) per model pass for one frame and configuration."""
+        memo = self._query_memo
+        if memo is not None and memo[0] is config and memo[1] == frame and memo[2] is roster:
+            return memo[3]
         roster.validate_config(config)
         values, count_scales, _ = self._frame_terms(roster, frame)
         frag_scale = roster.fragment_scale(config)
@@ -195,7 +203,9 @@ class SceneTrace:
             f = vf * self.level_scale_fragments[mi][lvl] * scale * frag_scale
             ub, uv, uf = masks[mi]
             out.append((b if ub else 0.0, v if uv else 0.0, f if uf else 0.0))
-        return tuple(out)
+        out = tuple(out)
+        object.__setattr__(self, "_query_memo", (config, frame, roster, out))
+        return out
 
 
 def empty_trace(roster: PassRoster, frame_count: int) -> SceneTrace:

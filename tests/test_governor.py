@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from rendergov import governor
 from rendergov.configspace import (
     PassDescriptor,
     PassRoster,
@@ -299,6 +300,78 @@ def _governed_records(scenario, frames=None):
     for frame in range(frames or scenario.trace.frame_count):
         records.append(gov.tick(frame).record)
     return gov, records
+
+
+@pytest.mark.parametrize("name", ["mini_scenario", "regime_scenario"])
+def test_meter_is_read_only_for_window_samples(name, request, monkeypatch):
+    """The measure and primitives hooks serve exactly the frames whose sample
+    goes into the accuracy-check or fitting buffer; steady and filtering
+    frames call neither, and a selection asks primitives only for its
+    predictions."""
+    scenario = request.getfixturevalue(name)
+    predicting = []
+    predict_all = governor.predict_all
+
+    def counted_predict_all(*args):
+        predicting.append(True)
+        try:
+            return predict_all(*args)
+        finally:
+            predicting.pop()
+
+    monkeypatch.setattr(governor, "predict_all", counted_predict_all)
+    measure_calls, primitive_calls = [], []
+
+    def measure(config, frame):
+        watts = measure_power(scenario.oracle, config, frame, scenario.trace)
+        measure_calls.append((frame, config, watts))
+        return watts
+
+    def primitives(config, frame):
+        counts = scenario.trace.primitives_for(scenario.roster, config, frame)
+        if not predicting:
+            primitive_calls.append((frame, config, counts))
+        return counts
+
+    init = initialize(scenario)
+    gov = Governor(
+        roster=scenario.roster,
+        config=scenario.governor,
+        power_model=init.power_model,
+        error_model=init.error_model,
+        measure=measure,
+        primitives=primitives,
+        render=lambda c, f: render_frame(scenario.synthesizer, c, f),
+        initial_config=scenario.initial_config,
+    )
+    buffered = {}  # id -> every sample that has been in a buffer, kept alive
+    samples, phases = [], {}
+    for frame in range(scenario.trace.frame_count):
+        tick = gov.tick(frame)
+        new = [
+            sample
+            for sample in gov.state.accuracy_buffer + gov.state.fitting_buffer
+            if id(sample) not in buffered
+        ]
+        assert len(new) <= 1
+        buffered.update((id(sample), sample) for sample in new)
+        samples += [(frame, tick.s_eff, sample) for sample in new]
+        phases.setdefault(tick.record.phase, set()).add(frame)
+
+    sampled = [frame for frame, _, _ in samples]
+    assert [(f, c) for f, c, _ in measure_calls] == [(f, c) for f, c, _ in samples]
+    assert [(f, c) for f, c, _ in primitive_calls] == [(f, c) for f, c, _ in samples]
+    for (_, _, sample), (_, _, watts), (_, _, counts) in zip(
+        samples, measure_calls, primitive_calls
+    ):
+        assert sample == FrameSample(watts, counts)
+    assert set(sampled) == phases["check"] | phases["fitting"]
+    for phase in ("steady", "selecting", "filtering"):
+        assert phases[phase] and not phases[phase] & set(sampled)
+    # The startup fit and every refit filled a whole fitting window.
+    assert scenario.governor.initial_fit
+    assert len(phases["fitting"]) == scenario.governor.fitting_window * (1 + gov.refit_count)
+    assert phases["check"]
 
 
 def test_constant_scene_generous_budget_converges_to_best(mini_scenario):

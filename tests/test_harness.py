@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from rendergov import harness, simgpu
 from rendergov.configspace import RenderingConfiguration
+from rendergov.governor import Governor
 from rendergov.harness import (
     _frame_truths,
     _true_errors,
@@ -23,8 +25,9 @@ from rendergov.harness import (
     run,
     write_oracle_table,
 )
+from rendergov.powermodel import model_masks, predict_power
 from rendergov.quality import quality_error
-from rendergov.simgpu import exact_power, render_frame
+from rendergov.simgpu import exact_power, measure_power, render_frame
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -157,6 +160,21 @@ def test_replay_artifacts_and_initialization_shared_with_run(mini_scenario, mini
     assert result.summary["budget_watts"] == run_summary["budget_watts"]
     assert result.summary["p_min_probed"] == run_summary["p_min_probed"]
     assert result.summary["p_max_probed"] == run_summary["p_max_probed"]
+
+
+def test_replay_power_cells_are_exact_and_measured(mini_scenario, tmp_path):
+    sc = mini_scenario
+    config = sc.roster.worst_config()
+    result = replay(sc, config, tmp_path)
+    header, *lines = result.log_path.read_text().splitlines()[1:]
+    columns = header.split(",")
+    rows = [line.split(",") for line in lines]
+    assert [float(row[columns.index("predicted_w")]) for row in rows] == [
+        exact_power(sc.oracle, config, f, sc.trace) for f in range(sc.trace.frame_count)
+    ]
+    assert [float(row[columns.index("measured_w")]) for row in rows] == [
+        measure_power(sc.oracle, config, f, sc.trace) for f in range(sc.trace.frame_count)
+    ]
 
 
 def test_replay_rejects_invalid_config(mini_scenario, tmp_path):
@@ -344,19 +362,21 @@ def _recording_pools(monkeypatch) -> list:
 
 
 @needs_two_cpus
-def test_run_scored_beside_loop_equals_serial(mini_scenario, monkeypatch, tmp_path):
+def test_run_scored_beside_loop_equals_serial(
+    mini_scenario, regime_scenario, monkeypatch, tmp_path
+):
     # 203 frames end in a partial chunk; sampling every 37th frame leaves
-    # chunks with no sampled frame.
+    # chunks with no sampled frame. regime_change refits within them.
     assert 203 % harness._CHUNK and 37 > harness._CHUNK
-    trace = dataclasses.replace(mini_scenario.trace, frame_count=203)
     allowed = os.sched_getaffinity(0)
-    for every in (2, 37):
-        scenario = dataclasses.replace(mini_scenario, trace=trace, error_sample_every=every)
+    for base, every in itertools.product((mini_scenario, regime_scenario), (2, 37)):
+        trace = dataclasses.replace(base.trace, frame_count=203)
+        scenario = dataclasses.replace(base, trace=trace, error_sample_every=every)
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            serial = run(scenario, tmp_path / f"serial{every}")
+            serial = run(scenario, tmp_path / f"{base.name}_serial{every}")
         started = _recording_pools(monkeypatch)
-        forked = run(scenario, tmp_path / f"forked{every}")
+        forked = run(scenario, tmp_path / f"{base.name}_forked{every}")
         assert started == [(len(allowed) - 1,)]
         assert os.sched_getaffinity(0) == allowed
         for name in ("log_path", "summary_path"):
@@ -364,6 +384,63 @@ def test_run_scored_beside_loop_equals_serial(mini_scenario, monkeypatch, tmp_pa
         assert forked.summary["governed_error_samples"] == len(range(0, 203, every))
     assert multiprocessing.active_children() == []
     assert threading.active_count() == 1
+
+
+def _governed_powers(scenario) -> list[tuple[float, float]]:
+    """Oracle for a run's power cells: (predicted, measured) of each frame's
+    ``s_eff``, evaluated right after the governor's tick with the model it
+    then holds, as the tick itself once did."""
+    roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
+    init = initialize(scenario)
+    gov = Governor(
+        roster=roster,
+        config=scenario.governor,
+        power_model=init.power_model,
+        error_model=init.error_model,
+        measure=lambda c, f: measure_power(oracle, c, f, trace),
+        primitives=lambda c, f: trace.primitives_for(roster, c, f),
+        render=lambda c, f: render_frame(scenario.synthesizer, c, f),
+        initial_config=scenario.initial_config,
+    )
+    powers = []
+    for frame in range(trace.frame_count):
+        s_eff = gov.tick(frame).s_eff
+        model = gov.power_model
+        predicted = predict_power(
+            model.saturation,
+            model.coefficients_for(s_eff),
+            trace.primitives_for(roster, s_eff, frame),
+            model_masks(roster),
+        )
+        powers.append((predicted, measure_power(oracle, s_eff, frame, trace)))
+    return powers
+
+
+@pytest.mark.parametrize("forked", [False, pytest.param(True, marks=needs_two_cpus)])
+def test_run_power_cells_equal_governed_oracle(
+    forked, mini_scenario, regime_scenario, monkeypatch, tmp_path
+):
+    # Both scenarios install a fitted model in the middle of a chunk:
+    # mini's startup fit and regime_change's forced refit.
+    for scenario in (mini_scenario, regime_scenario):
+        expected = _governed_powers(scenario)
+        with monkeypatch.context() as m:
+            if forked:
+                started = _recording_pools(m)
+            else:
+                m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            result = run(scenario, tmp_path / f"{scenario.name}_{forked}")
+        if forked:
+            assert len(started) == 1
+        header, *lines = result.log_path.read_text().splitlines()[1:]
+        columns = header.split(",")
+        cells = [line.split(",") for line in lines]
+        got = [
+            (float(row[columns.index("predicted_w")]), float(row[columns.index("measured_w")]))
+            for row in cells
+        ]
+        assert got == expected, scenario.name
+        assert result.summary["governed_mean_power"] == sum(m for _, m in expected) / len(expected)
 
 
 @needs_two_cpus
