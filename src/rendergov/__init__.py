@@ -28,7 +28,6 @@ from .powermodel import (
     UnitCosts,
     coefficients_for_config,
     fit_coefficients,
-    fit_generic,
     linearize_sample,
     predict_all,
     predict_power,

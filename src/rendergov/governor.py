@@ -27,7 +27,6 @@ from .powermodel import (
     SaturationConstants,
     UnitCostResult,
     fit_coefficients,
-    model_masks,
     predict_all,
     predict_power,
     solve_unit_costs,
@@ -194,20 +193,17 @@ def accuracy_check(
     model: PowerModel,
     window,
     threshold: float,
-    config: RenderingConfiguration | None = None,
+    config: RenderingConfiguration,
 ) -> bool:
-    """True when the mean absolute prediction error over the window exceeds
-    the threshold fraction of (P_M - P_m)."""
+    """True when the mean absolute prediction error at ``config`` over the
+    window exceeds the threshold fraction of (P_M - P_m)."""
     window = list(window)
     if not window:
         raise ValueError("empty accuracy-check window")
-    if config is None:
-        config = model.fitted_config
     coeffs = model.coefficients_for(config)
-    masks = model_masks(model.roster)
     total = 0.0
     for sample in window:
-        predicted = predict_power(model.saturation, coeffs, sample.per_pass, masks)
+        predicted = predict_power(model.saturation, coeffs, sample.per_pass)
         total += abs(sample.measured_power - predicted)
     return total / len(window) > threshold * model.saturation.span
 
@@ -338,11 +334,7 @@ class Governor:
                 flags["err_update_value"] = self.error_model.e_worst[pass_index]
 
     def _issue_fit(self, frame: int, fitted_config: RenderingConfiguration) -> None:
-        fit_res = fit_coefficients(
-            self.state.fitting_buffer,
-            self.power_model.saturation,
-            model_masks(self.roster),
-        )
+        fit_res = fit_coefficients(self.state.fitting_buffer, self.power_model.saturation)
         # Slots this window could not identify keep what the previous snapshot
         # believed about this configuration instead of silently becoming zero.
         prior = self.power_model.coefficients_for(fitted_config)

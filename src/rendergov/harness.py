@@ -27,8 +27,7 @@ from .powermodel import (
     PowerCoefficients,
     PowerModel,
     UnitCosts,
-    fit_generic,
-    model_masks,
+    fit_coefficients,
     predict_power,
     solve_unit_costs,
 )
@@ -138,7 +137,7 @@ def initialize(scenario: Scenario) -> Initialization:
 
     if scenario.initial_fit_mode == "generic":
         sweep = _generic_sweep_samples(scenario, probe.saturation.per_pass)
-        fit = fit_generic(sweep, probe.saturation, model_masks(roster))
+        fit = fit_coefficients(sweep, probe.saturation)
         costs = solve_unit_costs(
             fit.coefficients,
             scenario.cost_table,
@@ -167,24 +166,21 @@ def _generic_sweep_samples(scenario: Scenario, saturation_per_pass, count: int =
     """Dummy-scene sweep covering the load space between idle and saturation.
 
     Each sample splits a total load level across the per-pass primitive slots
-    with random weights; the level ramps so measured power walks from near P_m
-    toward P_M. The ramp tops out below deep saturation, where the log
-    transform would amplify measurement noise.
+    with random weights, 0.0 for every kind a pass does not use; the level
+    ramps so measured power walks from near P_m toward P_M. The ramp tops out
+    below deep saturation, where the log transform would amplify measurement
+    noise.
     """
     oracle = scenario.oracle
     roster = scenario.roster
-    masks = model_masks(roster)
+    uses = np.asarray(roster.model_masks, dtype=float)
     cfg = roster.best_config()
     samples = []
     n = len(saturation_per_pass)
     for k in range(count):
         rng = np.random.default_rng([scenario.seed, 424243, k])
         total_load = 1.8 * (k + 1) / count
-        weights = rng.uniform(0.1, 1.0, size=(n, 3))
-        for i in range(n):
-            for j in range(3):
-                if not masks[i][j]:
-                    weights[i][j] = 0.0
+        weights = rng.uniform(0.1, 1.0, size=(n, 3)) * uses
         weights *= total_load / weights.sum()
         prims = tuple(
             (
@@ -370,7 +366,6 @@ def _score_chunk(
     """
     roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
     best, worst = roster.best_config(), roster.worst_config()
-    masks = model_masks(roster)
     coefficients: dict[tuple[int, RenderingConfiguration], PowerCoefficients] = {}
     powers = []
     for f, config, model in frames:
@@ -386,7 +381,6 @@ def _score_chunk(
                     model.saturation,
                     coefficients[key],
                     trace.primitives_for(roster, config, f),
-                    masks,
                 ),
             )
         )

@@ -5,6 +5,12 @@ term per non-resolution pass,
 
     alpha_i = k_b[i] * b_i / B_i + k_v[i] * v_i / V_i + k_f[i] * f_i / F_i.
 
+A pass's load term sums only the primitive kinds the pass uses. That is a
+precondition on the counts, not something the formula re-checks: whoever
+produces per-pass (b, v, f) counts reports 0.0 for every kind the pass does
+not use (``PassRoster.model_masks``), as the scene trace, the saturation probe
+and the generic sweep do.
+
 Fitting inverts the exponential with a log transform and solves a linear least
 squares problem with nonnegativity enforced by clamp-and-re-solve passes over
 the active set. A fitted coefficient set for one configuration is extended to
@@ -23,7 +29,7 @@ from .configspace import PassRoster, RenderingConfiguration, config_index, level
 
 # Normalized powers are clamped this fraction of (P_M - P_m) away from the
 # saturation bounds before the log transform, keeping targets finite.
-DEFAULT_CLAMP_FRACTION = 1e-3
+CLAMP_FRACTION = 1e-3
 
 # A design column whose normalized load never reaches this floor carries no
 # usable signal; its coefficient is reported unidentified instead of letting
@@ -193,18 +199,15 @@ class PowerModel:
         )
 
 
-def model_masks(roster: PassRoster) -> tuple[tuple[bool, bool, bool], ...]:
-    """(uses_batches, uses_vertices, uses_fragments) per non-resolution pass."""
-    return roster.model_masks
-
-
 def load_terms(
     saturation: SaturationConstants,
     coefficients: PowerCoefficients,
     primitives,
-    masks=None,
 ) -> list[float]:
-    """Per-pass alpha contributions of the load sum."""
+    """Per-pass alpha contributions of the load sum.
+
+    ``primitives`` must hold 0.0 for every kind a pass does not use.
+    """
     n = len(saturation.per_pass)
     if len(coefficients.per_pass) != n or len(primitives) != n:
         raise ValueError("saturation, coefficients, and primitives disagree on pass count")
@@ -213,11 +216,6 @@ def load_terms(
         kb, kv, kf = coefficients.per_pass[i]
         big_b, big_v, big_f = saturation.per_pass[i]
         b, v, f = primitives[i]
-        if masks is not None:
-            ub, uv, uf = masks[i]
-            b = b if ub else 0.0
-            v = v if uv else 0.0
-            f = f if uf else 0.0
         terms.append(kb * b / big_b + kv * v / big_v + kf * f / big_f)
     return terms
 
@@ -226,14 +224,14 @@ def predict_power(
     saturation: SaturationConstants,
     coefficients: PowerCoefficients,
     primitives,
-    masks=None,
 ) -> float:
     """Evaluate the saturating power model; result always lies in [P_m, P_M).
 
-    The asymptote is open in exact arithmetic; rounding can still land on
-    P_M at extreme loads, so the bound is enforced explicitly.
+    ``primitives`` must hold 0.0 for every kind a pass does not use. The
+    asymptote is open in exact arithmetic; rounding can still land on P_M at
+    extreme loads, so the bound is enforced explicitly.
     """
-    alpha = sum(load_terms(saturation, coefficients, primitives, masks))
+    alpha = sum(load_terms(saturation, coefficients, primitives))
     p = saturation.p_min + saturation.span * (1.0 - math.exp(-alpha))
     return min(p, math.nextafter(saturation.p_max, -math.inf))
 
@@ -241,19 +239,18 @@ def predict_power(
 def linearize_sample(
     saturation: SaturationConstants,
     sample: FrameSample,
-    masks=None,
-    clamp_fraction: float = DEFAULT_CLAMP_FRACTION,
 ) -> LinearizedSample:
     """Turn one sample into a regression row and a log-domain target.
 
-    The row holds normalized primitives (b/B, v/V, f/F) per pass; the target is
-    -ln(1 - (P - P_m) / (P_M - P_m)), with the measured power clamped a small
-    margin inside (P_m, P_M) first so the transform stays finite.
+    The row holds normalized primitives (b/B, v/V, f/F) per pass, so a kind a
+    pass does not use, whose count must be 0.0, gets a zero entry; the target
+    is -ln(1 - (P - P_m) / (P_M - P_m)), with the measured power clamped a
+    small margin inside (P_m, P_M) first so the transform stays finite.
     """
     n = len(saturation.per_pass)
     if len(sample.per_pass) != n:
         raise ValueError("sample and saturation constants disagree on pass count")
-    eps = clamp_fraction * saturation.span
+    eps = CLAMP_FRACTION * saturation.span
     p = sample.measured_power
     clamped = not (saturation.p_min + eps <= p <= saturation.p_max - eps)
     p = min(max(p, saturation.p_min + eps), saturation.p_max - eps)
@@ -263,11 +260,6 @@ def linearize_sample(
     for i in range(n):
         big_b, big_v, big_f = saturation.per_pass[i]
         b, v, f = sample.per_pass[i]
-        if masks is not None:
-            ub, uv, uf = masks[i]
-            b = b if ub else 0.0
-            v = v if uv else 0.0
-            f = f if uf else 0.0
         row.extend((b / big_b, v / big_v, f / big_f))
     return LinearizedSample(tuple(row), target, clamped)
 
@@ -295,16 +287,14 @@ def _nonnegative_lstsq(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]
 def fit_coefficients(
     samples,
     saturation: SaturationConstants,
-    masks=None,
-    clamp_fraction: float = DEFAULT_CLAMP_FRACTION,
-    min_signal: float = MIN_COLUMN_SIGNAL,
 ) -> FitResult:
     """Fit per-pass (k_b, k_v, k_f) from a window of frame samples.
 
     Requires at least three samples per non-resolution pass. Columns the
     window never exercised (below the minimum-signal floor) are excluded and
-    reported unidentified; a rank-deficient remainder is solved least-norm and
-    flagged degenerate.
+    reported unidentified; that includes every kind a pass does not use,
+    whose counts must be 0.0. A rank-deficient remainder is solved least-norm
+    and flagged degenerate.
     """
     samples = list(samples)
     n_passes = len(saturation.per_pass)
@@ -316,17 +306,14 @@ def fit_coefficients(
     targets = []
     clamp_count = 0
     for s in samples:
-        lin = linearize_sample(saturation, s, masks, clamp_fraction)
+        lin = linearize_sample(saturation, s)
         rows.append(lin.row)
         targets.append(lin.target)
         clamp_count += lin.clamped
     a = np.asarray(rows, dtype=float)
     y = np.asarray(targets, dtype=float)
 
-    structural = np.ones(a.shape[1], dtype=bool)
-    if masks is not None:
-        structural = np.asarray([u for m in masks for u in m], dtype=bool)
-    observed = structural & (np.abs(a).max(axis=0) >= min_signal)
+    observed = np.abs(a).max(axis=0) >= MIN_COLUMN_SIGNAL
 
     x = np.zeros(a.shape[1])
     if observed.any():
@@ -355,19 +342,6 @@ def fit_coefficients(
     )
 
 
-def fit_generic(
-    samples,
-    saturation: SaturationConstants,
-    masks=None,
-    clamp_fraction: float = DEFAULT_CLAMP_FRACTION,
-) -> FitResult:
-    """Fit from a load-space sweep instead of a live window; same algorithm."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("generic fitting needs a nonempty sample sweep")
-    return fit_coefficients(samples, saturation, masks, clamp_fraction)
-
-
 def _model_levels(
     roster: PassRoster, config: RenderingConfiguration
 ) -> tuple[int, ...]:
@@ -390,7 +364,7 @@ def solve_unit_costs(
     could not identify contribute nothing and are dropped.
     """
     levels = _model_levels(roster, fitted_config)
-    masks = model_masks(roster)
+    masks = roster.model_masks
     if cost_table.n_passes != len(levels):
         raise ValueError("cost table does not cover the roster's model passes")
     rows = []
@@ -450,7 +424,8 @@ def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
     """Predicted watts for every configuration, in enumeration order.
 
     ``primitives_for`` maps a configuration to its per-pass (b, v, f) counts,
-    already reflecting per-level multipliers and the resolution fragment scale.
+    already reflecting per-level multipliers and the resolution fragment scale,
+    with 0.0 for every kind a pass does not use.
 
     Pass i's load term depends only on its own level and the resolution level,
     so the hook is called once per level-diagonal configuration (every pass at
@@ -462,7 +437,6 @@ def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
     """
     roster = model.roster
     sat = model.saturation
-    masks = model_masks(roster)
     model_indices = roster.model_pass_indices
     res = roster.resolution_index
     res_count = 1 if res is None else roster.passes[res].level_count
@@ -479,7 +453,7 @@ def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
             coeffs = coefficients_for_config(
                 model.unit_costs, model.cost_table, config, model.coefficients, roster
             )
-            terms = load_terms(sat, coeffs, primitives_for(config), masks)
+            terms = load_terms(sat, coeffs, primitives_for(config))
             for table, n, term in zip(tables, counts, terms):
                 if lvl < n:
                     table[lvl, r] = term
@@ -497,6 +471,6 @@ def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
     )
     fitted = model.fitted_config
     out[config_index(roster, fitted)] = predict_power(
-        sat, model.coefficients, primitives_for(fitted), masks
+        sat, model.coefficients, primitives_for(fitted)
     )
     return out

@@ -97,8 +97,8 @@ def _windowed_mean(img: np.ndarray) -> np.ndarray:
 class ReferenceMoments:
     """Windowed mean and mean square of a reference frame, for every window.
 
-    Computed once per reference and passed to :func:`ssim`, so scoring many
-    candidates against one reference filters only the candidate terms.
+    Computed once per reference and passed to :func:`ssim_rows`, so scoring
+    many candidates against one reference filters only the candidate terms.
     """
 
     mean: np.ndarray
@@ -142,16 +142,13 @@ def ssim_rows(
     )
 
 
-def ssim(
-    reference: FrameImage, candidate: FrameImage, moments: ReferenceMoments | None = None
-) -> float:
+def ssim(reference: FrameImage, candidate: FrameImage) -> float:
     """Mean local structural similarity over Gaussian-weighted 11x11 windows.
 
-    ``moments``, if given, must come from :func:`reference_moments` of
-    ``reference``. A window covering only rows where the images agree scores
-    exactly 1.0, so only the windows that reach a differing row are computed;
-    the rest of the map stays 1.0 and the mean runs over the whole map, which
-    keeps the result bitwise equal to filtering the full frame.
+    A window covering only rows where the images agree scores exactly 1.0,
+    so only the windows that reach a differing row are computed; the rest of
+    the map stays 1.0 and the mean runs over the whole map, which keeps the
+    result bitwise equal to filtering the full frame.
     """
     if reference.pixels.shape != candidate.pixels.shape:
         raise ValueError(
@@ -168,19 +165,13 @@ def ssim(
         # Map row r covers image rows r .. r + 2*_HALF.
         lo = max(int(differing[0]) - 2 * _HALF, 0)
         hi = min(int(differing[-1]), h - 2 * _HALF - 1) + 1
-        ssim_map[lo:hi] = ssim_rows(
-            x[lo : hi + 2 * _HALF],
-            y[lo : hi + 2 * _HALF],
-            None if moments is None else moments.rows(lo, hi),
-        )
+        ssim_map[lo:hi] = ssim_rows(x[lo : hi + 2 * _HALF], y[lo : hi + 2 * _HALF])
     return float(ssim_map.mean())
 
 
-def quality_error(
-    reference: FrameImage, candidate: FrameImage, moments: ReferenceMoments | None = None
-) -> float:
+def quality_error(reference: FrameImage, candidate: FrameImage) -> float:
     """1 - SSIM, clamped at zero."""
-    return max(0.0, 1.0 - ssim(reference, candidate, moments))
+    return max(0.0, 1.0 - ssim(reference, candidate))
 
 
 @dataclass(frozen=True)

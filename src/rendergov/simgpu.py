@@ -26,7 +26,6 @@ from .powermodel import (
     PowerCoefficients,
     SaturationConstants,
     UnitCosts,
-    model_masks,
 )
 from .quality import FrameImage
 
@@ -185,14 +184,15 @@ class SceneTrace:
     def primitives_for(
         self, roster: PassRoster, config: RenderingConfiguration, frame: int
     ) -> tuple[tuple[float, float, float], ...]:
-        """Observable (b, v, f) per model pass for one frame and configuration."""
+        """Observable (b, v, f) per model pass for one frame and configuration,
+        0.0 for every kind the pass does not use."""
         memo = self._query_memo
         if memo is not None and memo[0] is config and memo[1] == frame and memo[2] is roster:
             return memo[3]
         roster.validate_config(config)
         values, count_scales, _ = self._frame_terms(roster, frame)
         frag_scale = roster.fragment_scale(config)
-        masks = model_masks(roster)
+        masks = roster.model_masks
         out = []
         for mi, ri in enumerate(roster.model_pass_indices):
             lvl = config[ri]
@@ -317,22 +317,18 @@ class HiddenPowerOracle:
     ) -> float:
         """The power formula with :meth:`true_coefficients`, term for term as
         :func:`powermodel.load_terms` evaluates it, without building them:
-        every power query pays only for its own arithmetic."""
+        every power query pays only for its own arithmetic. As there,
+        ``primitives`` must hold 0.0 for every kind a pass does not use."""
         sat = self.saturation
         n = len(sat.per_pass)
         model_indices = self.roster.model_pass_indices
         if len(model_indices) != n or len(primitives) != n:
             raise ValueError("saturation, coefficients, and primitives disagree on pass count")
-        masks = model_masks(self.roster)
         terms = []
         for i, ri in enumerate(model_indices):
             scale = 1.0 if cost_scales is None else cost_scales[i]
             big_b, big_v, big_f = sat.per_pass[i]
             b, v, f = primitives[i]
-            ub, uv, uf = masks[i]
-            b = b if ub else 0.0
-            v = v if uv else 0.0
-            f = f if uf else 0.0
             terms.append(
                 self.k_b[i] * scale * b / big_b
                 + self._k_v[i] * scale * v / big_v
@@ -630,7 +626,7 @@ def probe_saturation(
     reading over all ramps.
     """
     roster = oracle.roster
-    masks = model_masks(roster)
+    masks = roster.model_masks
     n = len(roster.model_pass_indices)
     zeros = tuple((0.0, 0.0, 0.0) for _ in range(n))
 

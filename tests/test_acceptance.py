@@ -28,7 +28,6 @@ from rendergov.powermodel import (
     FrameSample,
     coefficients_for_config,
     fit_coefficients,
-    model_masks,
     predict_power,
     solve_unit_costs,
 )
@@ -75,7 +74,6 @@ def test_criterion_01_fit_recovery(demo):
     started = time.perf_counter()
     oracle0 = dataclasses.replace(demo.oracle, noise_sigma=0.0)
     sat = oracle0.saturation
-    masks = model_masks(demo.roster)
 
     samples = [
         FrameSample(
@@ -84,7 +82,7 @@ def test_criterion_01_fit_recovery(demo):
         )
         for f in range(30)
     ]
-    fit = fit_coefficients(samples, sat, masks)
+    fit = fit_coefficients(samples, sat)
     truth = oracle0.true_coefficients(S_B)
     max_rel = 0.0
     for got, want, ident in zip(fit.coefficients.per_pass, truth.per_pass, fit.identified):
@@ -101,11 +99,11 @@ def test_criterion_01_fit_recovery(demo):
         )
         for f in range(30)
     ]
-    fit_noisy = fit_coefficients(noisy, sat, masks)
+    fit_noisy = fit_coefficients(noisy, sat)
     held_out = []
     for f in range(30, 130):
         prims = demo.trace.primitives_for(demo.roster, S_B, f)
-        predicted = predict_power(sat, fit_noisy.coefficients, prims, masks)
+        predicted = predict_power(sat, fit_noisy.coefficients, prims)
         held_out.append(abs(predicted - exact_power(oracle0, S_B, f, demo.trace)))
     held_out_pct = float(np.mean(held_out)) / sat.span
     assert held_out_pct <= 0.02
@@ -123,7 +121,6 @@ def test_criterion_02_coefficient_reuse(demo):
     oracle = dataclasses.replace(demo.oracle, noise_sigma=0.0, cost_distortion=1.15)
     trace = dataclasses.replace(demo.trace, frame_count=500, events=())
     sat = oracle.saturation
-    masks = model_masks(demo.roster)
 
     samples = [
         FrameSample(
@@ -132,7 +129,7 @@ def test_criterion_02_coefficient_reuse(demo):
         )
         for f in range(30)
     ]
-    fit = fit_coefficients(samples, sat, masks)
+    fit = fit_coefficients(samples, sat)
     costs = solve_unit_costs(fit.coefficients, demo.cost_table, S_B, demo.roster, fit.identified)
     coeffs_a = coefficients_for_config(
         costs.unit_costs, demo.cost_table, S_A, fit.coefficients, demo.roster
@@ -140,7 +137,7 @@ def test_criterion_02_coefficient_reuse(demo):
     devs = []
     for f in range(500):
         prims = trace.primitives_for(demo.roster, S_A, f)
-        predicted = predict_power(sat, coeffs_a, prims, masks)
+        predicted = predict_power(sat, coeffs_a, prims)
         devs.append(abs(predicted - exact_power(oracle, S_A, f, trace)))
     mean_pct = float(np.mean(devs)) / sat.span
     assert mean_pct <= 0.05

@@ -258,7 +258,7 @@ def test_accuracy_check_exact_predictions_do_not_refit():
     for i in range(10):
         prims = ((10.0 + i, 1e4 * i, 2e4),)
         window.append(FrameSample(predict_power(SAT, model.coefficients, prims), prims))
-    assert accuracy_check(model, window, 0.10) is False
+    assert accuracy_check(model, window, 0.10, model.fitted_config) is False
 
 
 def test_accuracy_check_constant_offset_triggers_refit():
@@ -268,7 +268,7 @@ def test_accuracy_check_constant_offset_triggers_refit():
         prims = ((10.0 + i, 1e4 * i, 2e4),)
         p = predict_power(SAT, model.coefficients, prims)
         window.append(FrameSample(p + 0.2 * SAT.span, prims))
-    assert accuracy_check(model, window, 0.10) is True
+    assert accuracy_check(model, window, 0.10, model.fitted_config) is True
 
 
 def test_accuracy_check_boundary_is_strict():
@@ -276,12 +276,13 @@ def test_accuracy_check_boundary_is_strict():
     prims = ((10.0, 1e4, 2e4),)
     p = predict_power(SAT, model.coefficients, prims)
     window = [FrameSample(p + 0.10 * SAT.span, prims)] * 10
-    assert accuracy_check(model, window, 0.10) is False
+    assert accuracy_check(model, window, 0.10, model.fitted_config) is False
 
 
 def test_accuracy_check_rejects_empty_window():
+    model = _one_pass_model()
     with pytest.raises(ValueError):
-        accuracy_check(_one_pass_model(), [], 0.1)
+        accuracy_check(model, [], 0.1, model.fitted_config)
 
 
 def _governed_records(scenario, frames=None):

@@ -25,7 +25,7 @@ from rendergov.harness import (
     run,
     write_oracle_table,
 )
-from rendergov.powermodel import model_masks, predict_power
+from rendergov.powermodel import predict_power
 from rendergov.quality import quality_error
 from rendergov.simgpu import exact_power, measure_power, render_frame
 
@@ -410,7 +410,6 @@ def _governed_powers(scenario) -> list[tuple[float, float]]:
             model.saturation,
             model.coefficients_for(s_eff),
             trace.primitives_for(roster, s_eff, frame),
-            model_masks(roster),
         )
         powers.append((predicted, measure_power(oracle, s_eff, frame, trace)))
     return powers

@@ -11,8 +11,6 @@ from rendergov.powermodel import (
     FrameSample,
     coefficients_for_config,
     fit_coefficients,
-    fit_generic,
-    model_masks,
     predict_all,
     predict_power,
     solve_unit_costs,
@@ -26,7 +24,6 @@ def test_reuse_predictions_close_to_per_config_direct_fits(mini_scenario):
     sc = mini_scenario
     oracle = dataclasses.replace(sc.oracle, noise_sigma=0.0, cost_distortion=1.15)
     sat = oracle.saturation
-    masks = model_masks(sc.roster)
     eval_frames = range(60, 90)
 
     def window(config):
@@ -39,19 +36,19 @@ def test_reuse_predictions_close_to_per_config_direct_fits(mini_scenario):
         ]
 
     anchor = RenderingConfiguration((0, 1, 0))  # mid config: all passes live
-    fit = fit_coefficients(window(anchor), sat, masks)
+    fit = fit_coefficients(window(anchor), sat)
     costs = solve_unit_costs(fit.coefficients, sc.cost_table, anchor, sc.roster, fit.identified)
 
     devs = []
     for config in enumerate_configurations(sc.roster):
-        direct = fit_coefficients(window(config), sat, masks)
+        direct = fit_coefficients(window(config), sat)
         reused = coefficients_for_config(
             costs.unit_costs, sc.cost_table, config, fit.coefficients, sc.roster
         )
         for f in eval_frames:
             prims = sc.trace.primitives_for(sc.roster, config, f)
-            p_direct = predict_power(sat, direct.coefficients, prims, masks)
-            p_reused = predict_power(sat, reused, prims, masks)
+            p_direct = predict_power(sat, direct.coefficients, prims)
+            p_reused = predict_power(sat, reused, prims)
             devs.append(abs(p_reused - p_direct))
     assert float(np.mean(devs)) <= 0.05 * sat.span
 
@@ -60,9 +57,8 @@ def test_generic_fit_tracks_ground_truth_across_space(demo_scenario):
     sc = demo_scenario
     init = initialize(sc)
     sat = init.power_model.saturation
-    masks = model_masks(sc.roster)
     sweep = _generic_sweep_samples(sc, sat.per_pass)
-    fit = fit_generic(sweep, sat, masks)
+    fit = fit_coefficients(sweep, sat)
     costs = solve_unit_costs(
         fit.coefficients, sc.cost_table, sc.roster.best_config(), sc.roster, fit.identified
     )

@@ -23,10 +23,8 @@ from rendergov.powermodel import (
     UnitCosts,
     coefficients_for_config,
     fit_coefficients,
-    fit_generic,
     linearize_sample,
     load_terms,
-    model_masks,
     predict_all,
     predict_power,
     solve_unit_costs,
@@ -64,13 +62,6 @@ def test_predict_bounds_and_monotonicity(prims, coeffs):
     assert 10.0 <= p < 100.0
     bumped = tuple(v + 1.0 for v in prims)
     assert predict_power(ONE_PASS_SAT, coefficients, (bumped,)) >= p
-
-
-def test_masked_primitives_contribute_nothing():
-    coeffs = PowerCoefficients(((0.5, 1.0, 2.0),))
-    masks = ((False, False, True),)
-    p = predict_power(ONE_PASS_SAT, coeffs, ((5.0, 5.0, 0.0),), masks)
-    assert p == 10.0
 
 
 def test_linearize_at_p_min_gives_near_zero_target():
@@ -354,9 +345,8 @@ def test_predict_all_empty_frame_is_p_min_everywhere():
 
 def _per_config_predictions(model, primitives_for):
     """The scalar formula one configuration at a time: the oracle for predict_all."""
-    masks = model_masks(model.roster)
     return [
-        predict_power(model.saturation, model.coefficients_for(cfg), primitives_for(cfg), masks)
+        predict_power(model.saturation, model.coefficients_for(cfg), primitives_for(cfg))
         for cfg in enumerate_configurations(model.roster)
     ]
 
@@ -389,9 +379,13 @@ def _synthetic_model(roster, rng, fitted_levels):
 
 def _synthetic_primitives(roster, rng, saturation):
     """A primitives hook in which pass i's counts depend only on its own level
-    and the resolution scale; it leaves unused kinds nonzero, so the model's
-    masks decide."""
-    base = [rng.uniform(0.0, 0.8, size=3) * big for big in saturation.per_pass]
+    and the resolution scale. Like every producer of counts, it reports 0.0
+    for the kinds a pass does not use, as the power formula requires."""
+    uses = np.asarray(roster.model_masks, dtype=float)
+    base = [
+        rng.uniform(0.0, 0.8, size=3) * big * used
+        for big, used in zip(saturation.per_pass, uses)
+    ]
     shrink = [rng.uniform(0.3, 1.0, size=(p.level_count, 3)) for p in roster.model_passes]
 
     def primitives_for(config):
@@ -409,7 +403,6 @@ def test_predict_all_equals_per_config_formula(demo_scenario):
     sc = demo_scenario
     fitted = RenderingConfiguration((1, 2, 0, 1, 2, 1))
     model = dataclasses.replace(initialize(sc).power_model, fitted_config=fitted)
-    masks = model_masks(sc.roster)
     for frame in (40, 480, 1100):
         hook = lambda cfg: sc.trace.primitives_for(sc.roster, cfg, frame)  # noqa: E731
         want = _per_config_predictions(model, hook)
@@ -421,7 +414,7 @@ def test_predict_all_equals_per_config_formula(demo_scenario):
             model.unit_costs, model.cost_table, fitted, model.coefficients, sc.roster
         )
         assert want[config_index(sc.roster, fitted)] != predict_power(
-            model.saturation, reuse, hook(fitted), masks
+            model.saturation, reuse, hook(fitted)
         )
 
     rng = np.random.default_rng(20180427)
@@ -478,14 +471,10 @@ def test_two_pass_prediction_is_sum_of_per_pass_load_terms():
     assert sum(terms) == pytest.approx(a1 + a2, rel=1e-12)
 
 
-def test_fit_generic_empty_sweep_rejected():
-    with pytest.raises(ValueError):
-        fit_generic([], TWO_PASS_SAT)
-
-
-def test_fit_generic_same_input_same_output_as_window_fit():
+def test_fit_rejects_fewer_than_three_samples_per_pass():
     rng = np.random.default_rng(9)
-    samples = _synthetic_samples(rng, TWO_PASS_SAT, TRUE_COEFFS, 20)
-    a = fit_generic(samples, TWO_PASS_SAT)
-    b = fit_coefficients(samples, TWO_PASS_SAT)
-    assert a == b
+    samples = _synthetic_samples(rng, TWO_PASS_SAT, TRUE_COEFFS, 3 * 2)
+    fit_coefficients(samples, TWO_PASS_SAT)
+    for window in ([], samples[:-1]):
+        with pytest.raises(ValueError, match="need at least 6 samples"):
+            fit_coefficients(window, TWO_PASS_SAT)

@@ -20,9 +20,9 @@ from rendergov.powermodel import (
     UnitCosts,
     fit_coefficients,
     load_terms,
-    model_masks,
     predict_power,
 )
+from rendergov.harness import _generic_sweep_samples
 from rendergov.quality import quality_error
 from rendergov.simgpu import (
     CurveSpec,
@@ -71,7 +71,6 @@ def test_closed_loop_fit_reproduces_oracle_exactly(mini_scenario):
     sc = mini_scenario
     oracle = dataclasses.replace(sc.oracle, noise_sigma=0.0)
     sat = oracle.saturation  # true constants
-    masks = model_masks(sc.roster)
     cfg = RenderingConfiguration((0, 1, 0))
     samples = [
         FrameSample(
@@ -80,10 +79,10 @@ def test_closed_loop_fit_reproduces_oracle_exactly(mini_scenario):
         )
         for f in range(30)
     ]
-    fit = fit_coefficients(samples, sat, masks)
+    fit = fit_coefficients(samples, sat)
     for f in range(30, 60):
         prims = sc.trace.primitives_for(sc.roster, cfg, f)
-        predicted = predict_power(sat, fit.coefficients, prims, masks)
+        predicted = predict_power(sat, fit.coefficients, prims)
         measured = measure_power(oracle, cfg, f, sc.trace)
         assert abs(predicted - measured) <= 1e-9
 
@@ -375,7 +374,7 @@ def _per_call_primitives(trace, roster, config, frame):
         b = cb.value(frame) * trace.level_scale_batches[mi][lvl] * scale
         v = cv.value(frame) * trace.level_scale_vertices[mi][lvl] * scale
         f = cf.value(frame) * trace.level_scale_fragments[mi][lvl] * scale * frag_scale
-        ub, uv, uf = model_masks(roster)[mi]
+        ub, uv, uf = roster.model_masks[mi]
         out.append((b if ub else 0.0, v if uv else 0.0, f if uf else 0.0))
     return tuple(out)
 
@@ -392,7 +391,7 @@ def _per_call_power_from_primitives(oracle, config, primitives, cost_scales):
         per_pass.append((kb, kv, kf))
     coeffs = PowerCoefficients(tuple(per_pass))
     assert oracle.true_coefficients(config, cost_scales) == coeffs
-    alpha = sum(load_terms(oracle.saturation, coeffs, primitives, model_masks(oracle.roster)))
+    alpha = sum(load_terms(oracle.saturation, coeffs, primitives))
     return oracle.saturation.p_min + oracle.saturation.span * (1.0 - math.exp(-alpha))
 
 
@@ -510,3 +509,32 @@ def test_power_path_equals_per_call_formula(
                     ) == _per_call_power_from_primitives(o, cfg, prims, None)
                     checked += 1
     assert checked > 1000
+
+
+def test_count_producers_zero_unused_kinds(mini_scenario):
+    """The power formula sums whatever counts it is given, so every producer
+    of counts must report 0.0 for the kinds a pass does not use."""
+    roster, trace, oracle = _partial_uses_case()
+    unused = [(mi, kind) for mi, uses in enumerate(roster.model_masks)
+              for kind in range(3) if not uses[kind]]
+    assert unused and all(trace.curves[mi][kind].value(0) > 0 for mi, kind in unused)
+
+    rng = random.Random(5)
+    for frame in (0, 20, 91, 199):
+        for _ in range(4):
+            cfg = RenderingConfiguration(tuple(rng.randrange(p.level_count) for p in roster.passes))
+            prims = trace.primitives_for(roster, cfg, frame)
+            assert all(prims[mi][kind] == 0.0 for mi, kind in unused)
+
+    # The sweep reads only the scenario's seed, roster and oracle.
+    scenario = dataclasses.replace(mini_scenario, seed=oracle.seed, roster=roster, oracle=oracle)
+    sweep = _generic_sweep_samples(scenario, oracle.saturation.per_pass)
+    assert all(s.per_pass[mi][kind] == 0.0 for s in sweep for mi, kind in unused)
+    fit = fit_coefficients(sweep, oracle.saturation)
+    assert fit.identified == roster.model_masks
+
+    probe = probe_saturation(oracle, probe_min_power(oracle, empty_trace(roster, 30), 30))
+    assert [
+        (mi, kind) for mi, flags in enumerate(probe.flags)
+        for kind in range(3) if flags[kind] == "unused"
+    ] == unused
