@@ -8,16 +8,20 @@ For each ``scenarios/*.json`` it writes ``OUT_DIR/<name>/run_log.csv`` and
 ``replay``s of its worst and best configurations, ``demo_error/``: a demo run
 in error mode, which selects by the dual objective, and ``mini_cut/``: a mini
 run whose trace is cut to 203 frames, not a whole number of the 16-frame
-chunks ``run`` scores its baselines and ground truth in. With ``--against
-REF_DIR`` it then compares every file present on either side and exits 1,
-naming each differing file and its first differing line; 0 means every byte
-matched. Outputs are byte-identical only within one numpy/scipy build.
+chunks ``run`` scores its baselines and ground truth in. ``--seed`` takes one
+or more seeds, each an integer or ``default`` (the scenarios' own seeds);
+with more than one, each seed's outputs go to ``OUT_DIR/seed_<seed>/``. With
+``--against REF_DIR`` it then compares every file present on either side,
+subdirectories included, and exits 1, naming each differing file and its
+first differing line; 0 means every byte matched. Outputs are byte-identical
+only within one numpy/scipy build.
 
 Usage:
-    python scripts/check_outputs.py OUT_DIR [--against REF_DIR] [--seed N]
+    python scripts/check_outputs.py OUT_DIR [--against REF_DIR] [--seed SEED ...]
 
 A typical check of a change: run it on the parent checkout into REF_DIR,
-then on the change with ``--against REF_DIR``.
+then on the change with ``--against REF_DIR`` and the same seeds, e.g.
+``--seed default 1 6 11``.
 """
 
 import argparse
@@ -58,6 +62,18 @@ def write_outputs(out_dir: Path, seed: int | None) -> None:
             run(dataclasses.replace(scenario, trace=trace), out_dir / f"{path.stem}_cut")
 
 
+def seed_dirs(out_dir: Path, seeds: list[int | None]) -> list[Path]:
+    """Where each seed's outputs go: ``out_dir`` itself for a single seed,
+    else ``out_dir/seed_<seed>``, ``seed_default`` for the scenarios' own."""
+    if len(seeds) == 1:
+        return [out_dir]
+    return [out_dir / f"seed_{'default' if seed is None else seed}" for seed in seeds]
+
+
+def parse_seed(text: str) -> int | None:
+    return None if text == "default" else int(text)
+
+
 def first_difference(a: bytes, b: bytes) -> str:
     a_lines, b_lines = a.splitlines(), b.splitlines()
     for n, (x, y) in enumerate(zip(a_lines, b_lines), 1):
@@ -90,13 +106,20 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
     parser.add_argument("--against", type=Path, default=None, help="reference output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override every scenario's seed")
+    parser.add_argument(
+        "--seed",
+        type=parse_seed,
+        nargs="+",
+        default=[None],
+        help="seeds to run every scenario at: integers, or 'default' for the scenarios' own",
+    )
     args = parser.parse_args()
 
     if args.against is not None and not args.against.is_dir():
         print(f"no reference directory {args.against}", file=sys.stderr)
         return 2
-    write_outputs(args.out_dir, args.seed)
+    for out, seed in zip(seed_dirs(args.out_dir, args.seed), args.seed):
+        write_outputs(out, seed)
     if args.against is None:
         return 0
     problems = compare(args.out_dir, args.against)

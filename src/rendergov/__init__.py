@@ -6,7 +6,6 @@ from .configspace import (
     RenderingConfiguration,
     config_at,
     config_index,
-    default_roster,
     enumerate_configurations,
     single_degradation_config,
 )

@@ -207,29 +207,3 @@ def single_degradation_config(
     levels[pass_index] = level
     return RenderingConfiguration(tuple(levels))
 
-
-def default_roster() -> PassRoster:
-    """Six passes, three levels each: the 729-configuration space."""
-    return PassRoster(
-        (
-            PassDescriptor(
-                "resolution",
-                3,
-                is_resolution=True,
-                fragment_scale_per_level=(1.0, 0.8, 0.6),
-            ),
-            PassDescriptor(
-                "base_shading", 3, uses_batches=True, uses_vertices=True, uses_fragments=True
-            ),
-            PassDescriptor(
-                "reflections", 3, uses_batches=True, uses_vertices=True, uses_fragments=True
-            ),
-            PassDescriptor(
-                "shadows", 3, uses_batches=True, uses_vertices=True, uses_fragments=True
-            ),
-            PassDescriptor(
-                "metals", 3, uses_batches=True, uses_vertices=True, uses_fragments=True
-            ),
-            PassDescriptor("antialiasing", 3, uses_fragments=True),
-        )
-    )

@@ -73,10 +73,6 @@ class GovernorConfig:
             raise ValueError("filter interval and fps must be positive")
 
     @property
-    def filter_frames(self) -> int:
-        return max(1, math.ceil(self.filter_interval * self.fps))
-
-    @property
     def fit_latency_frames(self) -> int:
         return max(1, math.ceil((self.fit_latency + self.reuse_latency) * self.fps))
 

@@ -45,6 +45,7 @@ from .simgpu import (
     ProbeResult,
     empty_trace,
     exact_power,
+    exact_power_all,
     measure_power,
     probe_min_power,
     probe_saturation,
@@ -245,6 +246,12 @@ def _write_summary(path: Path, summary: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# Candidates whose SSIM maps :func:`_true_errors` gathers and averages at
+# once. At 128 px a batch of maps takes ~0.45 MB, which stays in cache from
+# the gather to the mean; 16 or more were slower.
+_BATCH = 4
+
+
 def _true_errors(
     scenario: Scenario, frame: int, configs: list[RenderingConfiguration]
 ) -> list[float]:
@@ -261,13 +268,16 @@ def _true_errors(
     passes whose bands that window touches. The map splits into segments,
     runs of rows whose windows touch the same passes; each (pass, level) band
     is rendered once, and each (segment, levels) run of map rows is computed
-    once and copied into every later candidate that shares it. Rows whose
-    passes are all at level 0 stay 1.0, as :func:`quality.ssim` leaves them,
-    and each map is averaged in full, so every score is bitwise the one
-    :func:`quality_error` gives for the whole frame.
+    once into a row bank. The bank starts with a block of 1.0 rows, which
+    stands for every segment whose passes are all at level 0, as
+    :func:`quality.ssim` leaves those rows. Candidates are scored
+    :data:`_BATCH` at a time: each one's whole map is gathered from the bank,
+    and each map of the batch is averaged in full along one axis, which sums
+    in the order of the map's own ``mean()``. So every score is bitwise the
+    one :func:`quality_error` gives for the whole frame.
     """
     best = scenario.roster.best_config()
-    degraded = dict.fromkeys(c for c in configs if c != best)
+    degraded = list(dict.fromkeys(c for c in configs if c != best))
     if not degraded:
         return [0.0] * len(configs)
     synth = scenario.synthesizer
@@ -288,9 +298,18 @@ def _true_errors(
         (bounds[s], bounds[s + 1], int(first[bounds[s]]), int(last[bounds[s]]) + 1)
         for s in range(len(bounds) - 1)
     ]
+    # A candidate's map row r is row local[r] of the bank block that holds
+    # its levels of segment segment_of[r].
+    lengths = np.diff(bounds)
+    segment_of = np.repeat(np.arange(len(segments)), lengths)
+    local = np.arange(n_rows) - np.repeat(bounds[:-1], lengths)
 
+    # The row bank's parts: a block of 1.0 rows, then each filled run.
+    parts = [np.ones((int(lengths.max()), x.shape[1] - span))]
+    used = len(parts[0])
+    # Per segment: its passes, and their levels -> first bank row of the block.
+    memos = [(q0, q1, {(0,) * (q1 - q0): 0}) for _, _, q0, q1 in segments]
     bands: dict[tuple[int, int], np.ndarray] = {}
-    memo: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
     def band(i: int, level: int) -> np.ndarray:
         if (i, level) not in bands:
@@ -299,8 +318,9 @@ def _true_errors(
             bands[i, level] = rows
         return bands[i, level]
 
-    def fill(ssim_map, config, run) -> None:
-        # One filter over a run of adjacent uncached segments, split into the memo.
+    def fill(config, run) -> None:
+        # One filter over a run of adjacent uncached segments, split into the memos.
+        nonlocal used
         lo, hi = segments[run[0]][0], segments[run[-1]][1]
         p0, p1 = segments[run[0]][2], segments[run[-1]][3]
         ys = np.concatenate([band(i, config[i]) for i in range(p0, p1)])
@@ -308,29 +328,37 @@ def _true_errors(
         rows = ssim_rows(
             x[lo : hi + span], ys, None if moments is None else moments.rows(lo, hi)
         )
-        ssim_map[lo:hi] = rows
+        parts.append(rows)
         for s in run:
-            a, b, q0, q1 = segments[s]
-            memo[s, config.levels[q0:q1]] = rows[a - lo : b - lo]
+            q0, q1, memo = memos[s]
+            memo[config.levels[q0:q1]] = used + segments[s][0] - lo
+        used += hi - lo
 
+    # Each candidate's bank block per segment, filling the memos as needed.
+    blocks = []
     for config in degraded:
-        ssim_map = np.ones((n_rows, x.shape[1] - span))
-        run: list[int] = []
-        for s, (a, b, q0, q1) in enumerate(segments):
-            levels = config.levels[q0:q1]
-            cached = memo.get((s, levels))
-            if cached is None and any(levels):
-                run.append(s)
-                continue
-            if run:
-                fill(ssim_map, config, run)
-                run = []
-            if cached is not None:
-                ssim_map[a:b] = cached
-        if run:
-            fill(ssim_map, config, run)
-        degraded[config] = max(0.0, 1.0 - float(ssim_map.mean()))
-    return [degraded.get(c, 0.0) for c in configs]
+        levels = config.levels
+        row = [memo.get(levels[q0:q1]) for q0, q1, memo in memos]
+        if None in row:
+            run: list[int] = []
+            # A trailing sentinel block ends the last run.
+            for s, block in enumerate([*row, 0]):
+                if block is None:
+                    run.append(s)
+                elif run:
+                    fill(config, run)
+                    run = []
+            row = [memo[levels[q0:q1]] for q0, q1, memo in memos]
+        blocks.append(row)
+    bank = np.concatenate(parts)
+    del parts  # the bank holds every part now
+    blocks = np.array(blocks)
+    ssims: list[float] = []
+    for start in range(0, len(degraded), _BATCH):
+        maps = bank[blocks[start : start + _BATCH, segment_of] + local]
+        ssims += maps.reshape(len(maps), -1).mean(axis=1).tolist()
+    scores = {config: max(0.0, 1.0 - ssim) for config, ssim in zip(degraded, ssims)}
+    return [scores.get(c, 0.0) for c in configs]
 
 
 # Frames per scoring task in :func:`run`. After the loop the caller scores the
@@ -387,6 +415,21 @@ def _score_chunk(
     return powers, [_true_errors(scenario, frame, configs) for frame, configs in jobs]
 
 
+# What a scoring task sends of a power model: every field but the roster and
+# the cost table, which a worker's scenario already holds.
+_SENT_FIELDS = ("saturation", "coefficients", "unit_costs", "fitted_config", "identified")
+
+
+def _task_frames(frames: list[_Governed]) -> list:
+    """``frames`` as a task sends them: each distinct power model becomes one
+    tuple of its :data:`_SENT_FIELDS`, which its frames share."""
+    sent: dict[int, tuple] = {}
+    for _, _, model in frames:
+        if id(model) not in sent:
+            sent[id(model)] = tuple(getattr(model, name) for name in _SENT_FIELDS)
+    return [(f, config, sent[id(model)]) for f, config, model in frames]
+
+
 def _start_worker(scenario: Scenario, cpus) -> None:
     global _worker_scenario
     _worker_scenario = scenario
@@ -394,7 +437,19 @@ def _start_worker(scenario: Scenario, cpus) -> None:
 
 
 def _score_in_worker(frames, jobs) -> tuple[list[_FramePowers], list[list[float]]]:
-    return _score_chunk(_worker_scenario, frames, jobs)
+    """:func:`_score_chunk` of a task's :func:`_task_frames`, with each power
+    model rebuilt once around the worker scenario's roster and cost table."""
+    scenario = _worker_scenario
+    models: dict[int, PowerModel] = {}
+    for _, _, fields in frames:
+        if id(fields) not in models:
+            models[id(fields)] = PowerModel(
+                roster=scenario.roster,
+                cost_table=scenario.cost_table,
+                **dict(zip(_SENT_FIELDS, fields)),
+            )
+    frames = [(f, config, models[id(fields)]) for f, config, fields in frames]
+    return _score_chunk(scenario, frames, jobs)
 
 
 class _Scorer:
@@ -465,7 +520,8 @@ class _Scorer:
         if self.pool is None:
             self.chunks.append(_score_chunk(self.scenario, frames, jobs))
         else:
-            self.chunks.append((frames, jobs, self.pool.submit(_score_in_worker, frames, jobs)))
+            future = self.pool.submit(_score_in_worker, _task_frames(frames), jobs)
+            self.chunks.append((frames, jobs, future))
 
     def results(self) -> list[tuple[list[_FramePowers], list[list[float]]]]:
         """Every chunk's :func:`_score_chunk` result, in submission order."""
@@ -686,14 +742,9 @@ def oracle_table(scenario: Scenario, frame: int) -> list[tuple[RenderingConfigur
 
     Queries the simulator directly; nothing is fitted or estimated.
     """
-    if not 0 <= frame < scenario.trace.frame_count:
-        raise ValueError(f"frame {frame} outside the trace [0, {scenario.trace.frame_count})")
+    powers = exact_power_all(scenario.oracle, frame, scenario.trace).tolist()
     configs = enumerate_configurations(scenario.roster)
-    errors = _true_errors(scenario, frame, configs)
-    return [
-        (config, exact_power(scenario.oracle, config, frame, scenario.trace), err)
-        for config, err in zip(configs, errors)
-    ]
+    return list(zip(configs, powers, _true_errors(scenario, frame, configs)))
 
 
 def write_oracle_table(scenario: Scenario, frame: int, out_dir: str | Path) -> Path:

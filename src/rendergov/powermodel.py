@@ -420,23 +420,22 @@ def coefficients_for_config(
     return PowerCoefficients(tuple(per_pass))
 
 
-def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
-    """Predicted watts for every configuration, in enumeration order.
+def lattice_power(
+    roster: PassRoster, saturation: SaturationConstants, coefficients_at, primitives_for
+) -> np.ndarray:
+    """The power formula, unclamped, for every configuration in enumeration
+    order.
 
-    ``primitives_for`` maps a configuration to its per-pass (b, v, f) counts,
-    already reflecting per-level multipliers and the resolution fragment scale,
-    with 0.0 for every kind a pass does not use.
-
-    Pass i's load term depends only on its own level and the resolution level,
-    so the hook is called once per level-diagonal configuration (every pass at
-    ``min(l, L_i - 1)``, resolution at ``r``) to fill one ``L_i x L_res`` table
-    per pass. The tables are summed over the lattice in roster order, which is
-    the left-to-right order of :func:`predict_power`, so every entry equals
-    the scalar formula bit for bit. The fitted configuration keeps its raw
-    coefficients, as in :meth:`PowerModel.coefficients_for`.
+    ``coefficients_at`` and ``primitives_for`` map a configuration to its
+    per-pass coefficients and (b, v, f) counts, with 0.0 for every kind a
+    pass does not use. Pass i's load term must depend only on its own level
+    and the resolution level, so both are called once per level-diagonal
+    configuration (every pass at ``min(l, L_i - 1)``, resolution at ``r``) to
+    fill one ``L_i x L_res`` table of :func:`load_terms` per pass. The tables
+    are summed over the lattice in roster order, the left-to-right order of
+    the scalar sum, and each entry gets its own ``math.exp``, so every watt
+    equals the scalar formula bit for bit.
     """
-    roster = model.roster
-    sat = model.saturation
     model_indices = roster.model_pass_indices
     res = roster.resolution_index
     res_count = 1 if res is None else roster.passes[res].level_count
@@ -448,12 +447,7 @@ def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
             if res is not None:
                 levels[res] = r
             config = RenderingConfiguration(tuple(levels))
-            # Reuse coefficients even where the probe is the fitted
-            # configuration: other configurations share its per-pass levels.
-            coeffs = coefficients_for_config(
-                model.unit_costs, model.cost_table, config, model.coefficients, roster
-            )
-            terms = load_terms(sat, coeffs, primitives_for(config))
+            terms = load_terms(saturation, coefficients_at(config), primitives_for(config))
             for table, n, term in zip(tables, counts, terms):
                 if lvl < n:
                     table[lvl, r] = term
@@ -464,11 +458,35 @@ def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
     for table, i in zip(tables, model_indices):
         alpha = alpha + table[grid[i], res_levels]
     # math.exp, not np.exp: the vectorized exp can differ from the scalar one
-    # in the last bit, and predictions must equal predict_power's exactly.
+    # in the last bit.
     decay = np.array([math.exp(-a) for a in alpha.ravel().tolist()])
-    out = np.minimum(
-        sat.p_min + sat.span * (1.0 - decay), math.nextafter(sat.p_max, -math.inf)
+    return saturation.p_min + saturation.span * (1.0 - decay)
+
+
+def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
+    """Predicted watts for every configuration, in enumeration order.
+
+    ``primitives_for`` maps a configuration to its per-pass (b, v, f) counts,
+    already reflecting per-level multipliers and the resolution fragment scale,
+    with 0.0 for every kind a pass does not use. The watts are
+    :func:`lattice_power` over reuse coefficients, clamped below P_M as in
+    :func:`predict_power`, so every entry equals the scalar formula bit for
+    bit. The fitted configuration keeps its raw coefficients, as in
+    :meth:`PowerModel.coefficients_for`.
+    """
+    roster = model.roster
+    sat = model.saturation
+    # Reuse coefficients even at the fitted configuration's levels: other
+    # configurations share its per-pass levels.
+    watts = lattice_power(
+        roster,
+        sat,
+        lambda config: coefficients_for_config(
+            model.unit_costs, model.cost_table, config, model.coefficients, roster
+        ),
+        primitives_for,
     )
+    out = np.minimum(watts, math.nextafter(sat.p_max, -math.inf))
     fitted = model.fitted_config
     out[config_index(roster, fitted)] = predict_power(
         sat, model.coefficients, primitives_for(fitted)

@@ -26,6 +26,7 @@ from .powermodel import (
     PowerCoefficients,
     SaturationConstants,
     UnitCosts,
+    lattice_power,
 )
 from .quality import FrameImage
 
@@ -351,6 +352,11 @@ class HiddenPowerOracle:
         return value
 
 
+def _check_frame(frame_index: int, trace: SceneTrace) -> None:
+    if not 0 <= frame_index < trace.frame_count:
+        raise ValueError(f"frame {frame_index} outside the trace [0, {trace.frame_count})")
+
+
 def exact_power(
     oracle: HiddenPowerOracle,
     config: RenderingConfiguration,
@@ -358,11 +364,27 @@ def exact_power(
     trace: SceneTrace,
 ) -> float:
     """Noise-free ground-truth power for one frame."""
-    if not 0 <= frame_index < trace.frame_count:
-        raise ValueError(f"frame {frame_index} outside the trace [0, {trace.frame_count})")
+    _check_frame(frame_index, trace)
     primitives = trace.primitives_for(oracle.roster, config, frame_index)
     cost_scales = trace.cost_scales(oracle.roster, frame_index)
     return oracle.exact_power_from_primitives(config, primitives, cost_scales)
+
+
+def exact_power_all(
+    oracle: HiddenPowerOracle, frame_index: int, trace: SceneTrace
+) -> np.ndarray:
+    """:func:`exact_power` of every configuration at one frame, in
+    enumeration order: :func:`powermodel.lattice_power` over the true
+    coefficients, so every watt is bitwise the scalar one."""
+    _check_frame(frame_index, trace)
+    roster = oracle.roster
+    cost_scales = trace.cost_scales(roster, frame_index)
+    return lattice_power(
+        roster,
+        oracle.saturation,
+        lambda config: oracle.true_coefficients(config, cost_scales),
+        lambda config: trace.primitives_for(roster, config, frame_index),
+    )
 
 
 def measure_power(

@@ -10,7 +10,6 @@ from rendergov.configspace import (
     RenderingConfiguration,
     config_at,
     config_index,
-    default_roster,
     enumerate_configurations,
     single_degradation_config,
 )
@@ -21,6 +20,33 @@ def make_roster(level_counts):
         tuple(
             PassDescriptor(f"p{i}", n, uses_batches=True, uses_vertices=True, uses_fragments=True)
             for i, n in enumerate(level_counts)
+        )
+    )
+
+
+def default_roster() -> PassRoster:
+    """Six passes, three levels each: the 729-configuration space."""
+    return PassRoster(
+        (
+            PassDescriptor(
+                "resolution",
+                3,
+                is_resolution=True,
+                fragment_scale_per_level=(1.0, 0.8, 0.6),
+            ),
+            PassDescriptor(
+                "base_shading", 3, uses_batches=True, uses_vertices=True, uses_fragments=True
+            ),
+            PassDescriptor(
+                "reflections", 3, uses_batches=True, uses_vertices=True, uses_fragments=True
+            ),
+            PassDescriptor(
+                "shadows", 3, uses_batches=True, uses_vertices=True, uses_fragments=True
+            ),
+            PassDescriptor(
+                "metals", 3, uses_batches=True, uses_vertices=True, uses_fragments=True
+            ),
+            PassDescriptor("antialiasing", 3, uses_fragments=True),
         )
     )
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -387,7 +388,9 @@ def test_constant_scene_generous_budget_converges_to_best(mini_scenario):
         governor=dataclasses.replace(sc.governor, budget_percent=1.0),
     )
     gov, records = _governed_records(scenario)
-    first_cycle = scenario.governor.selection_period + scenario.governor.filter_frames
+    # The glide lasts filter_interval seconds of frames.
+    filter_frames = math.ceil(scenario.governor.filter_interval * scenario.governor.fps)
+    first_cycle = scenario.governor.selection_period + filter_frames
     for r in records:
         if r.frame > first_cycle + scenario.governor.accuracy_check_window:
             assert tuple(r.s_eff) == (0, 0, 0)

@@ -3,15 +3,18 @@ import itertools
 import math
 import multiprocessing
 import os
+import pickle
+import random
 import re
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rendergov import harness, simgpu
-from rendergov.configspace import RenderingConfiguration
+from rendergov.configspace import RenderingConfiguration, enumerate_configurations
 from rendergov.governor import Governor
 from rendergov.harness import (
     _frame_truths,
@@ -204,6 +207,53 @@ def test_oracle_table_matches_independent_ground_truth(
             assert err == quality_error(reference, render_frame(sc.synthesizer, config, frame))
 
 
+def test_true_errors_equal_full_frame_scores_for_any_list(
+    mini_scenario, demo_scenario, demo_40px_scenario
+):
+    rng = random.Random(181018)
+    for sc, frame in ((mini_scenario, 13), (demo_scenario, 450), (demo_40px_scenario, 31)):
+        roster = sc.roster
+        best, worst = roster.best_config(), roster.worst_config()
+        reference = render_frame(sc.synthesizer, best, frame)
+        expected = {}
+
+        def score(config):
+            if config not in expected:
+                candidate = render_frame(sc.synthesizer, config, frame)
+                expected[config] = quality_error(reference, candidate)
+            return expected[config]
+
+        configs = enumerate_configurations(roster)
+        # Lengths around whole and partial batches.
+        sizes = [1, 2, harness._BATCH, harness._BATCH + 1, 3 * harness._BATCH - 1, 40]
+        subsets = [rng.sample(configs, min(n, len(configs))) for n in sizes]
+        lists = subsets + [
+            [*subsets[-1][:9], *subsets[-1][3:12], subsets[-1][0]],  # duplicates
+            subsets[-1][::-1],
+            [best],
+            [best, best, best],
+            [worst],
+            [best, worst, best],
+            [rng.choice(configs[1:])],
+        ]
+        for configs_list in lists:
+            got = _true_errors(sc, frame, configs_list)
+            assert got == [score(c) for c in configs_list], (sc.name, configs_list)
+
+
+def test_batch_means_equal_each_maps_own_mean():
+    """_true_errors averages a batch of SSIM maps along one axis; that must
+    sum in the order of each map's own mean(), or scores change bits."""
+    rng = np.random.default_rng(7)
+    # The map shapes of 128, 64 and 40 px frames, and a non-square one.
+    for shape in ((118, 118), (54, 54), (30, 30), (37, 91)):
+        for count in range(1, 2 * harness._BATCH + 2):
+            maps = rng.uniform(-1.0, 1.0, size=(count, *shape))
+            maps[:, : shape[0] // 3] = 1.0
+            batched = maps.reshape(count, -1).mean(axis=1).tolist()
+            assert batched == [float(m.mean()) for m in maps], (shape, count)
+
+
 def test_oracle_table_renders_each_band_level_once(demo_scenario, monkeypatch):
     calls = []
     apply = simgpu._apply_degradation
@@ -384,6 +434,23 @@ def test_run_scored_beside_loop_equals_serial(
         assert forked.summary["governed_error_samples"] == len(range(0, 203, every))
     assert multiprocessing.active_children() == []
     assert threading.active_count() == 1
+
+
+@needs_two_cpus
+def test_run_task_sends_model_fields_not_roster_or_cost_table(demo_scenario, monkeypatch):
+    sizes = []
+
+    class Measuring(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            sizes.append(len(pickle.dumps((fn, args))))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Measuring)
+    trace = dataclasses.replace(demo_scenario.trace, frame_count=6 * harness._CHUNK)
+    run(dataclasses.replace(demo_scenario, trace=trace))
+    # Each task carried the whole PowerModel once: 1,927 bytes on demo.
+    model_size = len(pickle.dumps(initialize(demo_scenario).power_model))
+    assert sizes and max(sizes) < min(1_100, model_size)
 
 
 def _governed_powers(scenario) -> list[tuple[float, float]]:

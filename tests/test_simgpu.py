@@ -10,6 +10,7 @@ from rendergov.configspace import (
     PassDescriptor,
     PassRoster,
     RenderingConfiguration,
+    enumerate_configurations,
     single_degradation_config,
 )
 from rendergov.powermodel import (
@@ -35,6 +36,7 @@ from rendergov.simgpu import (
     _structured_noise,
     empty_trace,
     exact_power,
+    exact_power_all,
     measure_power,
     probe_min_power,
     probe_saturation,
@@ -538,3 +540,32 @@ def test_count_producers_zero_unused_kinds(mini_scenario):
         (mi, kind) for mi, flags in enumerate(probe.flags)
         for kind in range(3) if flags[kind] == "unused"
     ] == unused
+
+
+def test_exact_power_all_equals_scalar_path(
+    mini_scenario, regime_scenario, demo_scenario
+):
+    roster, trace, oracle = regime_scenario.roster, regime_scenario.trace, regime_scenario.oracle
+    # regime_change's frame-30 event scales a pass's hidden cost.
+    assert trace.cost_scales(roster, 10) != trace.cost_scales(roster, 200)
+    no_resolution = _partial_uses_case()
+    assert no_resolution[0].resolution_index is None
+    cases = [
+        (mini_scenario.roster, mini_scenario.trace, mini_scenario.oracle, 5),
+        (roster, trace, oracle, 10),
+        (roster, trace, oracle, 200),
+        (demo_scenario.roster, demo_scenario.trace, demo_scenario.oracle, 450),
+        *(no_resolution + (frame,) for frame in (0, 57, 91, 199)),
+    ]
+    for roster, trace, oracle, frame in cases:
+        bulk = exact_power_all(oracle, frame, trace)
+        assert bulk.shape == (roster.config_count,)
+        assert bulk.tolist() == [
+            exact_power(oracle, config, frame, trace)
+            for config in enumerate_configurations(roster)
+        ], (roster, frame)
+
+    sc = mini_scenario
+    for frame in (-1, sc.trace.frame_count):
+        with pytest.raises(ValueError, match=rf"frame {frame} outside .*\[0, 240\)"):
+            exact_power_all(sc.oracle, frame, sc.trace)
