@@ -7,10 +7,11 @@ For each ``scenarios/*.json`` it writes ``OUT_DIR/<name>/run_log.csv`` and
 ``--seed``), plus demo's ``oracle_frame200.csv`` and the logs and summaries of
 ``replay``s of its worst and best configurations, ``demo_error/``: a demo run
 in error mode, which selects by the dual objective, and ``mini_cut/``: a mini
-run whose trace is cut to 203 frames, not a whole number of the 16-frame
-chunks ``run`` scores its baselines and ground truth in. ``--seed`` takes one
-or more seeds, each an integer or ``default`` (the scenarios' own seeds);
-with more than one, each seed's outputs go to ``OUT_DIR/seed_<seed>/``. With
+run and a replay of mini's worst configuration whose trace is cut to 203
+frames, not a whole number of the 16-frame chunks ``run`` and ``replay``
+score their ground truth in. ``--seed`` takes one or more seeds, each an
+integer or ``default`` (the scenarios' own seeds); with more than one, each
+seed's outputs go to ``OUT_DIR/seed_<seed>/``. With
 ``--against REF_DIR`` it then compares every file present on either side,
 subdirectories included, and exits 1, naming each differing file and its
 first differing line; 0 means every byte matched. Outputs are byte-identical
@@ -40,8 +41,9 @@ from rendergov.scenario import load_scenario  # noqa: E402
 # are written, and which is also run in error mode.
 ORACLE_SCENARIO = "demo"
 ORACLE_FRAME = 200
-# The scenario also run with its trace cut short, to a frame count that is
-# not a multiple of the scoring chunk.
+# The scenario also run, and replayed at its worst configuration, with its
+# trace cut short, to a frame count that is not a multiple of the scoring
+# chunk.
 CUT_SCENARIO = "mini"
 CUT_FRAMES = 203
 
@@ -59,7 +61,9 @@ def write_outputs(out_dir: Path, seed: int | None) -> None:
             run(errors, out_dir / f"{path.stem}_error")
         if path.stem == CUT_SCENARIO:
             trace = dataclasses.replace(scenario.trace, frame_count=CUT_FRAMES)
-            run(dataclasses.replace(scenario, trace=trace), out_dir / f"{path.stem}_cut")
+            cut = dataclasses.replace(scenario, trace=trace)
+            run(cut, out_dir / f"{path.stem}_cut")
+            replay(cut, cut.roster.worst_config(), out_dir / f"{path.stem}_cut")
 
 
 def seed_dirs(out_dir: Path, seeds: list[int | None]) -> list[Path]:

@@ -245,7 +245,6 @@ class RunLogRecord:
 @dataclass(frozen=True)
 class TickResult:
     s_eff: RenderingConfiguration
-    background_request: str
     record: RunLogRecord
 
 
@@ -488,4 +487,4 @@ class Governor:
             e_worst=self.error_model.e_worst,
             staleness=self.error_model.staleness(frame),
         )
-        return TickResult(st.s_eff, bg_request, record)
+        return TickResult(st.s_eff, record)

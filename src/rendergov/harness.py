@@ -26,6 +26,7 @@ from .powermodel import (
     FrameSample,
     PowerCoefficients,
     PowerModel,
+    SaturationConstants,
     UnitCosts,
     fit_coefficients,
     predict_power,
@@ -163,14 +164,17 @@ def initialize(scenario: Scenario) -> Initialization:
     )
 
 
-def _generic_sweep_samples(scenario: Scenario, saturation_per_pass, count: int = 120):
+_SWEEP_SAMPLES = 120
+
+
+def _generic_sweep_samples(scenario: Scenario, saturation_per_pass):
     """Dummy-scene sweep covering the load space between idle and saturation.
 
-    Each sample splits a total load level across the per-pass primitive slots
-    with random weights, 0.0 for every kind a pass does not use; the level
-    ramps so measured power walks from near P_m toward P_M. The ramp tops out
-    below deep saturation, where the log transform would amplify measurement
-    noise.
+    Each of :data:`_SWEEP_SAMPLES` samples splits a total load level across
+    the per-pass primitive slots with random weights, 0.0 for every kind a
+    pass does not use; the level ramps so measured power walks from near P_m
+    toward P_M. The ramp tops out below deep saturation, where the log
+    transform would amplify measurement noise.
     """
     oracle = scenario.oracle
     roster = scenario.roster
@@ -178,9 +182,9 @@ def _generic_sweep_samples(scenario: Scenario, saturation_per_pass, count: int =
     cfg = roster.best_config()
     samples = []
     n = len(saturation_per_pass)
-    for k in range(count):
+    for k in range(_SWEEP_SAMPLES):
         rng = np.random.default_rng([scenario.seed, 424243, k])
-        total_load = 1.8 * (k + 1) / count
+        total_load = 1.8 * (k + 1) / _SWEEP_SAMPLES
         weights = rng.uniform(0.1, 1.0, size=(n, 3)) * uses
         weights *= total_load / weights.sum()
         prims = tuple(
@@ -244,6 +248,18 @@ def _record_row(record: RunLogRecord) -> list:
 def _write_summary(path: Path, summary: dict) -> None:
     lines = [f"{key} = {_fmt(value)}" for key, value in summary.items()]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _result(scenario: Scenario, rows, summary, out_dir, log_name, summary_name) -> RunResult:
+    """``summary``, with the log and summary written under ``out_dir`` if given."""
+    if out_dir is None:
+        return RunResult(summary, None, None)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    log_path, summary_path = out / log_name, out / summary_name
+    _write_csv(log_path, scenario, rows)
+    _write_summary(summary_path, summary)
+    return RunResult(summary, log_path, summary_path)
 
 
 # Candidates whose SSIM maps :func:`_true_errors` gathers and averages at
@@ -361,9 +377,10 @@ def _true_errors(
     return [scores.get(c, 0.0) for c in configs]
 
 
-# Frames per scoring task in :func:`run`. After the loop the caller scores the
-# chunks no worker has taken yet, so the last one it waits for is at most a
-# chunk long: 64 frames made short runs slower than 16, and 8 gained less.
+# Frames per scoring task in :func:`run` and :func:`replay_trace`. After the
+# loop the caller scores the chunks no worker has taken yet, so the last one it
+# waits for is at most a chunk long: 64 frames made short runs slower than 16,
+# and 8 gained less.
 _CHUNK = 16
 
 # The scenario a forked scoring worker serves. Its initializer sets it, so a
@@ -371,9 +388,10 @@ _CHUNK = 16
 _worker_scenario: Scenario | None = None
 
 
-# One governed frame handed to the scorer: the frame, its s_eff and the power
-# model the governor held after its tick.
-_Governed = tuple[int, RenderingConfiguration, PowerModel]
+# One governed frame handed to the scorer: the frame, its s_eff, and the
+# saturation constants and s_eff's coefficients of the power model the
+# governor held after its tick.
+_Governed = tuple[int, RenderingConfiguration, SaturationConstants, PowerCoefficients]
 # Per governed frame: the best and worst configurations' measured power, and
 # s_eff's measured and predicted power.
 _FramePowers = tuple[float, float, float, float]
@@ -387,47 +405,22 @@ def _score_chunk(
     """The :data:`_FramePowers` of each governed frame, and
     :func:`_true_errors` of each ``(frame, configurations)`` job.
 
-    Coefficients are computed once per distinct (model, configuration) in
-    the chunk; a frame's noise draw, curve values and s_eff's counts are
-    memoized on the oracle and the trace, so the prediction reuses the
-    counts its measurement queried.
+    A frame's noise draw, curve values and s_eff's counts are memoized on
+    the oracle and the trace, so the prediction reuses the counts its
+    measurement queried.
     """
     roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
     best, worst = roster.best_config(), roster.worst_config()
-    coefficients: dict[tuple[int, RenderingConfiguration], PowerCoefficients] = {}
-    powers = []
-    for f, config, model in frames:
-        key = id(model), config
-        if key not in coefficients:
-            coefficients[key] = model.coefficients_for(config)
-        powers.append(
-            (
-                measure_power(oracle, best, f, trace),
-                measure_power(oracle, worst, f, trace),
-                measure_power(oracle, config, f, trace),
-                predict_power(
-                    model.saturation,
-                    coefficients[key],
-                    trace.primitives_for(roster, config, f),
-                ),
-            )
+    powers = [
+        (
+            measure_power(oracle, best, f, trace),
+            measure_power(oracle, worst, f, trace),
+            measure_power(oracle, config, f, trace),
+            predict_power(saturation, coefficients, trace.primitives_for(roster, config, f)),
         )
+        for f, config, saturation, coefficients in frames
+    ]
     return powers, [_true_errors(scenario, frame, configs) for frame, configs in jobs]
-
-
-# What a scoring task sends of a power model: every field but the roster and
-# the cost table, which a worker's scenario already holds.
-_SENT_FIELDS = ("saturation", "coefficients", "unit_costs", "fitted_config", "identified")
-
-
-def _task_frames(frames: list[_Governed]) -> list:
-    """``frames`` as a task sends them: each distinct power model becomes one
-    tuple of its :data:`_SENT_FIELDS`, which its frames share."""
-    sent: dict[int, tuple] = {}
-    for _, _, model in frames:
-        if id(model) not in sent:
-            sent[id(model)] = tuple(getattr(model, name) for name in _SENT_FIELDS)
-    return [(f, config, sent[id(model)]) for f, config, model in frames]
 
 
 def _start_worker(scenario: Scenario, cpus) -> None:
@@ -437,19 +430,7 @@ def _start_worker(scenario: Scenario, cpus) -> None:
 
 
 def _score_in_worker(frames, jobs) -> tuple[list[_FramePowers], list[list[float]]]:
-    """:func:`_score_chunk` of a task's :func:`_task_frames`, with each power
-    model rebuilt once around the worker scenario's roster and cost table."""
-    scenario = _worker_scenario
-    models: dict[int, PowerModel] = {}
-    for _, _, fields in frames:
-        if id(fields) not in models:
-            models[id(fields)] = PowerModel(
-                roster=scenario.roster,
-                cost_table=scenario.cost_table,
-                **dict(zip(_SENT_FIELDS, fields)),
-            )
-    frames = [(f, config, models[id(fields)]) for f, config, fields in frames]
-    return _score_chunk(scenario, frames, jobs)
+    return _score_chunk(_worker_scenario, frames, jobs)
 
 
 class _Scorer:
@@ -474,7 +455,6 @@ class _Scorer:
     def __init__(self, scenario: Scenario, tasks: int, workers: int | None = None):
         self.scenario = scenario
         self.pool: ProcessPoolExecutor | None = None
-        self.workers = 1  # processes scoring, the caller included
         # Scored results without a pool; (frames, jobs, future) with one.
         self.chunks: list = []
         self._exit = contextlib.ExitStack()
@@ -505,7 +485,6 @@ class _Scorer:
             )
             stack.callback(self.pool.shutdown, cancel_futures=True)
             os.sched_setaffinity(0, {cpus[(n - 1) % len(cpus)]})
-            self.workers = n
             self._exit = stack.pop_all()
 
     def __enter__(self) -> _Scorer:
@@ -520,7 +499,7 @@ class _Scorer:
         if self.pool is None:
             self.chunks.append(_score_chunk(self.scenario, frames, jobs))
         else:
-            future = self.pool.submit(_score_in_worker, _task_frames(frames), jobs)
+            future = self.pool.submit(_score_in_worker, frames, jobs)
             self.chunks.append((frames, jobs, future))
 
     def results(self) -> list[tuple[list[_FramePowers], list[list[float]]]]:
@@ -541,28 +520,6 @@ class _Scorer:
         ]
 
 
-def _frame_truths(
-    scenario: Scenario,
-    jobs: list[tuple[int, list[RenderingConfiguration]]],
-    workers: int | None = None,
-) -> list[list[float]]:
-    """:func:`_true_errors` of each ``(frame, configurations)`` job, in job
-    order: the batch form of the scoring :func:`run` does beside its loop.
-
-    The jobs are split into chunks of at most :data:`_CHUNK` jobs, at least
-    one chunk per worker, with at most one worker per job; ``workers`` is
-    passed to :class:`_Scorer`. Jobs that hold only the all-best configuration score
-    0.0 without rendering, so then no process is started.
-    """
-    best = scenario.roster.best_config()
-    renders = any(config != best for _, configs in jobs for config in configs)
-    with _Scorer(scenario, len(jobs) if renders else 0, workers) as scorer:
-        size = max(1, min(_CHUNK, -(-len(jobs) // scorer.workers)))
-        for i in range(0, len(jobs), size):
-            scorer.submit([], jobs[i : i + size])
-        return [truth for _, truths in scorer.results() for truth in truths]
-
-
 def _mean(values) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
@@ -573,22 +530,31 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration, on_frame=No
 
     ``on_frame(frame, measured_power, true_error)``, if given, sees every
     frame; ``true_error`` is None on frames whose error is not sampled. The
-    configuration is pinned, so every sampled frame is scored up front.
+    sampled frames are handed to a :class:`_Scorer` every :data:`_CHUNK`
+    frames, as :func:`run` hands them, and scored while the caller measures
+    each frame's power. The all-best configuration scores 0.0 without
+    rendering, so its replay starts no process.
     """
     scenario.roster.validate_config(config)
-    sampled = range(0, scenario.trace.frame_count, scenario.error_sample_every)
-    errors = [err for (err,) in _frame_truths(scenario, [(f, [config]) for f in sampled])]
-    truths = dict(zip(sampled, errors))
-    powers = []
-    for frame in range(scenario.trace.frame_count):
-        measured = measure_power(scenario.oracle, config, frame, scenario.trace)
-        powers.append(measured)
-        if on_frame is not None:
+    frame_count, every = scenario.trace.frame_count, scenario.error_sample_every
+    tasks = 0 if config == scenario.roster.best_config() else -(-frame_count // _CHUNK)
+    with _Scorer(scenario, tasks) as scorer:
+        for start in range(0, frame_count, _CHUNK):
+            chunk = range(start, min(start + _CHUNK, frame_count))
+            scorer.submit([], [(f, [config]) for f in chunk if f % every == 0])
+        powers = [
+            measure_power(scenario.oracle, config, frame, scenario.trace)
+            for frame in range(frame_count)
+        ]
+        errors = [err for _, truths in scorer.results() for (err,) in truths]
+    truths = dict(zip(range(0, frame_count, every), errors))
+    if on_frame is not None:
+        for frame, measured in enumerate(powers):
             on_frame(frame, measured, truths.get(frame))
     return {
         "mean_power": _mean(powers),
         "mean_error": _mean(errors),
-        "frames": scenario.trace.frame_count,
+        "frames": frame_count,
         "error_samples": len(errors),
     }
 
@@ -605,12 +571,14 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     No decision reads a baseline, a true error, or the power of a frame
     outside the governor's accuracy-check and fitting windows, so the loop
     itself only ticks the governor and builds each frame's row. It hands
-    every :data:`_CHUNK` frames, each with its ``s_eff`` and the governor's
-    power model after the tick, and each sampled frame's ``(frame, [worst,
-    s_eff])``, to a :class:`_Scorer`, which measures and predicts every
-    frame's power and scores the sampled frames beside the loop in forked
-    workers, or serially where it cannot fork. The rows' ``predicted_w``,
-    ``measured_w`` and ``true_error`` cells are filled in after the loop.
+    every :data:`_CHUNK` frames, each as a :data:`_Governed` tuple, and each
+    sampled frame's ``(frame, [worst, s_eff])``, to a :class:`_Scorer`,
+    which measures and predicts every frame's power and scores the sampled
+    frames beside the loop in forked workers, or serially where it cannot
+    fork. The governor's model changes only when a fit lands, and ``s_eff``
+    only while it glides, so the loop computes ``s_eff``'s coefficients only
+    when either changes. The rows' ``predicted_w``, ``measured_w`` and
+    ``true_error`` cells are filled in after the loop.
     """
     init = initialize(scenario)
     gov = Governor(
@@ -630,14 +598,19 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     every = scenario.error_sample_every
 
     rows = []
+    model = config = coefficients = None
     with _Scorer(scenario, -(-frame_count // _CHUNK)) as scorer:
         for start in range(0, frame_count, _CHUNK):
             frames, jobs = [], []
             for frame in range(start, min(start + _CHUNK, frame_count)):
                 tick = gov.tick(frame)
-                frames.append((frame, tick.s_eff, gov.power_model))
+                # A glide builds a new, equal s_eff on every frame.
+                if gov.power_model is not model or tick.s_eff != config:
+                    model, config = gov.power_model, tick.s_eff
+                    coefficients = model.coefficients_for(config)
+                frames.append((frame, config, model.saturation, coefficients))
                 if frame % every == 0:
-                    jobs.append((frame, [worst, tick.s_eff]))
+                    jobs.append((frame, [worst, config]))
                 rows.append(_record_row(tick.record))
             scorer.submit(frames, jobs)
         scored = scorer.results()
@@ -677,16 +650,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         "replay_worst_mean_power": _mean(worst for _, worst, _, _ in powers),
         "replay_worst_mean_error": _mean(worst_errors),
     }
-
-    log_path = summary_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        log_path = out / "run_log.csv"
-        summary_path = out / "summary.txt"
-        _write_csv(log_path, scenario, rows)
-        _write_summary(summary_path, summary)
-    return RunResult(summary, log_path, summary_path)
+    return _result(scenario, rows, summary, out_dir, "run_log.csv", "summary.txt")
 
 
 def replay(
@@ -725,16 +689,10 @@ def replay(
         "mean_error": stats["mean_error"],
         "error_samples": stats["error_samples"],
     }
-    log_path = summary_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        tag = str(config).replace("-", "")
-        log_path = out / f"replay_{tag}_log.csv"
-        summary_path = out / f"replay_{tag}_summary.txt"
-        _write_csv(log_path, scenario, rows)
-        _write_summary(summary_path, summary)
-    return RunResult(summary, log_path, summary_path)
+    tag = str(config).replace("-", "")
+    return _result(
+        scenario, rows, summary, out_dir, f"replay_{tag}_log.csv", f"replay_{tag}_summary.txt"
+    )
 
 
 def oracle_table(scenario: Scenario, frame: int) -> list[tuple[RenderingConfiguration, float, float]]:

@@ -610,7 +610,7 @@ class ProbeResult:
 def probe_min_power(
     oracle: HiddenPowerOracle,
     trace_empty: SceneTrace,
-    frames: int = 30,
+    frames: int,
 ) -> float:
     """Estimate idle power by averaging measurements of an empty scene."""
     if not trace_empty.is_empty:

@@ -17,7 +17,6 @@ from rendergov import harness, simgpu
 from rendergov.configspace import RenderingConfiguration, enumerate_configurations
 from rendergov.governor import Governor
 from rendergov.harness import (
-    _frame_truths,
     _true_errors,
     initialize,
     log_columns,
@@ -314,6 +313,15 @@ def _truth_jobs(scenario, count):
     return [(frames[k % len(frames)], lists[k % len(lists)]) for k in range(count)]
 
 
+def _scorer_truths(scenario, jobs, workers=None, tasks=None):
+    """:func:`_true_errors` of each job, in order, from a ``harness._Scorer``
+    for ``tasks`` tasks (by default one per job) handed one job per chunk."""
+    with harness._Scorer(scenario, len(jobs) if tasks is None else tasks, workers) as scorer:
+        for job in jobs:
+            scorer.submit([], [job])
+        return [truths for _, (truths,) in scorer.results()]
+
+
 @needs_fork
 def test_frame_truths_equal_serial_for_any_split(mini_scenario, demo_scenario):
     allowed = os.sched_getaffinity(0)
@@ -322,7 +330,7 @@ def test_frame_truths_equal_serial_for_any_split(mini_scenario, demo_scenario):
             jobs = _truth_jobs(scenario, count)
             serial = [_true_errors(scenario, frame, configs) for frame, configs in jobs]
             for workers in (1, 2, 3, count + 2):
-                assert _frame_truths(scenario, jobs, workers=workers) == serial, (
+                assert _scorer_truths(scenario, jobs, workers=workers) == serial, (
                     scenario.name,
                     count,
                     workers,
@@ -345,11 +353,11 @@ def test_frame_truths_child_error_reaches_caller(mini_scenario, monkeypatch):
     bad = RenderingConfiguration(tuple(p.level_count for p in roster.passes))
     with pytest.raises(ValueError) as serial:
         _true_errors(mini_scenario, 3, [bad])
-    # With two workers the first job is the forked child's part.
+    # With two workers the first job's chunk is the forked child's part.
     jobs = [(3, [bad]), (5, [roster.worst_config()])]
     allowed = os.sched_getaffinity(0)
     with pytest.raises(ValueError) as forked:
-        _frame_truths(mini_scenario, jobs, workers=2)
+        _scorer_truths(mini_scenario, jobs, workers=2)
     assert started == [(1,)]
     assert os.sched_getaffinity(0) == allowed
     assert type(forked.value) is type(serial.value)
@@ -366,24 +374,24 @@ def test_frame_truths_starts_no_process_when_it_cannot_fork(mini_scenario, monke
     jobs = _truth_jobs(mini_scenario, 5)
     serial = [_true_errors(mini_scenario, frame, configs) for frame, configs in jobs]
     if "fork" in multiprocessing.get_all_start_methods():
-        # The stub is reached whenever the helper would fork.
+        # The stub is reached whenever the scorer would fork.
         with pytest.raises(AssertionError, match="a process pool was started"):
-            _frame_truths(mini_scenario, jobs, workers=2)
+            _scorer_truths(mini_scenario, jobs, workers=2)
 
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _frame_truths(mini_scenario, jobs) == serial
+        assert _scorer_truths(mini_scenario, jobs) == serial
     with monkeypatch.context() as m:
         m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
-        assert _frame_truths(mini_scenario, jobs, workers=3) == serial
+        assert _scorer_truths(mini_scenario, jobs, workers=3) == serial
     with monkeypatch.context() as m:
         m.setattr(multiprocessing.current_process(), "daemon", True)
-        assert _frame_truths(mini_scenario, jobs, workers=3) == serial
+        assert _scorer_truths(mini_scenario, jobs, workers=3) == serial
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10,))
     other.start()
     try:
-        assert _frame_truths(mini_scenario, jobs, workers=3) == serial
+        assert _scorer_truths(mini_scenario, jobs, workers=3) == serial
     finally:
         release.set()
         other.join(timeout=10)
@@ -437,20 +445,45 @@ def test_run_scored_beside_loop_equals_serial(
 
 
 @needs_two_cpus
-def test_run_task_sends_model_fields_not_roster_or_cost_table(demo_scenario, monkeypatch):
-    sizes = []
+def test_run_task_sends_coefficients_not_power_models(demo_scenario, monkeypatch):
+    tasks = []
 
     class Measuring(ProcessPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
-            sizes.append(len(pickle.dumps((fn, args))))
+            tasks.append(pickle.dumps((fn, args)))
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Measuring)
     trace = dataclasses.replace(demo_scenario.trace, frame_count=6 * harness._CHUNK)
     run(dataclasses.replace(demo_scenario, trace=trace))
-    # Each task carried the whole PowerModel once: 1,927 bytes on demo.
+    # The whole PowerModel pickles to 1,927 bytes on demo.
     model_size = len(pickle.dumps(initialize(demo_scenario).power_model))
-    assert sizes and max(sizes) < min(1_100, model_size)
+    assert tasks and max(map(len, tasks)) < min(1_100, model_size)
+    assert not any(b"PowerModel" in task for task in tasks)
+
+
+@needs_two_cpus
+def test_replay_forked_equals_serial(mini_scenario, regime_scenario, monkeypatch, tmp_path):
+    # 203 frames end in a partial chunk.
+    assert 203 % harness._CHUNK
+    allowed = os.sched_getaffinity(0)
+    for base in (mini_scenario, regime_scenario):
+        trace = dataclasses.replace(base.trace, frame_count=203)
+        scenario = dataclasses.replace(base, trace=trace)
+        worst = scenario.roster.worst_config()
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            serial = replay(scenario, worst, tmp_path / f"{base.name}_serial")
+        started = _recording_pools(monkeypatch)
+        forked = replay(scenario, worst, tmp_path / f"{base.name}_forked")
+        assert started == [(len(allowed) - 1,)]
+        assert os.sched_getaffinity(0) == allowed
+        for name in ("log_path", "summary_path"):
+            assert getattr(forked, name).read_bytes() == getattr(serial, name).read_bytes()
+        every = scenario.error_sample_every
+        assert forked.summary["error_samples"] == len(range(0, 203, every))
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
 
 
 def _governed_powers(scenario) -> list[tuple[float, float]]:
@@ -541,7 +574,8 @@ def test_frame_truths_starts_no_process_for_best_only_jobs(mini_scenario, monkey
     monkeypatch.setattr(harness, "ProcessPoolExecutor", NoProcesses)
     best = mini_scenario.roster.best_config()
     jobs = [(frame, [best, best]) for frame in range(0, 40, 2)]
-    assert _frame_truths(mini_scenario, jobs, workers=2) == [[0.0, 0.0]] * len(jobs)
+    # replay_trace hands the all-best configuration's jobs to a scorer of no tasks.
+    assert _scorer_truths(mini_scenario, jobs, workers=2, tasks=0) == [[0.0, 0.0]] * len(jobs)
     result = replay(mini_scenario, best, tmp_path)
     assert result.summary["mean_error"] == 0.0
     assert result.summary["error_samples"] == 120
