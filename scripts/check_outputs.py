@@ -4,8 +4,10 @@ compare them byte for byte with an earlier set.
 
 For each ``scenarios/*.json`` it writes ``OUT_DIR/<name>/run_log.csv`` and
 ``summary.txt`` from a governed run at the scenario's default seed (or at
-``--seed``), plus demo's ``oracle_frame200.csv`` and the logs and summaries of
-``replay``s of its worst and best configurations, ``demo_error/``: a demo run
+``--seed``), plus demo's ``oracle_frame200.csv``, mini's
+``oracle_frame120.csv`` (a second frame geometry: 64 px, with a 2-level
+resolution pass) and the logs and summaries of ``replay``s of demo's worst
+and best configurations, ``demo_error/``: a demo run
 in error mode, which selects by the dual objective, and ``mini_cut/``: a mini
 run and a replay of mini's worst configuration whose trace is cut to 203
 frames, not a whole number of the 16-frame chunks ``run`` and ``replay``
@@ -37,10 +39,11 @@ from rendergov.cli import _apply_overrides  # noqa: E402
 from rendergov.harness import replay, run, write_oracle_table  # noqa: E402
 from rendergov.scenario import load_scenario  # noqa: E402
 
-# The scenario whose oracle table and best- and worst-configuration replays
-# are written, and which is also run in error mode.
-ORACLE_SCENARIO = "demo"
-ORACLE_FRAME = 200
+# The scenario whose best- and worst-configuration replays are written, and
+# which is also run in error mode.
+REPLAY_SCENARIO = "demo"
+# The scenarios whose oracle table is written, each at one frame.
+ORACLE_FRAMES = {"demo": 200, "mini": 120}
 # The scenario also run, and replayed at its worst configuration, with its
 # trace cut short, to a frame count that is not a multiple of the scoring
 # chunk.
@@ -53,8 +56,9 @@ def write_outputs(out_dir: Path, seed: int | None) -> None:
         scenario = _apply_overrides(load_scenario(path), argparse.Namespace(seed=seed))
         target = out_dir / path.stem
         run(scenario, target)
-        if path.stem == ORACLE_SCENARIO:
-            write_oracle_table(scenario, ORACLE_FRAME, target)
+        if path.stem in ORACLE_FRAMES:
+            write_oracle_table(scenario, ORACLE_FRAMES[path.stem], target)
+        if path.stem == REPLAY_SCENARIO:
             replay(scenario, scenario.roster.worst_config(), target)
             replay(scenario, scenario.roster.best_config(), target)
             errors = _apply_overrides(scenario, argparse.Namespace(seed=None, mode="error"))

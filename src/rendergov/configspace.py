@@ -60,7 +60,7 @@ class RenderingConfiguration:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
+        object.__setattr__(self, "levels", tuple(map(int, self.levels)))
 
     def __getitem__(self, i: int) -> int:
         return self.levels[i]

@@ -36,7 +36,6 @@ from .quality import (
     SSIM_WINDOW,
     ErrorModel,
     calibrate_ratios,
-    check_intensities,
     quality_error,  # noqa: F401 -- perfbench/run.py wraps this name as its speed-probe hook
     reference_moments,
     ssim_rows,
@@ -50,9 +49,9 @@ from .simgpu import (
     measure_power,
     probe_min_power,
     probe_saturation,
-    render_band,
     render_frame,
 )
+from .truth import Bands, band_starts, lattice_errors, map_segments
 
 CSV_SCHEMA_VERSION = 1
 
@@ -262,35 +261,26 @@ def _result(scenario: Scenario, rows, summary, out_dir, log_name, summary_name) 
     return RunResult(summary, log_path, summary_path)
 
 
-# Candidates whose SSIM maps :func:`_true_errors` gathers and averages at
-# once. At 128 px a batch of maps takes ~0.45 MB, which stays in cache from
-# the gather to the mean; 16 or more were slower.
-_BATCH = 4
-
-
 def _true_errors(
     scenario: Scenario, frame: int, configs: list[RenderingConfiguration]
 ) -> list[float]:
-    """Exact ``1 - SSIM`` of each configuration at ``frame``.
+    """Exact ``1 - SSIM`` of each configuration at ``frame``; for the few
+    candidates ``run`` and ``replay`` score per frame.
 
     Every configuration is scored against one render of the all-best
     reference, which itself scores exactly 0.0 without rendering. When more
     than one distinct configuration needs an SSIM, the reference's moments are
     computed once and shared.
 
-    Work is shared across candidates per band instead of per frame. A pass
-    degrades only its own band, and an SSIM map row depends only on the image
-    rows its window covers, so a map row is a function of the levels of the
-    passes whose bands that window touches. The map splits into segments,
-    runs of rows whose windows touch the same passes; each (pass, level) band
-    is rendered once, and each (segment, levels) run of map rows is computed
-    once into a row bank. The bank starts with a block of 1.0 rows, which
-    stands for every segment whose passes are all at level 0, as
-    :func:`quality.ssim` leaves those rows. Candidates are scored
-    :data:`_BATCH` at a time: each one's whole map is gathered from the bank,
-    and each map of the batch is averaged in full along one axis, which sums
-    in the order of the map's own ``mean()``. So every score is bitwise the
-    one :func:`quality_error` gives for the whole frame.
+    Work is shared across candidates per band instead of per frame: each
+    (pass, level) band is rendered once, and each run of map rows of a
+    :class:`truth.MapSegments` segment at given levels is computed once into a row
+    bank. The bank starts with a block of 1.0 rows, which stands for every
+    segment whose passes are all at level 0, as :func:`quality.ssim` leaves
+    those rows. Each candidate's whole map is gathered from the bank and
+    averaged in full along one axis, which sums in the order of the map's own
+    ``mean()``. So every score is bitwise the one :func:`quality_error` gives
+    for the whole frame.
     """
     best = scenario.roster.best_config()
     degraded = list(dict.fromkeys(c for c in configs if c != best))
@@ -301,45 +291,24 @@ def _true_errors(
     moments = reference_moments(reference) if len(degraded) > 1 else None
     x = reference.pixels
     span = SSIM_WINDOW - 1
-    n_rows = x.shape[0] - span
-    starts = [synth.band(i)[0] for i in range(synth.roster.size)]
-    # Map row r's window covers image rows r .. r + span, which belong to
-    # passes band_of[r] .. band_of[r + span]; a segment starts wherever
-    # either end changes.
-    band_of = np.searchsorted(starts, np.arange(x.shape[0]), side="right") - 1
-    first, last = band_of[:n_rows], band_of[span:]
-    cuts = np.flatnonzero((first[1:] != first[:-1]) | (last[1:] != last[:-1])) + 1
-    bounds = [0, *cuts.tolist(), n_rows]
-    segments = [
-        (bounds[s], bounds[s + 1], int(first[bounds[s]]), int(last[bounds[s]]) + 1)
-        for s in range(len(bounds) - 1)
-    ]
-    # A candidate's map row r is row local[r] of the bank block that holds
-    # its levels of segment segment_of[r].
-    lengths = np.diff(bounds)
-    segment_of = np.repeat(np.arange(len(segments)), lengths)
-    local = np.arange(n_rows) - np.repeat(bounds[:-1], lengths)
+    starts = band_starts(synth)
+    segmentation = map_segments(starts, synth.height)
+    segments = segmentation.bounds
 
     # The row bank's parts: a block of 1.0 rows, then each filled run.
-    parts = [np.ones((int(lengths.max()), x.shape[1] - span))]
-    used = len(parts[0])
+    longest = max(hi - lo for lo, hi, _, _ in segments)
+    parts = [np.ones((longest, x.shape[1] - span))]
+    used = longest
     # Per segment: its passes, and their levels -> first bank row of the block.
     memos = [(q0, q1, {(0,) * (q1 - q0): 0}) for _, _, q0, q1 in segments]
-    bands: dict[tuple[int, int], np.ndarray] = {}
-
-    def band(i: int, level: int) -> np.ndarray:
-        if (i, level) not in bands:
-            rows = render_band(synth, i, level, frame)
-            check_intensities(rows)
-            bands[i, level] = rows
-        return bands[i, level]
+    bands = Bands(synth, frame)
 
     def fill(config, run) -> None:
         # One filter over a run of adjacent uncached segments, split into the memos.
         nonlocal used
         lo, hi = segments[run[0]][0], segments[run[-1]][1]
         p0, p1 = segments[run[0]][2], segments[run[-1]][3]
-        ys = np.concatenate([band(i, config[i]) for i in range(p0, p1)])
+        ys = np.concatenate([bands[i, config[i]] for i in range(p0, p1)])
         ys = ys[lo - starts[p0] : hi + span - starts[p0]]
         rows = ssim_rows(
             x[lo : hi + span], ys, None if moments is None else moments.rows(lo, hi)
@@ -368,11 +337,10 @@ def _true_errors(
         blocks.append(row)
     bank = np.concatenate(parts)
     del parts  # the bank holds every part now
-    blocks = np.array(blocks)
-    ssims: list[float] = []
-    for start in range(0, len(degraded), _BATCH):
-        maps = bank[blocks[start : start + _BATCH, segment_of] + local]
-        ssims += maps.reshape(len(maps), -1).mean(axis=1).tolist()
+    # A candidate's map row r is row local[r] of the bank block that holds
+    # its levels of segment segment_of[r].
+    maps = bank[np.array(blocks)[:, segmentation.segment_of] + segmentation.local]
+    ssims = maps.reshape(len(maps), -1).mean(axis=1).tolist()
     scores = {config: max(0.0, 1.0 - ssim) for config, ssim in zip(degraded, ssims)}
     return [scores.get(c, 0.0) for c in configs]
 
@@ -702,7 +670,7 @@ def oracle_table(scenario: Scenario, frame: int) -> list[tuple[RenderingConfigur
     """
     powers = exact_power_all(scenario.oracle, frame, scenario.trace).tolist()
     configs = enumerate_configurations(scenario.roster)
-    return list(zip(configs, powers, _true_errors(scenario, frame, configs)))
+    return list(zip(configs, powers, lattice_errors(scenario, frame).tolist()))
 
 
 def write_oracle_table(scenario: Scenario, frame: int, out_dir: str | Path) -> Path:

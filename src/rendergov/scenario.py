@@ -10,6 +10,7 @@ exact schema is documented in the repository README.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -367,6 +368,11 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         if name_ in probe_raw:
             probe_kwargs[name_] = _number(probe_raw[name_], f"probe.{name_}")
     probe = ProbeOptions(**probe_kwargs)
+    for name_ in ("min_power_frames", "frames_per_reading"):
+        if getattr(probe, name_) < 1:
+            raise ScenarioError(f"probe.{name_} must be >= 1")
+    if not 0.0 < probe.start_count < math.inf:
+        raise ScenarioError("probe.start_count must be a positive finite number")
 
     every = _int(doc.get("error_sample_every", 1), "error_sample_every")
     if every < 1:

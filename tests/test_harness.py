@@ -223,8 +223,8 @@ def test_true_errors_equal_full_frame_scores_for_any_list(
             return expected[config]
 
         configs = enumerate_configurations(roster)
-        # Lengths around whole and partial batches.
-        sizes = [1, 2, harness._BATCH, harness._BATCH + 1, 3 * harness._BATCH - 1, 40]
+        # Lengths around whole and partial batches of 4.
+        sizes = [1, 2, 4, 5, 11, 40]
         subsets = [rng.sample(configs, min(n, len(configs))) for n in sizes]
         lists = subsets + [
             [*subsets[-1][:9], *subsets[-1][3:12], subsets[-1][0]],  # duplicates
@@ -246,7 +246,7 @@ def test_batch_means_equal_each_maps_own_mean():
     rng = np.random.default_rng(7)
     # The map shapes of 128, 64 and 40 px frames, and a non-square one.
     for shape in ((118, 118), (54, 54), (30, 30), (37, 91)):
-        for count in range(1, 2 * harness._BATCH + 2):
+        for count in range(1, 10):
             maps = rng.uniform(-1.0, 1.0, size=(count, *shape))
             maps[:, : shape[0] // 3] = 1.0
             batched = maps.reshape(count, -1).mean(axis=1).tolist()

@@ -106,3 +106,29 @@ def test_initial_fit_mode_is_checked():
     doc["governor"]["initial_fit"] = "psychic"
     with pytest.raises(ScenarioError, match="initial_fit"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("frames_per_reading", 0),
+        ("frames_per_reading", -2),
+        ("min_power_frames", 0),
+        ("start_count", 0),
+        ("start_count", -1),
+        ("start_count", float("inf")),
+    ],
+)
+def test_invalid_probe_options_rejected_at_load(option, value):
+    # Each of these used to load and then fail inside harness.initialize.
+    doc = _demo_doc()
+    doc["probe"] = {option: value}
+    with pytest.raises(ScenarioError, match=f"probe.{option}"):
+        scenario_from_dict(doc)
+
+
+def test_smallest_valid_probe_options_load():
+    doc = _demo_doc()
+    doc["probe"] = {"frames_per_reading": 1, "min_power_frames": 1, "start_count": 0.5}
+    probe = scenario_from_dict(doc).probe
+    assert (probe.frames_per_reading, probe.min_power_frames, probe.start_count) == (1, 1, 0.5)
