@@ -256,7 +256,14 @@ class Governor:
 
     - ``measure(config, frame) -> watts``      (the power meter)
     - ``primitives(config, frame) -> per-pass (b, v, f)``  (pipeline queries)
-    - ``render(config, frame) -> FrameImage``  (background renders)
+    - ``scorer(frame) -> score``  (background renders and SSIMs): ``score``
+      maps a list of configurations to their ``1 - SSIM`` against the
+      all-best render of ``frame``, as :class:`truth.FrameScorer` does
+
+    Every ``error_frequency`` frames the background cycle takes its next
+    slot. The ``ref`` slot takes the scorer of that frame; each pass slot
+    scores that pass's worst-level configuration with it, and the error
+    lands ``ssim_latency_frames`` later.
 
     Like the paper's governor, it reads the meter, and the counts of the
     configuration it renders, only on frames whose sample fills the
@@ -272,7 +279,7 @@ class Governor:
         error_model: ErrorModel,
         measure,
         primitives,
-        render,
+        scorer,
         initial_config: RenderingConfiguration | None = None,
     ) -> None:
         self.roster = roster
@@ -281,7 +288,7 @@ class Governor:
         self.error_model = error_model
         self._measure = measure
         self._primitives = primitives
-        self._render = render
+        self._scorer = scorer
 
         start = initial_config if initial_config is not None else roster.best_config()
         roster.validate_config(start)
@@ -289,10 +296,11 @@ class Governor:
         self.state = GovernorState(phase=phase, s_old=start, s_new=start, s_eff=start)
         self.budget = budget_watts(config, power_model.saturation)
 
-        # Background cycle: reference render first, then each degradable pass.
+        # Background cycle: reference first, then each degradable pass.
         self._bg_slots: list[int | None] = [None] + [
             i for i, p in enumerate(roster.passes) if p.level_count > 1
         ]
+        # The frame of the cycle's reference, and its scorer.
         self._pending_ref: tuple[int, object] | None = None
         self._pending: list[tuple[int, str, object]] = []
 
@@ -321,9 +329,9 @@ class Governor:
                 flags["cost_residual"] = cost_res.residual_norm
                 self.clamp_total += fit_res.clamp_count
             elif kind == "error":
-                pass_index, ref_frame, ref_image, bg_image = payload
+                pass_index, ref_frame, error = payload
                 self.error_model = update_worst_errors(
-                    self.error_model, ref_image, {pass_index: bg_image}, ref_frame
+                    self.error_model, {pass_index: error}, ref_frame
                 )
                 flags["err_update_pass"] = pass_index
                 flags["err_update_value"] = self.error_model.e_worst[pass_index]
@@ -391,17 +399,17 @@ class Governor:
         slot = self._bg_slots[self.state.background_cursor]
         self.state.background_cursor = (self.state.background_cursor + 1) % len(self._bg_slots)
         if slot is None:
-            self._pending_ref = (frame, self._render(self.roster.best_config(), frame))
+            self._pending_ref = (frame, self._scorer(frame))
             return "ref"
         if self._pending_ref is None:
             return ""
-        ref_frame, ref_image = self._pending_ref
+        ref_frame, score = self._pending_ref
         lmax = self.roster.passes[slot].level_count - 1
-        bg = self._render(single_degradation_config(self.roster, slot, lmax), ref_frame)
+        (error,) = score([single_degradation_config(self.roster, slot, lmax)])
         self._schedule(
             frame + self.config.ssim_latency_frames,
             "error",
-            (slot, ref_frame, ref_image, bg),
+            (slot, ref_frame, error),
         )
         return f"pass:{slot}"
 

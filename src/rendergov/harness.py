@@ -16,6 +16,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,9 @@ from .powermodel import (
     solve_unit_costs,
 )
 from .quality import (
-    SSIM_WINDOW,
     ErrorModel,
     calibrate_ratios,
     quality_error,  # noqa: F401 -- perfbench/run.py wraps this name as its speed-probe hook
-    reference_moments,
-    ssim_rows,
 )
 from .scenario import Scenario
 from .simgpu import (
@@ -49,9 +47,9 @@ from .simgpu import (
     measure_power,
     probe_min_power,
     probe_saturation,
-    render_frame,
+    render_frame,  # noqa: F401 -- perfbench's tests trace this binding
 )
-from .truth import Bands, band_starts, lattice_errors, map_segments
+from .truth import FrameScorer, lattice_errors
 
 CSV_SCHEMA_VERSION = 1
 
@@ -120,9 +118,7 @@ def initialize(scenario: Scenario) -> Initialization:
     probe = probe_saturation(oracle, p_min, probe_opts)
 
     ratios = calibrate_ratios(
-        lambda cfg, frame: render_frame(scenario.synthesizer, cfg, frame),
-        roster,
-        scenario.calibration_frames,
+        partial(FrameScorer, scenario.synthesizer), roster, scenario.calibration_frames
     )
     error_model = ErrorModel.initial(ratios)
 
@@ -264,85 +260,14 @@ def _result(scenario: Scenario, rows, summary, out_dir, log_name, summary_name) 
 def _true_errors(
     scenario: Scenario, frame: int, configs: list[RenderingConfiguration]
 ) -> list[float]:
-    """Exact ``1 - SSIM`` of each configuration at ``frame``; for the few
-    candidates ``run`` and ``replay`` score per frame.
-
-    Every configuration is scored against one render of the all-best
-    reference, which itself scores exactly 0.0 without rendering. When more
-    than one distinct configuration needs an SSIM, the reference's moments are
-    computed once and shared.
-
-    Work is shared across candidates per band instead of per frame: each
-    (pass, level) band is rendered once, and each run of map rows of a
-    :class:`truth.MapSegments` segment at given levels is computed once into a row
-    bank. The bank starts with a block of 1.0 rows, which stands for every
-    segment whose passes are all at level 0, as :func:`quality.ssim` leaves
-    those rows. Each candidate's whole map is gathered from the bank and
-    averaged in full along one axis, which sums in the order of the map's own
-    ``mean()``. So every score is bitwise the one :func:`quality_error` gives
-    for the whole frame.
-    """
+    """Exact ``1 - SSIM`` of each configuration at ``frame``, from one
+    :class:`truth.FrameScorer`; for the few candidates ``run`` and ``replay``
+    score per frame. A list of only the all-best configuration scores 0.0
+    without rendering."""
     best = scenario.roster.best_config()
-    degraded = list(dict.fromkeys(c for c in configs if c != best))
-    if not degraded:
+    if all(config == best for config in configs):
         return [0.0] * len(configs)
-    synth = scenario.synthesizer
-    reference = render_frame(synth, best, frame)
-    moments = reference_moments(reference) if len(degraded) > 1 else None
-    x = reference.pixels
-    span = SSIM_WINDOW - 1
-    starts = band_starts(synth)
-    segmentation = map_segments(starts, synth.height)
-    segments = segmentation.bounds
-
-    # The row bank's parts: a block of 1.0 rows, then each filled run.
-    longest = max(hi - lo for lo, hi, _, _ in segments)
-    parts = [np.ones((longest, x.shape[1] - span))]
-    used = longest
-    # Per segment: its passes, and their levels -> first bank row of the block.
-    memos = [(q0, q1, {(0,) * (q1 - q0): 0}) for _, _, q0, q1 in segments]
-    bands = Bands(synth, frame)
-
-    def fill(config, run) -> None:
-        # One filter over a run of adjacent uncached segments, split into the memos.
-        nonlocal used
-        lo, hi = segments[run[0]][0], segments[run[-1]][1]
-        p0, p1 = segments[run[0]][2], segments[run[-1]][3]
-        ys = np.concatenate([bands[i, config[i]] for i in range(p0, p1)])
-        ys = ys[lo - starts[p0] : hi + span - starts[p0]]
-        rows = ssim_rows(
-            x[lo : hi + span], ys, None if moments is None else moments.rows(lo, hi)
-        )
-        parts.append(rows)
-        for s in run:
-            q0, q1, memo = memos[s]
-            memo[config.levels[q0:q1]] = used + segments[s][0] - lo
-        used += hi - lo
-
-    # Each candidate's bank block per segment, filling the memos as needed.
-    blocks = []
-    for config in degraded:
-        levels = config.levels
-        row = [memo.get(levels[q0:q1]) for q0, q1, memo in memos]
-        if None in row:
-            run: list[int] = []
-            # A trailing sentinel block ends the last run.
-            for s, block in enumerate([*row, 0]):
-                if block is None:
-                    run.append(s)
-                elif run:
-                    fill(config, run)
-                    run = []
-            row = [memo[levels[q0:q1]] for q0, q1, memo in memos]
-        blocks.append(row)
-    bank = np.concatenate(parts)
-    del parts  # the bank holds every part now
-    # A candidate's map row r is row local[r] of the bank block that holds
-    # its levels of segment segment_of[r].
-    maps = bank[np.array(blocks)[:, segmentation.segment_of] + segmentation.local]
-    ssims = maps.reshape(len(maps), -1).mean(axis=1).tolist()
-    scores = {config: max(0.0, 1.0 - ssim) for config, ssim in zip(degraded, ssims)}
-    return [scores.get(c, 0.0) for c in configs]
+    return FrameScorer(scenario.synthesizer, frame)(configs)
 
 
 # Frames per scoring task in :func:`run` and :func:`replay_trace`. After the
@@ -558,7 +483,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         primitives=lambda cfg, frame: scenario.trace.primitives_for(
             scenario.roster, cfg, frame
         ),
-        render=lambda cfg, frame: render_frame(scenario.synthesizer, cfg, frame),
+        scorer=partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
     )
     worst = scenario.roster.worst_config()

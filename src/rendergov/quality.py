@@ -231,21 +231,30 @@ class ErrorModel:
 
 
 def calibrate_ratios(
-    render,
+    scorer,
     roster: PassRoster,
     calibration_frames,
 ) -> ErrorRatioTable:
     """Measure per-level error ratios by exhaustive single-pass degradations.
 
-    ``render(config, frame_index)`` must produce a FrameImage. For each pass
-    and level the ratio is the mean over calibration frames of
-    e(level) / e(worst level); frames where the worst level itself produces no
-    error are skipped, and a pass with no usable frame at all is marked inert
-    with zero ratios.
+    ``scorer(frame)`` must return a callable that maps a list of
+    configurations to their ``1 - SSIM`` against the all-best render of that
+    frame, as :class:`truth.FrameScorer` does; each calibration frame asks it
+    once, for every single-pass degradation. For each pass and level the
+    ratio is the mean over calibration frames of e(level) / e(worst level);
+    frames where the worst level itself produces no error are skipped, and a
+    pass with no usable frame at all is marked inert with zero ratios.
     """
     calibration_frames = list(calibration_frames)
     if not calibration_frames:
         raise ValueError("calibration needs at least one frame")
+
+    degradations = [
+        (i, lvl) for i, p in enumerate(roster.passes) for lvl in range(1, p.level_count)
+    ]
+    configs = [single_degradation_config(roster, i, lvl) for i, lvl in degradations]
+    # Per calibration frame: (pass, level) -> error.
+    errors = [dict(zip(degradations, scorer(frame)(configs))) for frame in calibration_frames]
 
     ratios: list[tuple[float, ...]] = []
     inert: list[bool] = []
@@ -257,19 +266,13 @@ def calibrate_ratios(
             continue
         per_level_sums = [0.0] * (lmax + 1)
         usable = 0
-        for frame in calibration_frames:
-            reference = render(roster.best_config(), frame)
-            worst = quality_error(
-                reference, render(single_degradation_config(roster, i, lmax), frame)
-            )
+        for frame_errors in errors:
+            worst = frame_errors[i, lmax]
             if worst < INERT_ERROR_FLOOR:
                 continue
             usable += 1
             for lvl in range(1, lmax):
-                e = quality_error(
-                    reference, render(single_degradation_config(roster, i, lvl), frame)
-                )
-                per_level_sums[lvl] += e / worst
+                per_level_sums[lvl] += frame_errors[i, lvl] / worst
         if usable == 0:
             ratios.append(tuple(0.0 for _ in range(lmax + 1)))
             inert.append(True)
@@ -285,19 +288,19 @@ def calibrate_ratios(
 
 def update_worst_errors(
     error_model: ErrorModel,
-    reference: FrameImage,
-    backgrounds: dict[int, FrameImage],
+    errors: dict[int, float],
     ref_frame: int,
 ) -> ErrorModel:
-    """Refresh e_worst for the passes whose background renders arrived.
+    """Refresh e_worst for the passes whose background SSIMs arrived.
 
-    ``backgrounds`` maps pass index to the frame rendered with that pass fully
-    degraded; entries not supplied keep their previous value and age.
+    ``errors`` maps pass index to its worst-level error, ``1 - SSIM`` of the
+    frame rendered with that pass fully degraded against the all-best render
+    of ``ref_frame``; entries not supplied keep their previous value and age.
     """
     e_worst = list(error_model.e_worst)
     ref_frames = list(error_model.ref_frames)
-    for i, bg in backgrounds.items():
-        e_worst[i] = quality_error(reference, bg)
+    for i, error in errors.items():
+        e_worst[i] = error
         ref_frames[i] = ref_frame
     return replace(
         error_model, e_worst=tuple(e_worst), ref_frames=tuple(ref_frames)

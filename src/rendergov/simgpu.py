@@ -441,7 +441,10 @@ def _pattern_indices(height: int, width: int) -> tuple[np.ndarray, np.ndarray, n
     return x + 2 * y, products.astype(float), inverse.reshape(height, width)
 
 
-@lru_cache(maxsize=64)
+# One frame: every repeated use of a frame's pattern happens inside one
+# render_frame call or one truth.FrameScorer, which holds its reference, so
+# the cache serves only a caller that renders the same frame again.
+@lru_cache(maxsize=1)
 def _base_pattern(seed: int, frame_index: int, height: int, width: int) -> np.ndarray:
     """Smooth deterministic test pattern that slowly evolves with the frame."""
     # Row and column coordinates broadcast to the grid; the terms that depend
@@ -547,21 +550,28 @@ class FrameSynthesizer:
 
 
 def render_band(
-    synth: FrameSynthesizer, pass_index: int, level: int, frame_index: int
+    synth: FrameSynthesizer,
+    pass_index: int,
+    level: int,
+    frame_index: int,
+    base: np.ndarray | None = None,
 ) -> np.ndarray:
     """The rows of ``synth.band(pass_index)`` with that pass at ``level``.
 
     A pass's degradation reads and writes only its own band, so a frame is
     the base pattern with each degraded pass's band replaced; level 0 returns
-    the base rows. The rows are not range-checked here: :class:`FrameImage`
-    checks whole frames, and callers that score bands without one check each
-    band with :func:`quality.check_intensities`.
+    the base rows. ``base``, the frame's base pattern, is looked up when not
+    given. The rows are not range-checked here: :class:`FrameImage` checks
+    whole frames, and callers that score bands without one check each band
+    with :func:`quality.check_intensities`.
     """
     spec = synth.degradations[pass_index]
     if not 0 <= level < len(spec.strength):
         raise ValueError(f"pass {pass_index} has no level {level}")
+    if base is None:
+        base = _base_pattern(synth.seed, frame_index, synth.height, synth.width)
     r0, r1 = synth.band(pass_index)
-    rows = _base_pattern(synth.seed, frame_index, synth.height, synth.width)[r0:r1]
+    rows = base[r0:r1]
     if level:
         rows = _apply_degradation(rows, spec, spec.strength[level], frame_index, pass_index)
     return rows
@@ -579,7 +589,7 @@ def render_frame(
     for i, lvl in enumerate(config):
         if lvl:
             r0, r1 = synth.band(i)
-            img[r0:r1] = render_band(synth, i, lvl, frame_index)
+            img[r0:r1] = render_band(synth, i, lvl, frame_index, base)
     return FrameImage(img)
 
 

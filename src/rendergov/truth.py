@@ -1,13 +1,14 @@
-"""Exact SSIM ground truth over a frame's configuration lattice.
+"""Exact SSIM ground truth of one frame's configurations.
 
-Both of the harness's error scorers share this module's view of a frame:
+Every SSIM the program scores goes through this module's view of a frame:
 :func:`map_segments` splits the SSIM map into runs of rows whose windows
 touch the same passes, and :class:`Bands` renders each (pass, level) band
-once. ``harness._true_errors`` scores the few candidates ``run`` and
-``replay`` need per frame; :func:`lattice_errors` scores every configuration
-at once for ``harness.oracle_table``. Both give, bit for bit, what
-:func:`quality.quality_error` gives for full-frame renders, within one numpy
-build.
+once from the frame's all-best render. A :class:`FrameScorer` scores any
+list of configurations of one frame; the governor's background SSIMs, ratio
+calibration and ``harness._true_errors`` all use it. :func:`lattice_errors`
+scores every configuration at once for ``harness.oracle_table``. Both give,
+bit for bit, what :func:`quality.quality_error` gives for full-frame renders,
+within one numpy build.
 """
 
 from __future__ import annotations
@@ -80,17 +81,107 @@ def band_starts(synth: FrameSynthesizer) -> tuple[int, ...]:
 
 class Bands(dict):
     """``bands[pass, level]``: that pass's band of one frame at that level,
-    rendered and range-checked on first use."""
+    rendered from ``base``, the frame's base pattern, and range-checked on
+    first use."""
 
-    def __init__(self, synth: FrameSynthesizer, frame: int):
+    def __init__(self, synth: FrameSynthesizer, frame: int, base: np.ndarray):
         super().__init__()
-        self.synth, self.frame = synth, frame
+        self.synth, self.frame, self.base = synth, frame, base
 
     def __missing__(self, key: tuple[int, int]) -> np.ndarray:
-        rows = render_band(self.synth, *key, self.frame)
+        rows = render_band(self.synth, *key, self.frame, self.base)
         check_intensities(rows)
         self[key] = rows
         return rows
+
+
+class FrameScorer:
+    """Exact ``1 - SSIM`` of configurations of one frame, against its
+    all-best render; ``scorer(configs)`` gives one score per configuration.
+
+    The reference is rendered once, when the scorer is made, and each
+    (pass, level) band once, from the reference's rows, on first use. So a
+    frame's base pattern is computed at most once however many calls score
+    it, whatever the pattern cache has evicted in between. The all-best
+    configuration scores exactly 0.0. When one call scores more than one
+    distinct degraded configuration, the reference's moments are computed
+    once and shared.
+
+    Work is shared across a call's candidates per band instead of per frame:
+    each run of map rows of a :class:`MapSegments` segment at given levels is
+    computed once into a row bank. The bank starts with a block of 1.0 rows,
+    which stands for every segment whose passes are all at level 0, as
+    :func:`quality.ssim` leaves those rows. Each candidate's whole map is
+    gathered from the bank and averaged in full along one axis, which sums in
+    the order of the map's own ``mean()``. So every score is bitwise the one
+    :func:`quality.quality_error` gives for the whole frame.
+    """
+
+    def __init__(self, synth: FrameSynthesizer, frame: int):
+        self.synth, self.frame = synth, frame
+        self.reference = render_frame(synth, synth.roster.best_config(), frame)
+        self.bands = Bands(synth, frame, self.reference.pixels)
+
+    def __call__(self, configs) -> list[float]:
+        best = self.synth.roster.best_config()
+        degraded = list(dict.fromkeys(c for c in configs if c != best))
+        if not degraded:
+            return [0.0] * len(configs)
+        x = self.reference.pixels
+        moments = reference_moments(self.reference) if len(degraded) > 1 else None
+        span = SSIM_WINDOW - 1
+        starts = band_starts(self.synth)
+        segmentation = map_segments(starts, self.synth.height)
+        segments = segmentation.bounds
+        bands = self.bands
+
+        # The row bank's parts: a block of 1.0 rows, then each filled run.
+        longest = max(hi - lo for lo, hi, _, _ in segments)
+        parts = [np.ones((longest, x.shape[1] - span))]
+        used = longest
+        # Per segment: its passes, and their levels -> first bank row of the block.
+        memos = [(q0, q1, {(0,) * (q1 - q0): 0}) for _, _, q0, q1 in segments]
+
+        def fill(config, run) -> None:
+            # One filter over a run of adjacent uncached segments, split into the memos.
+            nonlocal used
+            lo, hi = segments[run[0]][0], segments[run[-1]][1]
+            p0, p1 = segments[run[0]][2], segments[run[-1]][3]
+            ys = np.concatenate([bands[i, config[i]] for i in range(p0, p1)])
+            ys = ys[lo - starts[p0] : hi + span - starts[p0]]
+            rows = ssim_rows(
+                x[lo : hi + span], ys, None if moments is None else moments.rows(lo, hi)
+            )
+            parts.append(rows)
+            for s in run:
+                q0, q1, memo = memos[s]
+                memo[config.levels[q0:q1]] = used + segments[s][0] - lo
+            used += hi - lo
+
+        # Each candidate's bank block per segment, filling the memos as needed.
+        blocks = []
+        for config in degraded:
+            levels = config.levels
+            row = [memo.get(levels[q0:q1]) for q0, q1, memo in memos]
+            if None in row:
+                run: list[int] = []
+                # A trailing sentinel block ends the last run.
+                for s, block in enumerate([*row, 0]):
+                    if block is None:
+                        run.append(s)
+                    elif run:
+                        fill(config, run)
+                        run = []
+                row = [memo[levels[q0:q1]] for q0, q1, memo in memos]
+            blocks.append(row)
+        bank = np.concatenate(parts)
+        del parts  # the bank holds every part now
+        # A candidate's map row r is row local[r] of the bank block that holds
+        # its levels of segment segment_of[r].
+        maps = bank[np.array(blocks)[:, segmentation.segment_of] + segmentation.local]
+        ssims = maps.reshape(len(maps), -1).mean(axis=1).tolist()
+        scores = {config: max(0.0, 1.0 - ssim) for config, ssim in zip(degraded, ssims)}
+        return [scores.get(c, 0.0) for c in configs]
 
 
 # The most elements numpy's pairwise summation adds in one block (its
@@ -272,7 +363,7 @@ def _lattice_plan(
 
 def lattice_errors(scenario: Scenario, frame: int) -> np.ndarray:
     """Exact ``1 - SSIM`` of every configuration at ``frame``, in enumeration
-    order; ``harness._true_errors`` of the whole lattice, bit for bit.
+    order; a :class:`FrameScorer`'s scores of the whole lattice, bit for bit.
 
     Every segment's map rows are filled for every combination of its passes'
     levels, against reference moments computed once. A map's mean is the
@@ -287,7 +378,7 @@ def lattice_errors(scenario: Scenario, frame: int) -> np.ndarray:
     plan = _lattice_plan(roster, band_starts(synth), synth.height, synth.width)
     reference = render_frame(synth, roster.best_config(), frame)
     moments = reference_moments(reference)
-    bands = Bands(synth, frame)
+    bands = Bands(synth, frame, reference.pixels)
     stack = [reference.pixels]
     for i, p in enumerate(roster.passes):
         stack += [bands[i, level] for level in range(1, p.level_count)]

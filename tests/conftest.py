@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rendergov.quality import quality_error
 from rendergov.scenario import load_scenario, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -51,6 +52,17 @@ def mini_scenario():
 @pytest.fixture(scope="session")
 def regime_scenario():
     return load_scenario(SCENARIO_DIR / "regime_change.json")
+
+
+def _full_frame_scorer(render, roster):
+    """A ``scorer(frame)`` hook that scores each configuration as
+    ``quality_error`` of two full-frame ``render(config, frame)`` calls."""
+
+    def scorer(frame):
+        reference = render(roster.best_config(), frame)
+        return lambda configs: [quality_error(reference, render(c, frame)) for c in configs]
+
+    return scorer
 
 
 def _naive_ssim(a: np.ndarray, b: np.ndarray, window=11, sigma=1.5, k1=0.01, k2=0.03, L=1.0):

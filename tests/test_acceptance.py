@@ -6,6 +6,7 @@ numbers; run with ``pytest tests/test_acceptance.py -rA`` to see every line.
 
 import dataclasses
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from rendergov.quality import (
     ErrorRatioTable,
     FrameImage,
     estimate_error,
+    quality_error,
     ssim,
     update_worst_errors,
 )
@@ -48,6 +50,7 @@ from rendergov.simgpu import (
     probe_saturation,
     render_frame,
 )
+from rendergov.truth import FrameScorer
 
 from conftest import _naive_ssim
 
@@ -185,7 +188,8 @@ def test_criterion_04_error_estimator_fidelity(demo):
             )
             for i, p in enumerate(roster.passes)
         }
-        em = update_worst_errors(init.error_model, reference, backgrounds, frame)
+        errors = {i: quality_error(reference, bg) for i, bg in backgrounds.items()}
+        em = update_worst_errors(init.error_model, errors, frame)
         estimates = [estimate_error(em, cfg) for cfg, _, _ in table]
         truths = [err for _, _, err in table]
         rho = float(spearmanr(estimates, truths).statistic)
@@ -316,7 +320,7 @@ def test_criterion_07_state_machine(regime_scenario):
         primitives=lambda c, f: regime_scenario.trace.primitives_for(
             regime_scenario.roster, c, f
         ),
-        render=lambda c, f: render_frame(regime_scenario.synthesizer, c, f),
+        scorer=partial(FrameScorer, regime_scenario.synthesizer),
         initial_config=regime_scenario.initial_config,
     )
     events = []

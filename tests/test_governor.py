@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rendergov.configspace import (
     PassRoster,
     RenderingConfiguration,
     enumerate_configurations,
+    single_degradation_config,
 )
 from rendergov.governor import (
     Governor,
@@ -34,8 +36,9 @@ from rendergov.powermodel import (
     UnitCosts,
     predict_power,
 )
-from rendergov.quality import ErrorModel, ErrorRatioTable, estimate_error
+from rendergov.quality import ErrorModel, ErrorRatioTable, estimate_error, quality_error
 from rendergov.simgpu import measure_power, render_frame
+from rendergov.truth import FrameScorer
 
 SAT = SaturationConstants(10.0, 100.0, ((100.0, 2e5, 4e5),))
 
@@ -295,7 +298,7 @@ def _governed_records(scenario, frames=None):
         error_model=init.error_model,
         measure=lambda c, f: measure_power(scenario.oracle, c, f, scenario.trace),
         primitives=lambda c, f: scenario.trace.primitives_for(scenario.roster, c, f),
-        render=lambda c, f: render_frame(scenario.synthesizer, c, f),
+        scorer=partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
     )
     records = []
@@ -343,7 +346,7 @@ def test_meter_is_read_only_for_window_samples(name, request, monkeypatch):
         error_model=init.error_model,
         measure=measure,
         primitives=primitives,
-        render=lambda c, f: render_frame(scenario.synthesizer, c, f),
+        scorer=partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
     )
     buffered = {}  # id -> every sample that has been in a buffer, kept alive
@@ -472,6 +475,29 @@ def test_background_schedule_bounds_staleness(demo_scenario):
     record = records[completion]
     assert all(age >= 0 for age in record.staleness)
     assert max(record.staleness) <= slots * freq
+
+
+@pytest.mark.parametrize("name", ["demo_40px_scenario", "lattice_scenario"])
+def test_error_updates_equal_full_frame_scores(name, request):
+    """Each landed worst-level error is ``quality_error`` of two full-frame
+    renders of the cycle's reference frame: the all-best configuration and
+    that pass at its worst level. At 40 px an SSIM window spans up to three
+    passes' bands; the lattice has eight passes."""
+    scenario = request.getfixturevalue(name)
+    roster, synth = scenario.roster, scenario.synthesizer
+    gov, records = _governed_records(scenario)
+    updated = set()
+    for r in records:
+        if r.err_update_pass < 0:
+            continue
+        slot = r.err_update_pass
+        ref = r.frame - r.staleness[slot]
+        lmax = roster.passes[slot].level_count - 1
+        reference = render_frame(synth, roster.best_config(), ref)
+        worst = render_frame(synth, single_degradation_config(roster, slot, lmax), ref)
+        assert r.err_update_value == quality_error(reference, worst), (r.frame, slot)
+        updated.add(slot)
+    assert updated == {i for i, p in enumerate(roster.passes) if p.level_count > 1}
 
 
 def test_error_budget_mode_runs_end_to_end(mini_scenario):

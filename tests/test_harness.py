@@ -8,6 +8,7 @@ import random
 import re
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from rendergov.harness import (
 from rendergov.powermodel import predict_power
 from rendergov.quality import quality_error
 from rendergov.simgpu import exact_power, measure_power, render_frame
+from rendergov.truth import FrameScorer
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -486,6 +488,42 @@ def test_replay_forked_equals_serial(mini_scenario, regime_scenario, monkeypatch
     assert threading.active_count() == 1
 
 
+def test_background_cycle_renders_its_frame_once(
+    mini_scenario, regime_scenario, monkeypatch, tmp_path
+):
+    """Inside the governor's ticks, each background cycle looks up its
+    reference frame's base pattern once, at its ``ref`` slot; its pass slots
+    score from what that lookup rendered. Serial, so ground truth evicts
+    frames from the pattern cache between the slots."""
+    pattern = simgpu._base_pattern
+    tick = Governor.tick
+    ticking, looked_up = [], []
+
+    def recorded_pattern(seed, frame, height, width):
+        if ticking:
+            looked_up.append(frame)
+        return pattern(seed, frame, height, width)
+
+    def recorded_tick(self, frame):
+        ticking.append(frame)
+        try:
+            return tick(self, frame)
+        finally:
+            ticking.pop()
+
+    monkeypatch.setattr(simgpu, "_base_pattern", recorded_pattern)
+    monkeypatch.setattr(Governor, "tick", recorded_tick)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for scenario in (mini_scenario, regime_scenario):
+        looked_up.clear()
+        result = run(scenario, tmp_path / scenario.name)
+        header, *lines = result.log_path.read_text().splitlines()[1:]
+        bg_request = header.split(",").index("bg_request")
+        refs = [int(line.split(",")[0]) for line in lines if line.split(",")[bg_request] == "ref"]
+        assert len(refs) > 1
+        assert looked_up == refs, scenario.name
+
+
 def _governed_powers(scenario) -> list[tuple[float, float]]:
     """Oracle for a run's power cells: (predicted, measured) of each frame's
     ``s_eff``, evaluated right after the governor's tick with the model it
@@ -499,7 +537,7 @@ def _governed_powers(scenario) -> list[tuple[float, float]]:
         error_model=init.error_model,
         measure=lambda c, f: measure_power(oracle, c, f, trace),
         primitives=lambda c, f: trace.primitives_for(roster, c, f),
-        render=lambda c, f: render_frame(scenario.synthesizer, c, f),
+        scorer=partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
     )
     powers = []

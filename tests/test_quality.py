@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -23,6 +25,9 @@ from rendergov.quality import (
     update_worst_errors,
 )
 from rendergov.simgpu import FrameSynthesizer, PassDegradation, render_frame
+from rendergov.truth import FrameScorer
+
+from conftest import _full_frame_scorer
 
 
 def _pattern(size=16, shift=0.0):
@@ -181,7 +186,7 @@ def test_calibrate_ratios_level_independent_degradation_gives_unit_ratios():
             return FrameImage(corrupted)
         return FrameImage(base)
 
-    table = calibrate_ratios(render, roster, [0, 1])
+    table = calibrate_ratios(_full_frame_scorer(render, roster), roster, [0, 1])
     for row in table.ratios:
         assert row[1] == pytest.approx(1.0, abs=1e-12)
         assert row[2] == 1.0
@@ -196,7 +201,7 @@ def test_calibrate_ratios_flags_inert_pass():
             return FrameImage(np.clip(base + 0.1, 0, 1))
         return FrameImage(base)  # pass 1 never changes anything
 
-    table = calibrate_ratios(render, roster, [0])
+    table = calibrate_ratios(_full_frame_scorer(render, roster), roster, [0])
     assert not table.inert[0]
     assert table.inert[1]
     assert all(r == 0.0 for r in table.ratios[1])
@@ -205,7 +210,9 @@ def test_calibrate_ratios_flags_inert_pass():
 def test_calibrate_ratios_rejects_empty_calibration():
     roster = _ratio_roster()
     with pytest.raises(ValueError):
-        calibrate_ratios(lambda c, f: FrameImage(_pattern()), roster, [])
+        calibrate_ratios(
+            _full_frame_scorer(lambda c, f: FrameImage(_pattern()), roster), roster, []
+        )
 
 
 def test_calibrate_ratios_linear_area_degradation_matches_strength_ratios():
@@ -225,12 +232,21 @@ def test_calibrate_ratios_linear_area_degradation_matches_strength_ratios():
         width=128,
         seed=5,
     )
-    table = calibrate_ratios(
-        lambda c, f: render_frame(synth, c, f), roster, [11, 57, 203]
-    )
+    table = calibrate_ratios(partial(FrameScorer, synth), roster, [11, 57, 203])
     want = 0.4 / 0.8
     assert table.ratios[0][1] == pytest.approx(want, rel=0.1)
     assert table.ratios[0][2] == 1.0
+
+
+@pytest.mark.parametrize("name", ["demo_scenario", "mini_scenario", "lattice_scenario"])
+def test_calibrate_ratios_through_frame_scorer_equals_full_frame_scores(name, request):
+    scenario = request.getfixturevalue(name)
+    synth, roster = scenario.synthesizer, scenario.roster
+    frames = scenario.calibration_frames
+    full_frame = _full_frame_scorer(lambda c, f: render_frame(synth, c, f), roster)
+    table = calibrate_ratios(partial(FrameScorer, synth), roster, frames)
+    assert table == calibrate_ratios(full_frame, roster, frames)
+    assert not all(table.inert)
 
 
 def _error_model():
@@ -243,7 +259,7 @@ def test_update_worst_errors_is_incremental():
     ref = FrameImage(_pattern(32))
     rng = np.random.default_rng(8)
     bg = FrameImage(np.clip(_pattern(32) + rng.normal(0, 0.1, (32, 32)), 0, 1))
-    updated = update_worst_errors(em, ref, {1: bg}, ref_frame=50)
+    updated = update_worst_errors(em, {1: quality_error(ref, bg)}, ref_frame=50)
     assert updated.e_worst[0] == em.e_worst[0]
     assert updated.e_worst[2] == em.e_worst[2]
     assert updated.e_worst[1] == pytest.approx(quality_error(ref, bg))
@@ -254,7 +270,7 @@ def test_update_worst_errors_is_incremental():
 def test_update_worst_errors_identical_background_gives_zero():
     em = _error_model()
     ref = FrameImage(_pattern(32))
-    updated = update_worst_errors(em, ref, {0: ref}, ref_frame=5)
+    updated = update_worst_errors(em, {0: quality_error(ref, ref)}, ref_frame=5)
     assert updated.e_worst[0] == 0.0
 
 
