@@ -15,7 +15,7 @@ import sys
 
 from .configspace import RenderingConfiguration
 from .harness import (
-    initialize,
+    _probe,
     replay,
     run,
     write_oracle_table,
@@ -133,7 +133,8 @@ def main(argv=None) -> int:
                 write_reveal(scenario, args.out_dir)
             print(f"oracle table: {path}")
         elif args.command == "probe":
-            init = initialize(scenario)
+            # Probing only: the command reports no error ratios.
+            init = _probe(scenario)
             print(f"p_min = {init.p_min_probed}")
             print(f"p_max = {init.probe.p_max_observed}")
             print(f"probe_frames_used = {init.probe_frames_used}")

@@ -9,6 +9,7 @@ files.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import json
 import multiprocessing
@@ -35,6 +36,7 @@ from .powermodel import (
 )
 from .quality import (
     ErrorModel,
+    ErrorRatioTable,
     calibrate_ratios,
     quality_error,  # noqa: F401 -- perfbench/run.py wraps this name as its speed-probe hook
 )
@@ -99,16 +101,34 @@ class Initialization:
     p_min_probed: float
     probe: ProbeResult
     power_model: PowerModel
-    error_model: ErrorModel
+    # None from :func:`_probe` alone, which does not calibrate.
+    error_model: ErrorModel | None
     probe_frames_used: int
 
 
 def initialize(scenario: Scenario) -> Initialization:
-    """Probe idle/saturated power, calibrate error ratios, and seed the model.
+    """Probe idle/saturated power, seed the model, and calibrate error ratios.
 
     Deterministic for a given scenario, so every command that initializes sees
-    identical constants.
+    identical constants. :func:`run` calibrates in its scoring worker while it
+    probes, and ``replay`` and ``probe`` do not calibrate.
     """
+    init = _probe(scenario)
+    return dataclasses.replace(init, error_model=ErrorModel.initial(_calibrate(scenario)))
+
+
+def _calibrate(scenario: Scenario) -> ErrorRatioTable:
+    """The half of :func:`initialize` that scores frames: the per-level error
+    ratios."""
+    return calibrate_ratios(
+        partial(FrameScorer, scenario.synthesizer), scenario.roster, scenario.calibration_frames
+    )
+
+
+def _probe(scenario: Scenario) -> Initialization:
+    """The rest of :func:`initialize`: probe idle and saturated power and seed
+    the power model, fitted to a generic sweep if the scenario asks; no error
+    model."""
     roster = scenario.roster
     oracle = scenario.oracle
     probe_opts = scenario.probe
@@ -116,11 +136,6 @@ def initialize(scenario: Scenario) -> Initialization:
     idle = empty_trace(roster, max(probe_opts.min_power_frames, 1))
     p_min = probe_min_power(oracle, idle, probe_opts.min_power_frames)
     probe = probe_saturation(oracle, p_min, probe_opts)
-
-    ratios = calibrate_ratios(
-        partial(FrameScorer, scenario.synthesizer), roster, scenario.calibration_frames
-    )
-    error_model = ErrorModel.initial(ratios)
 
     n_model = len(roster.model_pass_indices)
     model = PowerModel(
@@ -154,7 +169,7 @@ def initialize(scenario: Scenario) -> Initialization:
         p_min_probed=p_min,
         probe=probe,
         power_model=model,
-        error_model=error_model,
+        error_model=None,
         probe_frames_used=probe.frames_used + probe_opts.min_power_frames,
     )
 
@@ -271,14 +286,17 @@ def _true_errors(
 
 
 # Frames per scoring task in :func:`run` and :func:`replay_trace`. After the
-# loop the caller scores the chunks no worker has taken yet, so the last one it
+# loop the caller scores the chunks no worker has started, so the last one it
 # waits for is at most a chunk long: 64 frames made short runs slower than 16,
 # and 8 gained less.
 _CHUNK = 16
 
-# The scenario a forked scoring worker serves. Its initializer sets it, so a
-# task carries only its frames and jobs.
+# The scenario a forked scoring worker serves, the chunks' claim flags, and the
+# event it sets when it starts a :meth:`_Scorer.later` task. Its initializer
+# sets them, so a task carries only its chunk's index, frames and jobs.
 _worker_scenario: Scenario | None = None
+_worker_claims = None
+_worker_started = None
 
 
 # One governed frame handed to the scorer: the frame, its s_eff, and the
@@ -316,27 +334,60 @@ def _score_chunk(
     return powers, [_true_errors(scenario, frame, configs) for frame, configs in jobs]
 
 
-def _start_worker(scenario: Scenario, cpus) -> None:
-    global _worker_scenario
-    _worker_scenario = scenario
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed blocks of up to 4 MB in the heap, where it
+    otherwise hands SSIM temporaries back to the OS after each scoring call
+    and faults them in again on the next, about 170 minor page faults per
+    demo call. glibc raises these thresholds by itself once a process frees
+    a larger block, as ratio calibration does, but neither the caller of a
+    forked :func:`run` nor :func:`replay` calibrates. Nothing happens where
+    the C library has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
+def _start_worker(scenario: Scenario, cpus, claims, started) -> None:
+    global _worker_scenario, _worker_claims, _worker_started
+    _worker_scenario, _worker_claims, _worker_started = scenario, claims, started
     os.sched_setaffinity(0, {cpus.get()})
 
 
-def _score_in_worker(frames, jobs) -> tuple[list[_FramePowers], list[list[float]]]:
-    return _score_chunk(_worker_scenario, frames, jobs)
+def _claim(claims, i: int) -> bool:
+    """Set chunk ``i``'s claim flag; False if it was set already."""
+    with claims.get_lock():
+        if claims[i]:
+            return False
+        claims[i] = 1
+        return True
+
+
+def _in_worker(fn):
+    _worker_started.set()
+    return fn(_worker_scenario)
+
+
+def _score_in_worker(i, frames, jobs) -> tuple[list[_FramePowers], list[list[float]]] | None:
+    """Chunk ``i``'s :func:`_score_chunk` result, or None if the caller has
+    claimed it."""
+    return _score_chunk(_worker_scenario, frames, jobs) if _claim(_worker_claims, i) else None
 
 
 class _Scorer:
-    """Scores chunks with :func:`_score_chunk` beside the caller; a context
-    manager.
+    """Scores up to ``tasks`` chunks with :func:`_score_chunk` beside the
+    caller; a context manager.
 
     With n = min(CPUs this process may run on, ``tasks``) > 1 (``workers``,
     for tests, replaces the CPU count), n - 1 workers are forked from one
-    process pool when the first chunk is submitted, and score chunks while
+    process pool on the first :meth:`later` or :meth:`submit`, and work while
     the caller goes on. Each worker and the caller is pinned to its own CPU,
     because the scheduler can leave a forked child on its parent's CPU; the
-    caller gets its CPU set back on exit. :meth:`results` has the caller
-    score, from the last chunk back, every chunk no worker has taken yet.
+    caller gets its CPU set back on exit. Each chunk has a claim flag that the
+    workers share: a worker claims a chunk before it scores it and skips one
+    the caller has claimed. :meth:`results` has the caller claim and score,
+    from the last chunk back, every chunk no worker has started.
 
     Each chunk is scored as it is submitted, with no process, when n <= 1,
     when CPU affinity or ``fork`` is not available, when the caller is
@@ -351,6 +402,7 @@ class _Scorer:
         # Scored results without a pool; (frames, jobs, future) with one.
         self.chunks: list = []
         self._exit = contextlib.ExitStack()
+        _keep_freed_memory()
         pinnable = hasattr(os, "sched_getaffinity")
         allowed = os.sched_getaffinity(0) if pinnable else set()
         n = min(len(allowed) if workers is None else workers, tasks)
@@ -370,11 +422,13 @@ class _Scorer:
             stack.callback(worker_cpus.close)
             for i in range(n - 1):
                 worker_cpus.put(cpus[i % len(cpus)])
+            self.claims = context.Array("b", tasks)
+            self.started = context.Event()
             self.pool = ProcessPoolExecutor(
                 n - 1,
                 mp_context=context,
                 initializer=_start_worker,
-                initargs=(scenario, worker_cpus),
+                initargs=(scenario, worker_cpus, self.claims, self.started),
             )
             stack.callback(self.pool.shutdown, cancel_futures=True)
             os.sched_setaffinity(0, {cpus[(n - 1) % len(cpus)]})
@@ -386,13 +440,32 @@ class _Scorer:
     def __exit__(self, *exc) -> None:
         self._exit.close()
 
+    def later(self, fn):
+        """A callable that returns ``fn(scenario)``. With a pool a worker starts
+        on ``fn`` now, ahead of every chunk, and the callable waits for its
+        result; without one the callable runs ``fn``. Call it once.
+
+        With a pool it returns only once the worker has started ``fn``, or
+        the pool has failed it. The pool's threads hand a task on in the
+        caller's process, and while the caller computes they get the GIL
+        only at its switch intervals: a worker that was not waited for
+        started calibrating about 8 ms after the submit returned; waited
+        for, it starts within about 1 ms.
+        """
+        if self.pool is None:
+            return partial(fn, self.scenario)
+        future = self.pool.submit(_in_worker, fn)
+        future.add_done_callback(lambda _: self.started.set())
+        self.started.wait()
+        return future.result
+
     def submit(
         self, frames: list[_Governed], jobs: list[tuple[int, list[RenderingConfiguration]]]
     ) -> None:
         if self.pool is None:
             self.chunks.append(_score_chunk(self.scenario, frames, jobs))
         else:
-            future = self.pool.submit(_score_in_worker, frames, jobs)
+            future = self.pool.submit(_score_in_worker, len(self.chunks), frames, jobs)
             self.chunks.append((frames, jobs, future))
 
     def results(self) -> list[tuple[list[_FramePowers], list[list[float]]]]:
@@ -400,13 +473,10 @@ class _Scorer:
         if self.pool is None:
             return self.chunks
         scored = [None] * len(self.chunks)
-        # Workers take chunks in order, so the first one that cannot be
-        # cancelled ends the caller's share.
         for i in reversed(range(len(self.chunks))):
-            frames, jobs, future = self.chunks[i]
-            if not future.cancel():
-                break
-            scored[i] = _score_chunk(self.scenario, frames, jobs)
+            if _claim(self.claims, i):
+                frames, jobs, _ = self.chunks[i]
+                scored[i] = _score_chunk(self.scenario, frames, jobs)
         return [
             future.result() if done is None else done
             for (_, _, future), done in zip(self.chunks, scored)
@@ -456,6 +526,12 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     """Initialization plus the governed frame loop, with min/max-quality
     replays as in-run baselines.
 
+    The :class:`_Scorer` starts first, so where it forks, its worker
+    calibrates the error ratios (:func:`_calibrate`) while the caller probes
+    and fits (:func:`_probe`); the caller waits for the ratios before it
+    builds the governor. Where it cannot fork, the caller calibrates at that
+    point. Either way the governor starts from :func:`initialize`'s models.
+
     The baselines ride along with the governed loop: every frame also
     measures the best and worst configurations, and every sampled frame
     scores the worst one against the same reference as ``s_eff``. The best
@@ -473,19 +549,6 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     when either changes. The rows' ``predicted_w``, ``measured_w`` and
     ``true_error`` cells are filled in after the loop.
     """
-    init = initialize(scenario)
-    gov = Governor(
-        roster=scenario.roster,
-        config=scenario.governor,
-        power_model=init.power_model,
-        error_model=init.error_model,
-        measure=lambda cfg, frame: measure_power(scenario.oracle, cfg, frame, scenario.trace),
-        primitives=lambda cfg, frame: scenario.trace.primitives_for(
-            scenario.roster, cfg, frame
-        ),
-        scorer=partial(FrameScorer, scenario.synthesizer),
-        initial_config=scenario.initial_config,
-    )
     worst = scenario.roster.worst_config()
     frame_count = scenario.trace.frame_count
     every = scenario.error_sample_every
@@ -493,6 +556,20 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     rows = []
     model = config = coefficients = None
     with _Scorer(scenario, -(-frame_count // _CHUNK)) as scorer:
+        ratios = scorer.later(_calibrate)
+        init = _probe(scenario)
+        gov = Governor(
+            roster=scenario.roster,
+            config=scenario.governor,
+            power_model=init.power_model,
+            error_model=ErrorModel.initial(ratios()),
+            measure=lambda cfg, frame: measure_power(scenario.oracle, cfg, frame, scenario.trace),
+            primitives=lambda cfg, frame: scenario.trace.primitives_for(
+                scenario.roster, cfg, frame
+            ),
+            scorer=partial(FrameScorer, scenario.synthesizer),
+            initial_config=scenario.initial_config,
+        )
         for start in range(0, frame_count, _CHUNK):
             frames, jobs = [], []
             for frame in range(start, min(start + _CHUNK, frame_count)):
@@ -549,8 +626,9 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
 def replay(
     scenario: Scenario, config: RenderingConfiguration, out_dir: str | Path | None = None
 ) -> RunResult:
-    """Pinned-configuration replay with the same artifact shapes as a run."""
-    init = initialize(scenario)
+    """Pinned-configuration replay with the same artifact shapes as a run.
+    It reads no error model, so it probes without calibrating."""
+    init = _probe(scenario)
     budget = budget_watts(scenario.governor, init.power_model.saturation)
     rows = []
 

@@ -6,15 +6,18 @@ import os
 import pickle
 import random
 import re
+import signal
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rendergov import harness, simgpu
+from rendergov import cli, harness, simgpu
 from rendergov.configspace import RenderingConfiguration, enumerate_configurations
 from rendergov.governor import Governor
 from rendergov.harness import (
@@ -409,13 +412,20 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 
-def _recording_pools(monkeypatch) -> list:
+def _recording_pools(monkeypatch, tasks=None) -> list:
+    """Record each pool's positional arguments in the returned list, and each
+    submitted task's ``(fn, args)`` in ``tasks`` if given."""
     started = []
 
     class Recording(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(args)
             super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            if tasks is not None:
+                tasks.append((fn, args))
+            return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
     return started
@@ -435,9 +445,13 @@ def test_run_scored_beside_loop_equals_serial(
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
             serial = run(scenario, tmp_path / f"{base.name}_serial{every}")
-        started = _recording_pools(monkeypatch)
+        tasks = []
+        started = _recording_pools(monkeypatch, tasks)
         forked = run(scenario, tmp_path / f"{base.name}_forked{every}")
         assert started == [(len(allowed) - 1,)]
+        # The worker calibrates first, while the caller probes.
+        assert tasks[0] == (harness._in_worker, (harness._calibrate,))
+        assert [fn for fn, _ in tasks[1:]] == [harness._score_in_worker] * -(-203 // harness._CHUNK)
         assert os.sched_getaffinity(0) == allowed
         for name in ("log_path", "summary_path"):
             assert getattr(forked, name).read_bytes() == getattr(serial, name).read_bytes()
@@ -602,6 +616,149 @@ def test_run_worker_error_reaches_caller(mini_scenario, monkeypatch):
     assert len(started) == 1
     assert os.sched_getaffinity(0) == allowed
     assert multiprocessing.active_children() == []
+
+
+def _hold_worker(release: Path, scenario) -> bool:
+    """Keep a worker busy until ``release`` exists, for at most 20 s; whether
+    it was released."""
+    deadline = time.monotonic() + 20
+    while not release.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return release.exists()
+
+
+@needs_fork
+def test_caller_takes_every_chunk_no_worker_started(mini_scenario, tmp_path):
+    # The pool hands a busy worker's queue more chunks than it can cancel;
+    # the caller must still take them all without waiting for the worker.
+    jobs = _truth_jobs(mini_scenario, 5)
+    serial = [_true_errors(mini_scenario, frame, configs) for frame, configs in jobs]
+    release = tmp_path / "release"
+    with harness._Scorer(mini_scenario, len(jobs), workers=2) as scorer:
+        held = scorer.later(partial(_hold_worker, release))
+        for job in jobs:
+            scorer.submit([], [job])
+        truths = [truths for _, (truths,) in scorer.results()]
+        release.touch()
+        assert held() is True
+    assert truths == serial
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_each_chunk_is_scored_once(mini_scenario, monkeypatch, tmp_path):
+    # More workers than CPUs, and chunks that score in no time, so the
+    # workers and the caller race for the claims.
+    scored = tmp_path / "scored"
+    score_chunk = harness._score_chunk
+
+    def logged(scenario, frames, jobs):
+        with open(scored, "a") as f:
+            f.write(f"{jobs[0][0]}\n")
+        return score_chunk(scenario, frames, jobs)
+
+    monkeypatch.setattr(harness, "_score_chunk", logged)
+    best = mini_scenario.roster.best_config()
+    jobs = [(frame, [best]) for frame in range(200)]
+    for workers in (2, 2 * len(os.sched_getaffinity(0)) + 1):
+        scored.write_text("")
+        assert _scorer_truths(mini_scenario, jobs, workers=workers) == [[0.0]] * len(jobs)
+        assert sorted(map(int, scored.read_text().split())) == list(range(200)), workers
+    assert multiprocessing.active_children() == []
+
+
+def _dead_scenario(scenario):
+    """``scenario`` with an oracle whose power never rises above idle."""
+    oracle = scenario.oracle
+    dead = dataclasses.replace(
+        oracle,
+        k_b=(0.0,) * len(oracle.k_b),
+        unit_costs=dataclasses.replace(oracle.unit_costs, chi=0.0, psi=0.0),
+    )
+    return dataclasses.replace(scenario, oracle=dead)
+
+
+@needs_two_cpus
+def test_run_probe_error_stops_the_worker(mini_scenario, monkeypatch):
+    scenario = _dead_scenario(mini_scenario)
+    with pytest.raises(simgpu.ProbeError) as serial:
+        initialize(scenario)
+    started = _recording_pools(monkeypatch)
+    allowed = os.sched_getaffinity(0)
+    with pytest.raises(simgpu.ProbeError) as forked:
+        run(scenario)
+    # The pool was alive, calibrating, when the probe failed.
+    assert started == [(len(allowed) - 1,)]
+    assert str(forked.value) == str(serial.value)
+    assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == allowed
+    assert threading.active_count() == 1
+
+
+@needs_two_cpus
+def test_run_calibration_error_reaches_caller(mini_scenario, monkeypatch):
+    scenario = dataclasses.replace(mini_scenario, calibration_frames=())
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(ValueError) as serial:
+            run(scenario)
+    started = _recording_pools(monkeypatch)
+    allowed = os.sched_getaffinity(0)
+    with pytest.raises(ValueError) as forked:
+        run(scenario)
+    assert started == [(len(allowed) - 1,)]
+    # Raised in the worker: the pool attaches the child's traceback.
+    assert "calibrate_ratios" in str(forked.value.__cause__)
+    assert type(forked.value) is type(serial.value) is ValueError
+    assert str(forked.value) == str(serial.value) == "calibration needs at least one frame"
+    assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == allowed
+    assert threading.active_count() == 1
+
+
+@needs_two_cpus
+def test_run_fails_when_no_worker_starts(mini_scenario, monkeypatch):
+    # run waits until its worker has started calibrating; a pool whose worker
+    # never starts must end that wait too.
+    def no_worker(*args):
+        raise OSError("the worker cannot start")
+
+    def waited_too_long(signum, frame):
+        raise TimeoutError("run waited for a worker that never started")
+
+    monkeypatch.setattr(harness, "_start_worker", no_worker)
+    started = _recording_pools(monkeypatch)
+    allowed = os.sched_getaffinity(0)
+    previous = signal.signal(signal.SIGALRM, waited_too_long)
+    signal.alarm(30)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run(mini_scenario)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == allowed
+    assert threading.active_count() == 1
+
+
+def test_replay_and_probe_do_not_calibrate(mini_scenario, monkeypatch, tmp_path, capsys):
+    worst = mini_scenario.roster.worst_config()
+    expected = replay(mini_scenario, worst, tmp_path / "calibrating")
+
+    def no_calibration(*args):
+        raise AssertionError("calibrated")
+
+    monkeypatch.setattr(harness, "calibrate_ratios", no_calibration)
+    got = replay(mini_scenario, worst, tmp_path / "not_calibrating")
+    for name in ("log_path", "summary_path"):
+        assert getattr(got, name).read_bytes() == getattr(expected, name).read_bytes()
+    scenario_path = Path(__file__).resolve().parent.parent / "scenarios" / "mini.json"
+    assert cli.main(["probe", "--scenario", str(scenario_path), "--out-dir", str(tmp_path)]) == 0
+    assert "p_min = " in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="calibrated"):
+        initialize(mini_scenario)
 
 
 def test_frame_truths_starts_no_process_for_best_only_jobs(mini_scenario, monkeypatch, tmp_path):
