@@ -15,9 +15,11 @@ score their ground truth in. ``--seed`` takes one or more seeds, each an
 integer or ``default`` (the scenarios' own seeds); with more than one, each
 seed's outputs go to ``OUT_DIR/seed_<seed>/``. With
 ``--against REF_DIR`` it then compares every file present on either side,
-subdirectories included, and exits 1, naming each differing file and its
-first differing line; 0 means every byte matched. Outputs are byte-identical
-only within one numpy/scipy build.
+subdirectories included, and exits 1, naming each differing file with how
+many of its cells differ, whether any of those is not a number, the worst
+relative difference among the numeric ones, and its first differing line;
+0 means every byte matched. Outputs are byte-identical only within one
+numpy/scipy build.
 
 Usage:
     python scripts/check_outputs.py OUT_DIR [--against REF_DIR] [--seed SEED ...]
@@ -29,6 +31,9 @@ then on the change with ``--against REF_DIR`` and the same seeds, e.g.
 
 import argparse
 import dataclasses
+import itertools
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -92,6 +97,33 @@ def first_difference(a: bytes, b: bytes) -> str:
     return "line endings differ"
 
 
+def cell_differences(a: bytes, b: bytes) -> str:
+    """How many cells differ between two versions of a file, whether any of
+    them is not a number, and the worst relative difference among the rest.
+
+    Cells are split at commas and whitespace, line by line; a cell or line
+    present on one side only counts as a differing cell that is not a number.
+    """
+    count, worst, not_numbers = 0, 0.0, False
+    lines = [data.decode(errors="replace").splitlines() for data in (a, b)]
+    for x_line, y_line in itertools.zip_longest(*lines, fillvalue=""):
+        cells = itertools.zip_longest(re.split(r",|\s+", x_line), re.split(r",|\s+", y_line))
+        for x, y in cells:
+            if x == y:
+                continue
+            count += 1
+            try:
+                u, v = float(x), float(y)
+            except (TypeError, ValueError):
+                u = v = math.nan
+            if not (math.isfinite(u) and math.isfinite(v)):
+                not_numbers = True
+            elif u != v:
+                worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+    kind = "some not numbers" if not_numbers else "all numbers"
+    return f"{count} cells differ ({kind}), worst relative difference {worst:.2g}"
+
+
 def compare(out_dir: Path, ref_dir: Path) -> list[str]:
     """One message per file that is missing on a side or differs."""
     names = sorted(
@@ -106,7 +138,7 @@ def compare(out_dir: Path, ref_dir: Path) -> list[str]:
             continue
         a, b = got.read_bytes(), want.read_bytes()
         if a != b:
-            problems.append(f"{name}: {first_difference(a, b)}")
+            problems.append(f"{name}: {cell_differences(a, b)}; {first_difference(a, b)}")
     return problems
 
 

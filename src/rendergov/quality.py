@@ -142,8 +142,29 @@ def ssim_rows(
     )
 
 
+def row_sums(rows: np.ndarray) -> np.ndarray:
+    """Each SSIM map row's sum, by ``np.add.reduce`` along the row, for
+    :func:`map_mean`."""
+    # A 2-D reduction sums each row as the 1-D one does only in C order;
+    # ssim_rows returns its rows in Fortran order.
+    return np.add.reduce(np.ascontiguousarray(rows), axis=-1)
+
+
+def map_mean(sums: np.ndarray, size: int) -> np.ndarray:
+    """The mean of SSIM maps of ``size`` elements, from their :func:`row_sums`
+    along the last axis: the sums added first row to last, over ``size``.
+
+    Every SSIM of the program takes a map's mean this way. The fold is
+    sequential, so each mean is bitwise a plain loop's over its row sums, and
+    the scorers of :mod:`truth`, which sum each distinct row once, get the
+    bits :func:`ssim` gets for the whole frame.
+    """
+    return np.add.accumulate(sums, axis=-1)[..., -1] / size
+
+
 def ssim(reference: FrameImage, candidate: FrameImage) -> float:
-    """Mean local structural similarity over Gaussian-weighted 11x11 windows.
+    """Mean local structural similarity over Gaussian-weighted 11x11 windows,
+    taken by :func:`map_mean`.
 
     A window covering only rows where the images agree scores exactly 1.0,
     so only the windows that reach a differing row are computed; the rest of
@@ -166,7 +187,7 @@ def ssim(reference: FrameImage, candidate: FrameImage) -> float:
         lo = max(int(differing[0]) - 2 * _HALF, 0)
         hi = min(int(differing[-1]), h - 2 * _HALF - 1) + 1
         ssim_map[lo:hi] = ssim_rows(x[lo : hi + 2 * _HALF], y[lo : hi + 2 * _HALF])
-    return float(ssim_map.mean())
+    return float(map_mean(row_sums(ssim_map), ssim_map.size))
 
 
 def quality_error(reference: FrameImage, candidate: FrameImage) -> float:

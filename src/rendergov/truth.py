@@ -6,15 +6,15 @@ touch the same passes, and :class:`Bands` renders each (pass, level) band
 once from the frame's all-best render. A :class:`FrameScorer` scores any
 list of configurations of one frame; the governor's background SSIMs, ratio
 calibration and ``harness._true_errors`` all use it. :func:`lattice_errors`
-scores every configuration at once for ``harness.oracle_table``. Both give,
-bit for bit, what :func:`quality.quality_error` gives for full-frame renders,
-within one numpy build.
+scores every configuration at once for ``harness.oracle_table``. Both sum
+each distinct map row once and take every map's mean with
+:func:`quality.map_mean` from those row sums, so both give, bit for bit, what
+:func:`quality.quality_error` gives for full-frame renders.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +25,9 @@ from .quality import (
     SSIM_WINDOW,
     ReferenceMoments,
     check_intensities,
+    map_mean,
     reference_moments,
+    row_sums,
     ssim_rows,
 )
 from .scenario import Scenario
@@ -109,11 +111,11 @@ class FrameScorer:
 
     Work is shared across a call's candidates per band instead of per frame:
     each run of map rows of a :class:`MapSegments` segment at given levels is
-    computed once into a row bank. The bank starts with a block of 1.0 rows,
-    which stands for every segment whose passes are all at level 0, as
-    :func:`quality.ssim` leaves those rows. Each candidate's whole map is
-    gathered from the bank and averaged in full along one axis, which sums in
-    the order of the map's own ``mean()``. So every score is bitwise the one
+    computed once, and its :func:`quality.row_sums` go into a bank. The bank
+    starts with a block of the sums of 1.0 rows, which stands for every
+    segment whose passes are all at level 0, as :func:`quality.ssim` leaves
+    those rows. Each candidate's row sums are gathered from the bank and
+    averaged by :func:`quality.map_mean`. So every score is bitwise the one
     :func:`quality.quality_error` gives for the whole frame.
     """
 
@@ -135,9 +137,11 @@ class FrameScorer:
         segments = segmentation.bounds
         bands = self.bands
 
-        # The row bank's parts: a block of 1.0 rows, then each filled run.
+        # The row-sum bank's parts: a block of 1.0 rows' sums, each exactly
+        # the map's width, then each filled run's.
         longest = max(hi - lo for lo, hi, _, _ in segments)
-        parts = [np.ones((longest, x.shape[1] - span))]
+        width = x.shape[1] - span
+        parts = [np.full(longest, float(width))]
         used = longest
         # Per segment: its passes, and their levels -> first bank row of the block.
         memos = [(q0, q1, {(0,) * (q1 - q0): 0}) for _, _, q0, q1 in segments]
@@ -152,7 +156,7 @@ class FrameScorer:
             rows = ssim_rows(
                 x[lo : hi + span], ys, None if moments is None else moments.rows(lo, hi)
             )
-            parts.append(rows)
+            parts.append(row_sums(rows))
             for s in run:
                 q0, q1, memo = memos[s]
                 memo[config.levels[q0:q1]] = used + segments[s][0] - lo
@@ -175,36 +179,12 @@ class FrameScorer:
                 row = [memo[levels[q0:q1]] for q0, q1, memo in memos]
             blocks.append(row)
         bank = np.concatenate(parts)
-        del parts  # the bank holds every part now
         # A candidate's map row r is row local[r] of the bank block that holds
         # its levels of segment segment_of[r].
-        maps = bank[np.array(blocks)[:, segmentation.segment_of] + segmentation.local]
-        ssims = maps.reshape(len(maps), -1).mean(axis=1).tolist()
+        sums = bank[np.array(blocks)[:, segmentation.segment_of] + segmentation.local]
+        ssims = map_mean(sums, sums.shape[1] * width).tolist()
         scores = {config: max(0.0, 1.0 - ssim) for config, ssim in zip(degraded, ssims)}
         return [scores.get(c, 0.0) for c in configs]
-
-
-# The most elements numpy's pairwise summation adds in one block (its
-# PW_BLOCKSIZE), with eight partial sums.
-PAIRWISE_BLOCK = 128
-
-
-def pairwise_sum(block, lo: int, hi: int):
-    """Elements ``lo .. hi - 1`` of a contiguous float64 array, summed in the
-    order of numpy's pairwise summation, given ``block(lo, hi)``: the sum of
-    each block of at most :data:`PAIRWISE_BLOCK` elements.
-
-    numpy splits a range of more than a block at half its length, rounded
-    down to a multiple of 8, and adds the halves' sums; ``np.add.reduce``
-    along a row of at most a block sums that block the way the whole array's
-    reduction does. With ``block`` returning ``[(lo, hi)]`` the result is the
-    list of blocks, in order.
-    """
-    if hi - lo <= PAIRWISE_BLOCK:
-        return block(lo, hi)
-    half = (hi - lo) // 2
-    mid = lo + half - half % 8
-    return pairwise_sum(block, lo, mid) + pairwise_sum(block, mid, hi)
 
 
 # Map rows one filter call of :func:`lattice_errors` computes at most, junk
@@ -223,16 +203,13 @@ class _LatticePlan:
     # the frame's band stack, the reference moments' rows, and the output
     # rows the bank keeps.
     fills: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-    # The bank's rows: a block of ``ones`` rows of 1.0, then the kept rows.
+    # The bank's row sums: a block of ``ones`` sums of 1.0 rows, then the
+    # kept rows' sums.
     ones: int
     rows: int
-    # Per summation block length: bank indices, one row per block of that
-    # length and combination of levels. int32 halves what the plan holds
-    # (0.64 -> 0.32 MB on demo), for ~0.2 ms more per call in the gathers.
-    gathers: dict[int, np.ndarray]
-    # Per block's first element: its length, its rows in that gather, and
-    # its table's level-grid shape.
-    blocks: dict[int, tuple[int, int, int, tuple[int, ...]]]
+    # Per segment: the bank entries of its map rows' sums, along the last
+    # axis, over :func:`configspace.level_grid` shapes of its passes' levels.
+    tables: tuple[np.ndarray, ...]
     # Elements per map, and the lattice's shape.
     size: int
     shape: tuple[int, ...]
@@ -275,13 +252,13 @@ def _fill_runs(segments, counts) -> list[tuple[int, int, dict[int, int]]]:
 def _lattice_plan(
     roster: PassRoster, starts: tuple[int, ...], height: int, width: int
 ) -> _LatticePlan:
-    """The fills and gathers of :func:`lattice_errors`.
+    """The fills and row-sum tables of :func:`lattice_errors`.
 
     The runs of :func:`_fill_runs` are stacked into filter calls of at most
     :data:`_FILL_ROWS` map rows; the 10 map rows between two stacked runs
-    mix both runs' image rows and are dropped. Each summation block's bank
-    indices span the levels of the passes its rows' segments touch, along
-    those passes' axes of :func:`configspace.level_grid`.
+    mix both runs' image rows and are dropped. Each segment's table spans
+    the levels of the passes it touches, along those passes' axes of
+    :func:`configspace.level_grid`.
     """
     segments = map_segments(starts, height)
     span = SSIM_WINDOW - 1
@@ -295,11 +272,9 @@ def _lattice_plan(
     stack_at = height + np.cumsum([0, *above_0[:-1]]) - sizes - starts
 
     ones = max(hi - lo for lo, hi, _, _ in segments.bounds)
-    # Per segment: the bank row of each combination of its passes' levels
-    # (row-major), for the segment's first map row; all-0 is the 1.0 block.
-    first = [
-        np.zeros(math.prod(counts[q0:q1]), dtype=np.intp) for *_, q0, q1 in segments.bounds
-    ]
+    # Per segment: the bank row of each combination of its passes' levels,
+    # for the segment's first map row; all-0 is the 1.0 block.
+    first = [np.zeros(counts[q0:q1], dtype=np.intp) for *_, q0, q1 in segments.bounds]
     fills, batch, bank_rows = [], [], ones
 
     def flush() -> None:
@@ -320,43 +295,22 @@ def _lattice_plan(
         batch.append((image, np.where(level > 0, degraded, 0) + image))
         for u in range(s, t + 1):
             lo_u, _, q0, q1 = segments.bounds[u]
-            combo = np.ravel_multi_index([levels[q] for q in range(q0, q1)], counts[q0:q1])
-            first[u][combo] = bank_rows + lo_u - lo
+            first[u][tuple(levels[q] for q in range(q0, q1))] = bank_rows + lo_u - lo
         bank_rows += hi - lo
     if batch:
         flush()
 
     grid = level_grid(roster)
-    # Per segment, over the lattice: its first row's bank row.
-    block_rows = []
-    for (*_, q0, q1), rows in zip(segments.bounds, first):
-        combo = 0
-        for q in range(q0, q1):
-            combo = combo * counts[q] + grid[q]
-        block_rows.append(rows[combo])
-    size = n_rows * w
-    gathers: dict[int, list[np.ndarray]] = {}
-    blocks = {}
-    for lo, hi in pairwise_sum(lambda lo, hi: [(lo, hi)], 0, size):
-        row, col = np.divmod(np.arange(lo, hi), w)
-        of = segments.segment_of[row]
-        parts = [
-            (block_rows[u][..., None] + segments.local[row[of == u]]) * w + col[of == u]
-            for u in range(of[0], of[-1] + 1)
-        ]
-        shape = np.broadcast_shapes(*(part.shape[:-1] for part in parts))
-        index = np.concatenate([np.broadcast_to(p, (*shape, p.shape[-1])) for p in parts], axis=-1)
-        group = gathers.setdefault(hi - lo, [])
-        start = sum(map(len, group))
-        group.append(index.reshape(-1, hi - lo))
-        blocks[lo] = (hi - lo, start, start + len(group[-1]), shape)
+    tables = tuple(
+        rows[grid[q0:q1]][..., None] + np.arange(hi - lo)
+        for (lo, hi, q0, q1), rows in zip(segments.bounds, first)
+    )
     return _LatticePlan(
         fills=tuple(fills),
         ones=ones,
         rows=bank_rows,
-        gathers={n: np.concatenate(group).astype(np.int32) for n, group in gathers.items()},
-        blocks=blocks,
-        size=size,
+        tables=tables,
+        size=n_rows * w,
         shape=counts,
     )
 
@@ -366,13 +320,13 @@ def lattice_errors(scenario: Scenario, frame: int) -> np.ndarray:
     order; a :class:`FrameScorer`'s scores of the whole lattice, bit for bit.
 
     Every segment's map rows are filled for every combination of its passes'
-    levels, against reference moments computed once. A map's mean is the
-    pairwise sum of its summation blocks (:func:`pairwise_sum`) over its
-    size, and a block's sum depends only on the levels of the passes its
-    rows' segments touch. So each block becomes a table over those levels,
-    one ``np.add.reduce`` row per combination, and the tables are added in
-    numpy's order by broadcasting over :func:`configspace.level_grid`
-    shapes, as :func:`simgpu.exact_power_all` adds its per-pass tables.
+    levels, against reference moments computed once, and summed by
+    :func:`quality.row_sums`. A map row's sum depends only on the levels of
+    the passes its segment touches, so each segment's sums form a table
+    over those levels that broadcasts over :func:`configspace.level_grid`
+    shapes, as :func:`simgpu.exact_power_all` broadcasts its per-pass
+    tables. The tables, joined in map-row order along a last axis, give
+    every configuration's row sums for :func:`quality.map_mean`.
     """
     synth, roster = scenario.synthesizer, scenario.roster
     plan = _lattice_plan(roster, band_starts(synth), synth.height, synth.width)
@@ -384,19 +338,15 @@ def lattice_errors(scenario: Scenario, frame: int) -> np.ndarray:
         stack += [bands[i, level] for level in range(1, p.level_count)]
     stack = np.concatenate(stack)
     del reference, bands  # the stack holds their rows now
-    bank = np.empty((plan.rows, synth.width - SSIM_WINDOW + 1))
-    bank[: plan.ones] = 1.0
+    bank = np.empty(plan.rows)
+    # A row of 1.0s sums exactly to the map's width.
+    bank[: plan.ones] = synth.width - SSIM_WINDOW + 1
     at = plan.ones
     for image, ys, rows, keep in plan.fills:
         m = ReferenceMoments(moments.mean[rows], moments.mean_sq[rows])
-        bank[at : at + len(keep)] = ssim_rows(stack[image], stack[ys], m)[keep]
+        bank[at : at + len(keep)] = row_sums(ssim_rows(stack[image], stack[ys], m))[keep]
         at += len(keep)
-    bank = bank.ravel()
-    sums = {n: np.add.reduce(bank[index], axis=1) for n, index in plan.gathers.items()}
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        n, a, b, shape = plan.blocks[lo]
-        return sums[n][a:b].reshape(shape)
-
-    ssims = np.broadcast_to(pairwise_sum(block, 0, plan.size), plan.shape) / plan.size
-    return np.maximum(1.0 - ssims, 0.0).ravel()
+    sums = np.concatenate(
+        [np.broadcast_to(bank[t], (*plan.shape, t.shape[-1])) for t in plan.tables], axis=-1
+    )
+    return np.maximum(1.0 - map_mean(sums, plan.size), 0.0).ravel()

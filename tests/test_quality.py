@@ -18,8 +18,10 @@ from rendergov.quality import (
     FrameImage,
     calibrate_ratios,
     estimate_error,
+    map_mean,
     quality_error,
     reference_moments,
+    row_sums,
     ssim,
     ssim_rows,
     update_worst_errors,
@@ -60,7 +62,9 @@ def test_ssim_matches_naive_reference_on_blurred_pattern(naive_ssim):
 
 def _full_frame_ssim(x: np.ndarray, y: np.ndarray) -> float:
     """SSIM as computed before row cropping: padded scipy filters over the
-    whole frame, cropped to the valid windows, mean over the full map."""
+    whole frame, cropped to the valid windows, mean over the full map as
+    quality.map_mean defines it: each row's np.add.reduce, added first row
+    to last, over the map's size."""
     half = np.arange(11) - 5.0
     taps = np.exp(-(half * half) / (2.0 * 1.5 * 1.5))
     taps /= taps.sum()
@@ -77,7 +81,7 @@ def _full_frame_ssim(x: np.ndarray, y: np.ndarray) -> float:
     ssim_map = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     )
-    return float(ssim_map.mean())
+    return float(sum(np.add.reduce(row) for row in ssim_map) / ssim_map.size)
 
 
 def _bit_exact_pairs():
@@ -131,6 +135,32 @@ def test_cropped_ssim_is_bit_exact():
         assert ssim(ref, candidate) == want, name
         moments = reference_moments(ref)
         assert np.array_equal(ssim_rows(x, y, moments), ssim_rows(x, y)), name
+
+
+def test_map_mean_adds_row_sums_in_map_order():
+    """A map's mean is its row sums added first row to last, over its size,
+    whether its rows are summed one map at a time or as a batch of maps."""
+    rng = np.random.default_rng(7)
+    # The map shapes of 128, 64 and 40 px frames, a non-square one, and one
+    # whose rows are longer than numpy's pairwise block of 128 elements.
+    for shape in ((118, 118), (54, 54), (30, 30), (37, 91), (41, 140)):
+        size = shape[0] * shape[1]
+        for count in (1, 5):
+            maps = rng.uniform(-1.0, 1.0, size=(count, *shape))
+            maps[:, : shape[0] // 3] = 1.0
+            loops = []
+            for m in maps:
+                total = 0.0
+                for row_sum in m.sum(axis=1):
+                    total += row_sum
+                loops.append(total / size)
+                assert map_mean(row_sums(m), size) == loops[-1], shape
+                one_at_a_time = [np.add.reduce(row) for row in m]
+                assert row_sums(m).tolist() == one_at_a_time, shape
+            # A batch of maps, and the Fortran-ordered maps ssim_rows returns.
+            assert map_mean(row_sums(maps), size).tolist() == loops, (shape, count)
+            fortran = np.asfortranarray(maps)
+            assert map_mean(row_sums(fortran), size).tolist() == loops, (shape, count)
 
 
 def test_ssim_dimension_mismatch_rejected():
