@@ -14,6 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rendergov import cli, harness, simgpu
@@ -31,7 +32,7 @@ from rendergov.harness import (
     write_oracle_table,
 )
 from rendergov.powermodel import predict_power
-from rendergov.quality import quality_error
+from rendergov.quality import map_mean, quality_error, row_sums
 from rendergov.simgpu import exact_power, measure_power, render_frame
 from rendergov.truth import FrameScorer
 
@@ -242,6 +243,21 @@ def test_true_errors_equal_full_frame_scores_for_any_list(
         for configs_list in lists:
             got = _true_errors(sc, frame, configs_list)
             assert got == [score(c) for c in configs_list], (sc.name, configs_list)
+
+
+def test_batch_means_equal_each_maps_own_mean():
+    """_true_errors averages a batch of SSIM maps' row sums along one axis;
+    that must give each map's own mean, as quality.ssim takes it, or scores
+    change bits."""
+    rng = np.random.default_rng(7)
+    # The map shapes of 128, 64 and 40 px frames, and a non-square one.
+    for shape in ((118, 118), (54, 54), (30, 30), (37, 91)):
+        for count in range(1, 10):
+            maps = rng.uniform(-1.0, 1.0, size=(count, *shape))
+            maps[:, : shape[0] // 3] = 1.0
+            own = [float(map_mean(row_sums(m), m.size)) for m in maps]
+            batched = map_mean(row_sums(maps), maps[0].size).tolist()
+            assert batched == own, (shape, count)
 
 
 def test_oracle_table_renders_each_band_level_once(demo_scenario, monkeypatch):

@@ -1,14 +1,37 @@
 import json
 from pathlib import Path
 
+import numpy as np
+
 from rendergov.configspace import enumerate_configurations
 from rendergov.harness import _true_errors
-from rendergov.quality import quality_error
+from rendergov.quality import map_mean, quality_error, row_sums
 from rendergov.scenario import scenario_from_dict
 from rendergov.simgpu import render_frame
 from rendergov.truth import lattice_errors
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def test_pairwise_model_equals_each_maps_own_mean():
+    """lattice_errors averages a map from row sums gathered out of a bank of
+    distinct rows' sums, joined in map-row order; that must give each map's
+    own mean, as quality.ssim takes it, or scores change bits. numpy's
+    pairwise blocks of 128 elements play no part: the 140-wide maps have
+    longer rows."""
+    rng = np.random.default_rng(14)
+    # The map shapes of 128, 64 and 40 px frames, a non-square one, and one
+    # with rows longer than numpy's pairwise block.
+    for shape in ((118, 118), (54, 54), (30, 30), (37, 91), (41, 140)):
+        rows = rng.uniform(-1.0, 1.0, size=(3 * shape[0], shape[1]))
+        rows[: shape[0] // 3] = 1.0
+        bank = row_sums(rows)
+        # Each map picks its rows from the bank, as a configuration picks its
+        # segments' blocks.
+        picks = rng.integers(0, len(rows), size=(12, shape[0]))
+        maps = rows[picks]
+        gathered = map_mean(bank[picks], maps[0].size).tolist()
+        assert gathered == [float(map_mean(row_sums(m), m.size)) for m in maps], shape
 
 
 def test_lattice_errors_equal_true_errors_of_every_config(lattice_scenario):
