@@ -6,8 +6,10 @@ For each ``scenarios/*.json`` it writes ``OUT_DIR/<name>/run_log.csv`` and
 ``summary.txt`` from a governed run at the scenario's default seed (or at
 ``--seed``), plus demo's ``oracle_frame200.csv``, mini's
 ``oracle_frame120.csv`` (a second frame geometry: 64 px, with a 2-level
-resolution pass) and the logs and summaries of ``replay``s of demo's worst
-and best configurations, ``demo_error/``: a demo run
+resolution pass), ``demo_lattice/oracle_frame600.csv`` (demo grown to 8
+passes, 6,561 configurations, as ``tests/conftest.py`` builds it) and the
+logs and summaries of ``replay``s of demo's worst and best configurations,
+``demo_error/``: a demo run
 in error mode, which selects by the dual objective, and ``mini_cut/``: a mini
 run and a replay of mini's worst configuration whose trace is cut to 203
 frames, not a whole number of the 16-frame chunks ``run`` and ``replay``
@@ -32,6 +34,7 @@ then on the change with ``--against REF_DIR`` and the same seeds, e.g.
 import argparse
 import dataclasses
 import itertools
+import json
 import math
 import re
 import sys
@@ -42,7 +45,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from rendergov.cli import _apply_overrides  # noqa: E402
 from rendergov.harness import replay, run, write_oracle_table  # noqa: E402
-from rendergov.scenario import load_scenario  # noqa: E402
+from rendergov.scenario import load_scenario, scenario_from_dict  # noqa: E402
 
 # The scenario whose best- and worst-configuration replays are written, and
 # which is also run in error mode.
@@ -54,6 +57,30 @@ ORACLE_FRAMES = {"demo": 200, "mini": 120}
 # chunk.
 CUT_SCENARIO = "mini"
 CUT_FRAMES = 203
+# Demo grown to 8 passes (3**8 configurations) by cloning these passes, whose
+# oracle table is written at one frame: the largest lattice the oracle's bulk
+# scoring broadcasts over.
+LATTICE_CLONES = ("shadows", "metals")
+LATTICE_FRAME = 600
+
+
+def lattice_scenario(seed: int | None):
+    doc = json.loads((ROOT / "scenarios" / "demo.json").read_text())
+    roster = []
+    for entry in doc["roster"]:
+        roster.append(entry)
+        if entry["name"] in LATTICE_CLONES:
+            roster.append({**entry, "name": entry["name"] + "_2"})
+    doc["roster"] = roster
+    for section in (
+        doc["cost_table"],
+        doc["oracle"]["passes"],
+        doc["trace"]["passes"],
+        doc["synthesizer"]["passes"],
+    ):
+        for name in LATTICE_CLONES:
+            section[name + "_2"] = section[name]
+    return _apply_overrides(scenario_from_dict(doc), argparse.Namespace(seed=seed))
 
 
 def write_outputs(out_dir: Path, seed: int | None) -> None:
@@ -73,6 +100,7 @@ def write_outputs(out_dir: Path, seed: int | None) -> None:
             cut = dataclasses.replace(scenario, trace=trace)
             run(cut, out_dir / f"{path.stem}_cut")
             replay(cut, cut.roster.worst_config(), out_dir / f"{path.stem}_cut")
+    write_oracle_table(lattice_scenario(seed), LATTICE_FRAME, out_dir / "demo_lattice")
 
 
 def seed_dirs(out_dir: Path, seeds: list[int | None]) -> list[Path]:

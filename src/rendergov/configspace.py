@@ -156,7 +156,14 @@ class PassRoster:
 def enumerate_configurations(roster: PassRoster) -> list[RenderingConfiguration]:
     """All configurations in lexicographic order; length is the product of level counts."""
     ranges = [range(p.level_count) for p in roster.passes]
-    return [RenderingConfiguration(levels) for levels in itertools.product(*ranges)]
+    # product yields tuples of built-in ints already, so each configuration
+    # is made without __post_init__'s coercion.
+    configs = []
+    for levels in itertools.product(*ranges):
+        config = object.__new__(RenderingConfiguration)
+        object.__setattr__(config, "levels", levels)
+        configs.append(config)
+    return configs
 
 
 def level_grid(roster: PassRoster) -> tuple[np.ndarray, ...]:

@@ -484,8 +484,13 @@ class _Scorer:
 
 
 def _mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    # Left to right: since Python 3.12 the builtin sum() compensates float
+    # rounding, and the summaries would change with the interpreter.
+    total, count = 0.0, 0
+    for value in values:
+        total += value
+        count += 1
+    return total / count if count else 0.0
 
 
 def replay_trace(scenario: Scenario, config: RenderingConfiguration, on_frame=None) -> dict:

@@ -231,7 +231,11 @@ def predict_power(
     asymptote is open in exact arithmetic; rounding can still land on P_M at
     extreme loads, so the bound is enforced explicitly.
     """
-    alpha = sum(load_terms(saturation, coefficients, primitives))
+    # Left to right, as lattice_power adds its tables: since Python 3.12 the
+    # builtin sum() compensates float rounding, which changes the last bits.
+    alpha = 0.0
+    for term in load_terms(saturation, coefficients, primitives):
+        alpha += term
     p = saturation.p_min + saturation.span * (1.0 - math.exp(-alpha))
     return min(p, math.nextafter(saturation.p_max, -math.inf))
 

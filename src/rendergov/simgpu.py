@@ -325,17 +325,17 @@ class HiddenPowerOracle:
         model_indices = self.roster.model_pass_indices
         if len(model_indices) != n or len(primitives) != n:
             raise ValueError("saturation, coefficients, and primitives disagree on pass count")
-        terms = []
+        # The terms add left to right, as in powermodel.predict_power.
+        alpha = 0.0
         for i, ri in enumerate(model_indices):
             scale = 1.0 if cost_scales is None else cost_scales[i]
             big_b, big_v, big_f = sat.per_pass[i]
             b, v, f = primitives[i]
-            terms.append(
+            alpha += (
                 self.k_b[i] * scale * b / big_b
                 + self._k_v[i] * scale * v / big_v
                 + self._k_f[i][config[ri]] * scale * f / big_f
             )
-        alpha = sum(terms)
         return sat.p_min + sat.span * (1.0 - math.exp(-alpha))
 
     def noise(self, frame_index: int) -> float:
@@ -730,7 +730,11 @@ def probe_saturation(
                 fallback.append(count / -math.log(1.0 - norm))
         if not estimates:
             estimates = fallback or [readings[-1][0]]
-        constants[mi][kind] = sum(estimates) / len(estimates)
+        # Left to right, as in powermodel.predict_power, not by sum().
+        total = 0.0
+        for estimate in estimates:
+            total += estimate
+        constants[mi][kind] = total / len(estimates)
 
     saturation = SaturationConstants(
         p_min=p_min,

@@ -7,8 +7,8 @@ once from the frame's all-best render. A :class:`FrameScorer` scores any
 list of configurations of one frame; the governor's background SSIMs, ratio
 calibration and ``harness._true_errors`` all use it. :func:`lattice_errors`
 scores every configuration at once for ``harness.oracle_table``. Both sum
-each distinct map row once and take every map's mean with
-:func:`quality.map_mean` from those row sums, so both give, bit for bit, what
+each distinct map row once and take every map's mean from those row sums as
+:func:`quality.map_mean` defines it, so both give, bit for bit, what
 :func:`quality.quality_error` gives for full-frame renders.
 """
 
@@ -207,8 +207,9 @@ class _LatticePlan:
     # kept rows' sums.
     ones: int
     rows: int
-    # Per segment: the bank entries of its map rows' sums, along the last
-    # axis, over :func:`configspace.level_grid` shapes of its passes' levels.
+    # Per map row, in order: the bank entry of its sum, over
+    # :func:`configspace.level_grid` shapes of the levels of the passes its
+    # segment touches.
     tables: tuple[np.ndarray, ...]
     # Elements per map, and the lattice's shape.
     size: int
@@ -256,9 +257,9 @@ def _lattice_plan(
 
     The runs of :func:`_fill_runs` are stacked into filter calls of at most
     :data:`_FILL_ROWS` map rows; the 10 map rows between two stacked runs
-    mix both runs' image rows and are dropped. Each segment's table spans
-    the levels of the passes it touches, along those passes' axes of
-    :func:`configspace.level_grid`.
+    mix both runs' image rows and are dropped. Each map row's table spans
+    the levels of the passes its segment touches, along those passes' axes
+    of :func:`configspace.level_grid`.
     """
     segments = map_segments(starts, height)
     span = SSIM_WINDOW - 1
@@ -302,8 +303,9 @@ def _lattice_plan(
 
     grid = level_grid(roster)
     tables = tuple(
-        rows[grid[q0:q1]][..., None] + np.arange(hi - lo)
+        rows[grid[q0:q1]] + k
         for (lo, hi, q0, q1), rows in zip(segments.bounds, first)
+        for k in range(hi - lo)
     )
     return _LatticePlan(
         fills=tuple(fills),
@@ -322,11 +324,13 @@ def lattice_errors(scenario: Scenario, frame: int) -> np.ndarray:
     Every segment's map rows are filled for every combination of its passes'
     levels, against reference moments computed once, and summed by
     :func:`quality.row_sums`. A map row's sum depends only on the levels of
-    the passes its segment touches, so each segment's sums form a table
+    the passes its segment touches, so each map row's sums form a table
     over those levels that broadcasts over :func:`configspace.level_grid`
     shapes, as :func:`simgpu.exact_power_all` broadcasts its per-pass
-    tables. The tables, joined in map-row order along a last axis, give
-    every configuration's row sums for :func:`quality.map_mean`.
+    tables. The tables are added into one running total, first map row to
+    last, and the total is divided by the map's size once. That is
+    :func:`quality.map_mean`'s definition, so every configuration's error
+    has the bits of the mean of its own row sums.
     """
     synth, roster = scenario.synthesizer, scenario.roster
     plan = _lattice_plan(roster, band_starts(synth), synth.height, synth.width)
@@ -346,7 +350,8 @@ def lattice_errors(scenario: Scenario, frame: int) -> np.ndarray:
         m = ReferenceMoments(moments.mean[rows], moments.mean_sq[rows])
         bank[at : at + len(keep)] = row_sums(ssim_rows(stack[image], stack[ys], m))[keep]
         at += len(keep)
-    sums = np.concatenate(
-        [np.broadcast_to(bank[t], (*plan.shape, t.shape[-1])) for t in plan.tables], axis=-1
-    )
-    return np.maximum(1.0 - map_mean(sums, plan.size), 0.0).ravel()
+    # 0.0 + x is x, so the total starts where map_mean's fold does.
+    total = np.zeros(plan.shape)
+    for table in plan.tables:
+        total += bank[table]
+    return np.maximum(1.0 - total / plan.size, 0.0).ravel()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, seed
@@ -81,6 +82,22 @@ def test_enumeration_bijection(level_counts):
     for idx, cfg in enumerate(configs):
         assert config_index(roster, cfg) == idx
         assert config_at(roster, idx) == cfg
+
+
+def test_enumeration_builds_plain_configurations(demo_scenario, mini_scenario, lattice_scenario):
+    """enumerate_configurations skips __post_init__; what it builds must be
+    what the constructor builds."""
+    for sc in (demo_scenario, mini_scenario, lattice_scenario):
+        roster = sc.roster
+        configs = enumerate_configurations(roster)
+        ranges = [range(p.level_count) for p in roster.passes]
+        assert len(configs) == roster.config_count
+        for idx, (cfg, levels) in enumerate(zip(configs, itertools.product(*ranges))):
+            built = RenderingConfiguration(levels)
+            assert cfg == built and hash(cfg) == hash(built)
+            assert type(cfg.levels) is tuple
+            assert all(type(v) is int for v in cfg.levels)
+            assert config_index(roster, cfg) == idx
 
 
 def test_every_worst_single_degradation_appears_once():

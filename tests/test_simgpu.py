@@ -542,6 +542,31 @@ def test_count_producers_zero_unused_kinds(mini_scenario):
     ] == unused
 
 
+def test_scalar_power_adds_load_terms_left_to_right():
+    """Both scalar formulas add their load terms left to right, as the bulk
+    tables do. Terms of 1.0 then six of 1e-16 add to exactly 1.0 that way;
+    a compensated sum, as the builtin sum() of floats is since Python 3.12,
+    gives 1.0 + 3 ulp."""
+    n = 7
+    roster = PassRoster(tuple(PassDescriptor(f"p{i}", 1, uses_batches=True) for i in range(n)))
+    saturation = SaturationConstants(10.0, 100.0, ((1.0, 1.0, 1.0),) * n)
+    k_b = (1.0,) + (1e-16,) * (n - 1)
+    assert math.fsum(k_b) != 1.0
+    primitives = ((1.0, 0.0, 0.0),) * n
+    watts = 10.0 + 90.0 * (1.0 - math.exp(-1.0))
+    coefficients = PowerCoefficients(tuple((k, 0.0, 0.0) for k in k_b))
+    assert load_terms(saturation, coefficients, primitives) == list(k_b)
+    assert predict_power(saturation, coefficients, primitives) == watts
+    oracle = HiddenPowerOracle(
+        roster=roster,
+        saturation=saturation,
+        k_b=k_b,
+        unit_costs=UnitCosts(0.0, 0.0),
+        public_costs=CostTable(ins_v=(0.0,) * n, ins_f=((0.0,),) * n, tex_f=((0.0,),) * n),
+    )
+    assert oracle.exact_power_from_primitives(roster.best_config(), primitives) == watts
+
+
 def test_exact_power_all_equals_scalar_path(
     mini_scenario, regime_scenario, demo_scenario
 ):

@@ -13,25 +13,39 @@ from rendergov.truth import lattice_errors
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def test_pairwise_model_equals_each_maps_own_mean():
-    """lattice_errors averages a map from row sums gathered out of a bank of
-    distinct rows' sums, joined in map-row order; that must give each map's
-    own mean, as quality.ssim takes it, or scores change bits. numpy's
-    pairwise blocks of 128 elements play no part: the 140-wide maps have
-    longer rows."""
+def test_row_by_row_fold_equals_each_maps_own_mean():
+    """lattice_errors adds, one map row at a time, that row's sums gathered
+    from a bank of distinct rows' sums through a table over the levels of
+    the passes the row touches, broadcast over the lattice, and divides the
+    total by the map's size. That must be each configuration's map_mean of
+    its own row sums, as quality.ssim takes it, or scores change bits. The
+    140-wide maps have rows longer than numpy's pairwise block."""
     rng = np.random.default_rng(14)
+    counts = (3, 2, 4)
+    grid = np.indices(counts, sparse=True)
     # The map shapes of 128, 64 and 40 px frames, a non-square one, and one
     # with rows longer than numpy's pairwise block.
     for shape in ((118, 118), (54, 54), (30, 30), (37, 91), (41, 140)):
         rows = rng.uniform(-1.0, 1.0, size=(3 * shape[0], shape[1]))
         rows[: shape[0] // 3] = 1.0
         bank = row_sums(rows)
-        # Each map picks its rows from the bank, as a configuration picks its
-        # segments' blocks.
-        picks = rng.integers(0, len(rows), size=(12, shape[0]))
-        maps = rows[picks]
-        gathered = map_mean(bank[picks], maps[0].size).tolist()
-        assert gathered == [float(map_mean(row_sums(m), m.size)) for m in maps], shape
+        # Each map row's table spans the axes of one or two adjacent passes,
+        # as a segment's rows do.
+        tables = []
+        for _ in range(shape[0]):
+            q0 = int(rng.integers(0, len(counts)))
+            q1 = min(q0 + int(rng.integers(1, 3)), len(counts))
+            picks = rng.integers(0, len(rows), size=counts[q0:q1])
+            tables.append(picks[grid[q0:q1]])
+        total = np.zeros(counts)
+        for table in tables:
+            total += bank[table]
+        got = (total / rows[: shape[0]].size).ravel().tolist()
+        want = []
+        for levels in np.ndindex(counts):
+            m = rows[[np.broadcast_to(t, counts)[levels] for t in tables]]
+            want.append(float(map_mean(row_sums(m), m.size)))
+        assert got == want, shape
 
 
 def test_lattice_errors_equal_true_errors_of_every_config(lattice_scenario):
