@@ -6,8 +6,10 @@ For each ``scenarios/*.json`` it writes ``OUT_DIR/<name>/run_log.csv`` and
 ``summary.txt`` from a governed run at the scenario's default seed (or at
 ``--seed``), plus demo's ``oracle_frame200.csv``, mini's
 ``oracle_frame120.csv`` (a second frame geometry: 64 px, with a 2-level
-resolution pass), ``demo_lattice/oracle_frame600.csv`` (demo grown to 8
-passes, 6,561 configurations, as ``tests/conftest.py`` builds it) and the
+resolution pass), ``demo_lattice/`` (demo grown to 8 passes, 6,561
+configurations, as ``tests/conftest.py`` builds it: its ``oracle_frame600.csv``
+and the ``run_log.csv`` and ``summary.txt`` of a governed run, whose
+background cycle has 9 slots) and the
 logs and summaries of ``replay``s of demo's worst and best configurations,
 ``demo_error/``: a demo run
 in error mode, which selects by the dual objective, and ``mini_cut/``: a mini
@@ -57,9 +59,9 @@ ORACLE_FRAMES = {"demo": 200, "mini": 120}
 # chunk.
 CUT_SCENARIO = "mini"
 CUT_FRAMES = 203
-# Demo grown to 8 passes (3**8 configurations) by cloning these passes, whose
-# oracle table is written at one frame: the largest lattice the oracle's bulk
-# scoring broadcasts over.
+# Demo grown to 8 passes (3**8 configurations) by cloning these passes, which
+# is run, and whose oracle table is written at one frame: the largest lattice
+# the oracle's bulk scoring broadcasts over, and the longest background cycle.
 LATTICE_CLONES = ("shadows", "metals")
 LATTICE_FRAME = 600
 
@@ -100,7 +102,9 @@ def write_outputs(out_dir: Path, seed: int | None) -> None:
             cut = dataclasses.replace(scenario, trace=trace)
             run(cut, out_dir / f"{path.stem}_cut")
             replay(cut, cut.roster.worst_config(), out_dir / f"{path.stem}_cut")
-    write_oracle_table(lattice_scenario(seed), LATTICE_FRAME, out_dir / "demo_lattice")
+    lattice = lattice_scenario(seed)
+    run(lattice, out_dir / "demo_lattice")
+    write_oracle_table(lattice, LATTICE_FRAME, out_dir / "demo_lattice")
 
 
 def seed_dirs(out_dir: Path, seeds: list[int | None]) -> list[Path]:

@@ -204,6 +204,40 @@ def accuracy_check(
     return total / len(window) > threshold * model.saturation.span
 
 
+def background_slots(roster: PassRoster) -> list[int | None]:
+    """The background cycle's slots in order: ``None`` for the reference,
+    then each degradable pass."""
+    return [None] + [i for i, p in enumerate(roster.passes) if p.level_count > 1]
+
+
+def pass_slot_config(roster: PassRoster, slot: int) -> RenderingConfiguration:
+    """The configuration a pass slot scores: that pass alone at its worst level."""
+    return single_degradation_config(roster, slot, roster.passes[slot].level_count - 1)
+
+
+def background_plan(
+    roster: PassRoster, config: GovernorConfig, frame_count: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The background cycle of a :class:`Governor` ticked over frames
+    0 … ``frame_count`` − 1: each reference frame, with the passes whose
+    slots score against it inside the trace, in slot order. References with
+    no such pass are left out.
+
+    Slot k of the cycle falls on frame k · ``error_frequency``, so the plan
+    depends only on the roster, ``error_frequency`` and the frame count.
+    """
+    slots = background_slots(roster)
+    every = config.error_frequency
+    plan = []
+    for ref in range(0, frame_count, every * len(slots)):
+        passes = tuple(
+            slot for k, slot in enumerate(slots[1:], 1) if ref + k * every < frame_count
+        )
+        if passes:
+            plan.append((ref, passes))
+    return plan
+
+
 @dataclass
 class GovernorState:
     phase: str
@@ -258,12 +292,16 @@ class Governor:
     - ``primitives(config, frame) -> per-pass (b, v, f)``  (pipeline queries)
     - ``scorer(frame) -> score``  (background renders and SSIMs): ``score``
       maps a list of configurations to their ``1 - SSIM`` against the
-      all-best render of ``frame``, as :class:`truth.FrameScorer` does
+      all-best render of ``frame``, as :class:`truth.FrameScorer` does. It
+      may also return scores computed ahead of time, elsewhere.
 
     Every ``error_frequency`` frames the background cycle takes its next
-    slot. The ``ref`` slot takes the scorer of that frame; each pass slot
-    scores that pass's worst-level configuration with it, and the error
-    lands ``ssim_latency_frames`` later.
+    slot, in :func:`background_slots` order. The ``ref`` slot takes the
+    scorer of that frame; each pass slot scores that pass's worst-level
+    configuration (:func:`pass_slot_config`) with it, and the error lands
+    ``ssim_latency_frames`` later. Ticked over frames 0, 1, 2, …, the
+    governor asks for exactly the scores :func:`background_plan` lists, in
+    its order, so a caller can have them computed before they are asked for.
 
     Like the paper's governor, it reads the meter, and the counts of the
     configuration it renders, only on frames whose sample fills the
@@ -296,10 +334,7 @@ class Governor:
         self.state = GovernorState(phase=phase, s_old=start, s_new=start, s_eff=start)
         self.budget = budget_watts(config, power_model.saturation)
 
-        # Background cycle: reference first, then each degradable pass.
-        self._bg_slots: list[int | None] = [None] + [
-            i for i, p in enumerate(roster.passes) if p.level_count > 1
-        ]
+        self._bg_slots = background_slots(roster)
         # The frame of the cycle's reference, and its scorer.
         self._pending_ref: tuple[int, object] | None = None
         self._pending: list[tuple[int, str, object]] = []
@@ -404,8 +439,7 @@ class Governor:
         if self._pending_ref is None:
             return ""
         ref_frame, score = self._pending_ref
-        lmax = self.roster.passes[slot].level_count - 1
-        (error,) = score([single_degradation_config(self.roster, slot, lmax)])
+        (error,) = score([pass_slot_config(self.roster, slot)])
         self._schedule(
             frame + self.config.ssim_latency_frames,
             "error",

@@ -23,7 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .configspace import RenderingConfiguration, enumerate_configurations
-from .governor import Governor, RunLogRecord, budget_watts
+from .governor import (
+    Governor,
+    RunLogRecord,
+    background_plan,
+    budget_watts,
+    pass_slot_config,
+)
 from .powermodel import (
     FrameSample,
     PowerCoefficients,
@@ -291,9 +297,9 @@ def _true_errors(
 # and 8 gained less.
 _CHUNK = 16
 
-# The scenario a forked scoring worker serves, the chunks' claim flags, and the
+# The scenario a forked scoring worker serves, the tasks' claim flags, and the
 # event it sets when it starts a :meth:`_Scorer.later` task. Its initializer
-# sets them, so a task carries only its chunk's index, frames and jobs.
+# sets them, so a task carries only its claim flag's index and what it scores.
 _worker_scenario: Scenario | None = None
 _worker_claims = None
 _worker_started = None
@@ -356,7 +362,7 @@ def _start_worker(scenario: Scenario, cpus, claims, started) -> None:
 
 
 def _claim(claims, i: int) -> bool:
-    """Set chunk ``i``'s claim flag; False if it was set already."""
+    """Set task ``i``'s claim flag; False if it was set already."""
     with claims.get_lock():
         if claims[i]:
             return False
@@ -375,19 +381,31 @@ def _score_in_worker(i, frames, jobs) -> tuple[list[_FramePowers], list[list[flo
     return _score_chunk(_worker_scenario, frames, jobs) if _claim(_worker_claims, i) else None
 
 
+def _background_in_worker(i, frame: int, passes: tuple[int, ...]) -> dict | None:
+    """Task ``i``: each pass slot's configuration of ``passes`` mapped to its
+    error against ``frame``'s reference, all from one
+    :class:`truth.FrameScorer` call; or None if the caller has claimed it."""
+    if not _claim(_worker_claims, i):
+        return None
+    configs = [pass_slot_config(_worker_scenario.roster, p) for p in passes]
+    return dict(zip(configs, FrameScorer(_worker_scenario.synthesizer, frame)(configs)))
+
+
 class _Scorer:
-    """Scores up to ``tasks`` chunks with :func:`_score_chunk` beside the
-    caller; a context manager.
+    """Scores up to ``tasks`` tasks beside the caller: chunks, each with
+    :func:`_score_chunk`, and a run's background cycle; a context manager.
 
     With n = min(CPUs this process may run on, ``tasks``) > 1 (``workers``,
     for tests, replaces the CPU count), n - 1 workers are forked from one
     process pool on the first :meth:`later` or :meth:`submit`, and work while
     the caller goes on. Each worker and the caller is pinned to its own CPU,
     because the scheduler can leave a forked child on its parent's CPU; the
-    caller gets its CPU set back on exit. Each chunk has a claim flag that the
-    workers share: a worker claims a chunk before it scores it and skips one
+    caller gets its CPU set back on exit. Each task has a claim flag that the
+    workers share: a worker claims a task before it scores it and skips one
     the caller has claimed. :meth:`results` has the caller claim and score,
-    from the last chunk back, every chunk no worker has started.
+    from the last chunk back, every chunk no worker has started, and the hook
+    :meth:`background` returns has it claim a background task no worker has
+    started when the governor asks for its reference.
 
     Each chunk is scored as it is submitted, with no process, when n <= 1,
     when CPU affinity or ``fork`` is not available, when the caller is
@@ -399,8 +417,10 @@ class _Scorer:
     def __init__(self, scenario: Scenario, tasks: int, workers: int | None = None):
         self.scenario = scenario
         self.pool: ProcessPoolExecutor | None = None
-        # Scored results without a pool; (frames, jobs, future) with one.
+        # Scored results without a pool; (frames, jobs, claim index, future)
+        # with one.
         self.chunks: list = []
+        self.submitted = 0
         self._exit = contextlib.ExitStack()
         _keep_freed_memory()
         pinnable = hasattr(os, "sched_getaffinity")
@@ -459,27 +479,60 @@ class _Scorer:
         self.started.wait()
         return future.result
 
+    def _submit(self, fn, *args):
+        """``fn(i, *args)`` submitted under the next claim flag ``i``, and
+        ``(i, future)``."""
+        i = self.submitted
+        self.submitted += 1
+        return i, self.pool.submit(fn, i, *args)
+
+    def background(self, plan: list[tuple[int, tuple[int, ...]]]):
+        """The governor's ``scorer`` hook for a background cycle that
+        :func:`governor.background_plan` gives as ``plan``.
+
+        With a pool, each plan entry becomes one task now, ahead of every
+        chunk, which a worker scores with :func:`_background_in_worker`.
+        Asked for a planned frame whose task a worker has claimed, the hook
+        returns a ``score`` that reads that task's result, waiting for it if
+        need be. Otherwise, and with no pool, it returns
+        ``FrameScorer(synthesizer, frame)``, for the caller to score in the
+        governor's tick. Either way the scores are the same floats.
+        """
+        own = partial(FrameScorer, self.scenario.synthesizer)
+        if self.pool is None:
+            return own
+        tasks = {
+            frame: self._submit(_background_in_worker, frame, passes) for frame, passes in plan
+        }
+
+        def scorer(frame: int):
+            i, future = tasks.pop(frame, (None, None))
+            if i is None or _claim(self.claims, i):
+                return own(frame)
+            return lambda configs: [future.result()[c] for c in configs]
+
+        return scorer
+
     def submit(
         self, frames: list[_Governed], jobs: list[tuple[int, list[RenderingConfiguration]]]
     ) -> None:
         if self.pool is None:
             self.chunks.append(_score_chunk(self.scenario, frames, jobs))
         else:
-            future = self.pool.submit(_score_in_worker, len(self.chunks), frames, jobs)
-            self.chunks.append((frames, jobs, future))
+            self.chunks.append((frames, jobs, *self._submit(_score_in_worker, frames, jobs)))
 
     def results(self) -> list[tuple[list[_FramePowers], list[list[float]]]]:
         """Every chunk's :func:`_score_chunk` result, in submission order."""
         if self.pool is None:
             return self.chunks
         scored = [None] * len(self.chunks)
-        for i in reversed(range(len(self.chunks))):
+        for k in reversed(range(len(self.chunks))):
+            frames, jobs, i, _ = self.chunks[k]
             if _claim(self.claims, i):
-                frames, jobs, _ = self.chunks[i]
-                scored[i] = _score_chunk(self.scenario, frames, jobs)
+                scored[k] = _score_chunk(self.scenario, frames, jobs)
         return [
             future.result() if done is None else done
-            for (_, _, future), done in zip(self.chunks, scored)
+            for (_, _, _, future), done in zip(self.chunks, scored)
         ]
 
 
@@ -537,6 +590,14 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     builds the governor. Where it cannot fork, the caller calibrates at that
     point. Either way the governor starts from :func:`initialize`'s models.
 
+    The governor's background cycle is known before the loop starts
+    (:func:`governor.background_plan`), so right after the calibration, and
+    before any chunk, the scorer gets one task per reference frame of the
+    cycle: score that cycle's pass slots against it, in the worker. The
+    governor's ticks then read those scores instead of computing them; only
+    a task the caller reaches before a worker has started it is scored in
+    the tick, as it is where the scorer cannot fork.
+
     The baselines ride along with the governed loop: every frame also
     measures the best and worst configurations, and every sampled frame
     scores the worst one against the same reference as ``s_eff``. The best
@@ -558,10 +619,13 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     frame_count = scenario.trace.frame_count
     every = scenario.error_sample_every
 
+    plan = background_plan(scenario.roster, scenario.governor, frame_count)
+
     rows = []
     model = config = coefficients = None
-    with _Scorer(scenario, -(-frame_count // _CHUNK)) as scorer:
+    with _Scorer(scenario, -(-frame_count // _CHUNK) + len(plan)) as scorer:
         ratios = scorer.later(_calibrate)
+        background = scorer.background(plan)
         init = _probe(scenario)
         gov = Governor(
             roster=scenario.roster,
@@ -572,7 +636,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
             primitives=lambda cfg, frame: scenario.trace.primitives_for(
                 scenario.roster, cfg, frame
             ),
-            scorer=partial(FrameScorer, scenario.synthesizer),
+            scorer=background,
             initial_config=scenario.initial_config,
         )
         for start in range(0, frame_count, _CHUNK):

@@ -21,7 +21,10 @@ from rendergov.governor import (
     PHASE_FILTERING,
     PHASE_SELECTING,
     accuracy_check,
+    background_plan,
+    background_slots,
     budget_watts,
+    pass_slot_config,
     select_configuration,
     select_configuration_error_budget,
     temporal_filter,
@@ -289,7 +292,7 @@ def test_accuracy_check_rejects_empty_window():
         accuracy_check(model, [], 0.1, model.fitted_config)
 
 
-def _governed_records(scenario, frames=None):
+def _governed_records(scenario, frames=None, scorer=None):
     init = initialize(scenario)
     gov = Governor(
         roster=scenario.roster,
@@ -298,7 +301,7 @@ def _governed_records(scenario, frames=None):
         error_model=init.error_model,
         measure=lambda c, f: measure_power(scenario.oracle, c, f, scenario.trace),
         primitives=lambda c, f: scenario.trace.primitives_for(scenario.roster, c, f),
-        scorer=partial(FrameScorer, scenario.synthesizer),
+        scorer=scorer or partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
     )
     records = []
@@ -475,6 +478,47 @@ def test_background_schedule_bounds_staleness(demo_scenario):
     record = records[completion]
     assert all(age >= 0 for age in record.staleness)
     assert max(record.staleness) <= slots * freq
+
+
+@pytest.mark.parametrize(
+    "name, frames, last",
+    [
+        ("mini_scenario", None, None),
+        ("regime_scenario", None, None),
+        ("demo_scenario", None, None),
+        ("lattice_scenario", None, None),
+        # A 9-slot cycle every 90 frames, cut after two of its pass slots,
+        # and right after its reference, which is then not planned.
+        ("lattice_scenario", 203, (180, 2)),
+        ("lattice_scenario", 181, (90, 8)),
+    ],
+)
+def test_background_plan_lists_the_governors_requests(name, frames, last, request):
+    """Ticked over frames 0 … N − 1, the governor asks its scorer for exactly
+    the (reference frame, configuration) scores ``background_plan`` lists, in
+    its order. ``run`` scores the plan ahead in its worker; a plan that
+    drifted from the governor would send those SSIMs back into the ticks."""
+    scenario = request.getfixturevalue(name)
+    if frames is not None:
+        trace = dataclasses.replace(scenario.trace, frame_count=frames)
+        scenario = dataclasses.replace(scenario, trace=trace)
+    roster = scenario.roster
+    requested = []
+
+    def scorer(frame):
+        def score(configs):
+            requested.extend((frame, config) for config in configs)
+            return [0.01] * len(configs)
+
+        return score
+
+    _governed_records(scenario, scorer=scorer)
+    plan = background_plan(roster, scenario.governor, scenario.trace.frame_count)
+    assert requested == [(ref, pass_slot_config(roster, p)) for ref, passes in plan for p in passes]
+    assert len(plan) > 1
+    if last is not None:
+        assert len(background_slots(roster)) == 9
+        assert (plan[-1][0], len(plan[-1][1])) == last
 
 
 @pytest.mark.parametrize("name", ["demo_40px_scenario", "lattice_scenario"])

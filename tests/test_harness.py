@@ -19,7 +19,7 @@ import pytest
 
 from rendergov import cli, harness, simgpu
 from rendergov.configspace import RenderingConfiguration, enumerate_configurations
-from rendergov.governor import Governor
+from rendergov.governor import Governor, background_plan
 from rendergov.harness import (
     _true_errors,
     initialize,
@@ -414,9 +414,10 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 
-def _recording_pools(monkeypatch, tasks=None) -> list:
-    """Record each pool's positional arguments in the returned list, and each
-    submitted task's ``(fn, args)`` in ``tasks`` if given."""
+def _recording_pools(monkeypatch, tasks=None, futures=None) -> list:
+    """Record each pool's positional arguments in the returned list, each
+    submitted task's ``(fn, args)`` in ``tasks`` if given, and its
+    ``(fn, future)`` in ``futures`` if given."""
     started = []
 
     class Recording(ProcessPoolExecutor):
@@ -427,7 +428,10 @@ def _recording_pools(monkeypatch, tasks=None) -> list:
         def submit(self, fn, /, *args, **kwargs):
             if tasks is not None:
                 tasks.append((fn, args))
-            return super().submit(fn, *args, **kwargs)
+            future = super().submit(fn, *args, **kwargs)
+            if futures is not None:
+                futures.append((fn, future))
+            return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
     return started
@@ -451,9 +455,16 @@ def test_run_scored_beside_loop_equals_serial(
         started = _recording_pools(monkeypatch, tasks)
         forked = run(scenario, tmp_path / f"{base.name}_forked{every}")
         assert started == [(len(allowed) - 1,)]
-        # The worker calibrates first, while the caller probes.
+        # The worker calibrates first, while the caller probes, then takes
+        # the background cycle, one task per reference frame, then the chunks.
+        plan = background_plan(scenario.roster, scenario.governor, 203)
         assert tasks[0] == (harness._in_worker, (harness._calibrate,))
-        assert [fn for fn, _ in tasks[1:]] == [harness._score_in_worker] * -(-203 // harness._CHUNK)
+        assert tasks[1 : 1 + len(plan)] == [
+            (harness._background_in_worker, (i, frame, passes))
+            for i, (frame, passes) in enumerate(plan)
+        ]
+        chunks = [fn for fn, _ in tasks[1 + len(plan) :]]
+        assert chunks == [harness._score_in_worker] * -(-203 // harness._CHUNK)
         assert os.sched_getaffinity(0) == allowed
         for name in ("log_path", "summary_path"):
             assert getattr(forked, name).read_bytes() == getattr(serial, name).read_bytes()
@@ -627,6 +638,102 @@ def _hold_worker(release: Path, scenario) -> bool:
     while not release.exists() and time.monotonic() < deadline:
         time.sleep(0.005)
     return release.exists()
+
+
+def _hold_workers_in_run(monkeypatch, release: Path, workers: int) -> list:
+    """Have ``run``'s scorer hold each of its ``workers`` busy with
+    :func:`_hold_worker` from just before it submits the background tasks
+    until it exits; the returned list gets each hold's result callable."""
+    background, exit_ = harness._Scorer.background, harness._Scorer.__exit__
+    held = []
+
+    def holding(self, plan):
+        held.extend(self.later(partial(_hold_worker, release)) for _ in range(workers))
+        return background(self, plan)
+
+    def releasing(self, *exc):
+        release.touch()
+        return exit_(self, *exc)
+
+    monkeypatch.setattr(harness._Scorer, "background", holding)
+    monkeypatch.setattr(harness._Scorer, "__exit__", releasing)
+    return held
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("held", [True, False])
+def test_run_background_scored_ahead_equals_serial(
+    held, mini_scenario, regime_scenario, lattice_scenario, monkeypatch, tmp_path
+):
+    """A forked run's logs and summaries equal the serial run's whoever scores
+    the background cycle: the caller, in its ticks, when every worker is held
+    busy, or the worker, ahead of the ticks, when it is free."""
+    allowed = os.sched_getaffinity(0)
+    lattice = dataclasses.replace(
+        lattice_scenario,
+        trace=dataclasses.replace(lattice_scenario.trace, frame_count=300),
+        error_sample_every=50,
+    )
+    for scenario in (mini_scenario, regime_scenario, lattice):
+        out = tmp_path / f"{scenario.name}_{len(scenario.roster.passes)}"
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            serial = run(scenario, out / "serial")
+        futures = []
+        with monkeypatch.context() as m:
+            started = _recording_pools(m, futures=futures)
+            release = out / "release"
+            holds = _hold_workers_in_run(m, release, len(allowed) - 1) if held else []
+            forked = run(scenario, out / "forked")
+        assert started == [(len(allowed) - 1,)]
+        assert [hold() for hold in holds] == [True] * len(holds)
+        plan = background_plan(scenario.roster, scenario.governor, scenario.trace.frame_count)
+        # The scorer's exit cancels the tasks no worker has taken.
+        background = [
+            None if f.cancelled() else f.result()
+            for fn, f in futures
+            if fn is harness._background_in_worker
+        ]
+        assert len(background) == len(plan) > 1
+        if held:
+            # The caller claimed every background task; no worker scored one.
+            assert background == [None] * len(plan)
+        else:
+            # A free worker takes the first task it reaches long before the
+            # caller's ticks get to that cycle's reference.
+            assert any(scores is not None for scores in background)
+        assert os.sched_getaffinity(0) == allowed
+        for name in ("log_path", "summary_path"):
+            assert getattr(forked, name).read_bytes() == getattr(serial, name).read_bytes()
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+@needs_two_cpus
+def test_run_background_error_reaches_caller(mini_scenario, monkeypatch):
+    parent = os.getpid()
+    slot_config = harness.pass_slot_config
+
+    def failing_in_worker(roster, slot):
+        if os.getpid() != parent:
+            raise ValueError(f"pass {slot} cannot be scored")
+        return slot_config(roster, slot)
+
+    monkeypatch.setattr(harness, "pass_slot_config", failing_in_worker)
+    futures = []
+    started = _recording_pools(monkeypatch, futures=futures)
+    allowed = os.sched_getaffinity(0)
+    with pytest.raises(ValueError) as raised:
+        run(mini_scenario)
+    assert type(raised.value) is ValueError
+    assert re.fullmatch(r"pass \d cannot be scored", str(raised.value))
+    # Raised in the worker, inside a background task the caller then read.
+    assert "_background_in_worker" in str(raised.value.__cause__)
+    assert len(started) == 1
+    assert any(fn is harness._background_in_worker for fn, _ in futures)
+    assert os.sched_getaffinity(0) == allowed
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
 
 
 @needs_fork
