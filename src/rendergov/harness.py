@@ -22,7 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .configspace import RenderingConfiguration, enumerate_configurations
+from .configspace import (
+    RenderingConfiguration,
+    enumerate_configurations,
+    single_degradation_config,
+)
 from .governor import (
     Governor,
     RunLogRecord,
@@ -42,7 +46,6 @@ from .powermodel import (
 )
 from .quality import (
     ErrorModel,
-    ErrorRatioTable,
     calibrate_ratios,
     quality_error,  # noqa: F401 -- perfbench/run.py wraps this name as its speed-probe hook
 )
@@ -116,19 +119,14 @@ def initialize(scenario: Scenario) -> Initialization:
     """Probe idle/saturated power, seed the model, and calibrate error ratios.
 
     Deterministic for a given scenario, so every command that initializes sees
-    identical constants. :func:`run` calibrates in its scoring worker while it
-    probes, and ``replay`` and ``probe`` do not calibrate.
+    identical constants. :func:`run` has its scoring workers calibrate while
+    it probes, and ``replay`` and ``probe`` do not calibrate.
     """
     init = _probe(scenario)
-    return dataclasses.replace(init, error_model=ErrorModel.initial(_calibrate(scenario)))
-
-
-def _calibrate(scenario: Scenario) -> ErrorRatioTable:
-    """The half of :func:`initialize` that scores frames: the per-level error
-    ratios."""
-    return calibrate_ratios(
+    ratios = calibrate_ratios(
         partial(FrameScorer, scenario.synthesizer), scenario.roster, scenario.calibration_frames
     )
+    return dataclasses.replace(init, error_model=ErrorModel.initial(ratios))
 
 
 def _probe(scenario: Scenario) -> Initialization:
@@ -297,12 +295,10 @@ def _true_errors(
 # and 8 gained less.
 _CHUNK = 16
 
-# The scenario a forked scoring worker serves, the tasks' claim flags, and the
-# event it sets when it starts a :meth:`_Scorer.later` task. Its initializer
-# sets them, so a task carries only its claim flag's index and what it scores.
-_worker_scenario: Scenario | None = None
-_worker_claims = None
-_worker_started = None
+# What a forked scoring worker serves: the scenario, and the tasks' claim flags
+# and their lock. Its initializer sets them, so a task carries only its claim
+# flag's index and what it scores.
+_worker: tuple | None = None
 
 
 # One governed frame handed to the scorer: the frame, its s_eff, and the
@@ -312,13 +308,16 @@ _Governed = tuple[int, RenderingConfiguration, SaturationConstants, PowerCoeffic
 # Per governed frame: the best and worst configurations' measured power, and
 # s_eff's measured and predicted power.
 _FramePowers = tuple[float, float, float, float]
+# A scoring task's result: the powers of each of its governed frames, and the
+# errors of each of its jobs.
+_Scored = tuple[list[_FramePowers], list[list[float]]]
 
 
 def _score_chunk(
     scenario: Scenario,
     frames: list[_Governed],
     jobs: list[tuple[int, list[RenderingConfiguration]]],
-) -> tuple[list[_FramePowers], list[list[float]]]:
+) -> _Scored:
     """The :data:`_FramePowers` of each governed frame, and
     :func:`_true_errors` of each ``(frame, configurations)`` job.
 
@@ -355,72 +354,68 @@ def _keep_freed_memory() -> None:
         mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
-def _start_worker(scenario: Scenario, cpus, claims, started) -> None:
-    global _worker_scenario, _worker_claims, _worker_started
-    _worker_scenario, _worker_claims, _worker_started = scenario, claims, started
+def _start_worker(scenario: Scenario, claims, lock, cpus) -> None:
+    global _worker
+    _worker = scenario, claims, lock
     os.sched_setaffinity(0, {cpus.get()})
 
 
-def _claim(claims, i: int) -> bool:
+def _claim(claims, lock, i: int) -> bool:
     """Set task ``i``'s claim flag; False if it was set already."""
-    with claims.get_lock():
+    with lock:
         if claims[i]:
             return False
         claims[i] = 1
         return True
 
 
-def _in_worker(fn):
-    _worker_started.set()
-    return fn(_worker_scenario)
-
-
-def _score_in_worker(i, frames, jobs) -> tuple[list[_FramePowers], list[list[float]]] | None:
-    """Chunk ``i``'s :func:`_score_chunk` result, or None if the caller has
+def _score_in_worker(i, frames, jobs) -> _Scored | None:
+    """Task ``i``'s :func:`_score_chunk` result, or None if the caller has
     claimed it."""
-    return _score_chunk(_worker_scenario, frames, jobs) if _claim(_worker_claims, i) else None
+    scenario, claims, lock = _worker
+    return _score_chunk(scenario, frames, jobs) if _claim(claims, lock, i) else None
 
 
-def _background_in_worker(i, frame: int, passes: tuple[int, ...]) -> dict | None:
-    """Task ``i``: each pass slot's configuration of ``passes`` mapped to its
-    error against ``frame``'s reference, all from one
-    :class:`truth.FrameScorer` call; or None if the caller has claimed it."""
-    if not _claim(_worker_claims, i):
-        return None
-    configs = [pass_slot_config(_worker_scenario.roster, p) for p in passes]
-    return dict(zip(configs, FrameScorer(_worker_scenario.synthesizer, frame)(configs)))
+def _lookup(configs, errors):
+    """A ``score`` callable, as the governor's ``scorer`` hook and
+    :func:`quality.calibrate_ratios` take it, that looks each configuration's
+    error up in ``errors``, the errors of ``configs``."""
+    table = dict(zip(configs, errors))
+    return lambda asked: [table[config] for config in asked]
 
 
 class _Scorer:
-    """Scores up to ``tasks`` tasks beside the caller: chunks, each with
-    :func:`_score_chunk`, and a run's background cycle; a context manager.
+    """Scores up to ``tasks`` tasks beside the caller, each a list of
+    :data:`_Governed` frames and a list of ``(frame, configurations)`` jobs,
+    with :func:`_score_chunk`; a context manager.
 
-    With n = min(CPUs this process may run on, ``tasks``) > 1 (``workers``,
-    for tests, replaces the CPU count), n - 1 workers are forked from one
-    process pool on the first :meth:`later` or :meth:`submit`, and work while
-    the caller goes on. Each worker and the caller is pinned to its own CPU,
+    With n = min(CPUs this process may run on, ``tasks``) > 1 (``workers``
+    replaces the CPU count), n - 1 workers are forked from one process pool on
+    the first :meth:`submit`, and take the tasks in submission order while the
+    caller goes on. Each worker and the caller is pinned to its own CPU,
     because the scheduler can leave a forked child on its parent's CPU; the
-    caller gets its CPU set back on exit. Each task has a claim flag that the
-    workers share: a worker claims a task before it scores it and skips one
-    the caller has claimed. :meth:`results` has the caller claim and score,
-    from the last chunk back, every chunk no worker has started, and the hook
-    :meth:`background` returns has it claim a background task no worker has
-    started when the governor asks for its reference.
+    caller gets its CPU set back on exit.
 
-    Each chunk is scored as it is submitted, with no process, when n <= 1,
-    when CPU affinity or ``fork`` is not available, when the caller is
-    daemonic (it may not have children) or when another thread is running (a
-    forked child would inherit any lock that thread holds). Either way the
-    scores are the same floats.
+    One claim rule decides who scores a task. Each task has a claim flag that
+    the workers share: a worker claims a task before it scores it and skips
+    one the caller has claimed, and the caller, when it needs a task's result
+    (:meth:`result`), claims and scores the task if no worker has started
+    it, and otherwise waits for the worker's result.
+
+    No process is started when n <= 1, when CPU affinity or ``fork`` is not
+    available, when the caller is daemonic (it may not have children) or when
+    another thread is running (a forked child would inherit any lock that
+    thread holds). Then no worker claims a task, so the same rule has the
+    caller score each one when it needs it. Either way the scores are the
+    same floats.
     """
 
     def __init__(self, scenario: Scenario, tasks: int, workers: int | None = None):
         self.scenario = scenario
-        self.pool: ProcessPoolExecutor | None = None
-        # Scored results without a pool; (frames, jobs, claim index, future)
-        # with one.
-        self.chunks: list = []
-        self.submitted = 0
+        # (frames, jobs, the worker's future or None) of each task.
+        self.tasks: list = []
+        self.claims, self.lock = bytearray(tasks), contextlib.nullcontext()
+        self._to_worker = lambda *task: None
         self._exit = contextlib.ExitStack()
         _keep_freed_memory()
         pinnable = hasattr(os, "sched_getaffinity")
@@ -442,16 +437,16 @@ class _Scorer:
             stack.callback(worker_cpus.close)
             for i in range(n - 1):
                 worker_cpus.put(cpus[i % len(cpus)])
-            self.claims = context.Array("b", tasks)
-            self.started = context.Event()
-            self.pool = ProcessPoolExecutor(
+            self.claims, self.lock = context.RawArray("b", tasks), context.Lock()
+            pool = ProcessPoolExecutor(
                 n - 1,
                 mp_context=context,
                 initializer=_start_worker,
-                initargs=(scenario, worker_cpus, self.claims, self.started),
+                initargs=(scenario, self.claims, self.lock, worker_cpus),
             )
-            stack.callback(self.pool.shutdown, cancel_futures=True)
+            stack.callback(pool.shutdown, cancel_futures=True)
             os.sched_setaffinity(0, {cpus[(n - 1) % len(cpus)]})
+            self._to_worker = partial(pool.submit, _score_in_worker)
             self._exit = stack.pop_all()
 
     def __enter__(self) -> _Scorer:
@@ -460,80 +455,28 @@ class _Scorer:
     def __exit__(self, *exc) -> None:
         self._exit.close()
 
-    def later(self, fn):
-        """A callable that returns ``fn(scenario)``. With a pool a worker starts
-        on ``fn`` now, ahead of every chunk, and the callable waits for its
-        result; without one the callable runs ``fn``. Call it once.
-
-        With a pool it returns only once the worker has started ``fn``, or
-        the pool has failed it. The pool's threads hand a task on in the
-        caller's process, and while the caller computes they get the GIL
-        only at its switch intervals: a worker that was not waited for
-        started calibrating about 8 ms after the submit returned; waited
-        for, it starts within about 1 ms.
-        """
-        if self.pool is None:
-            return partial(fn, self.scenario)
-        future = self.pool.submit(_in_worker, fn)
-        future.add_done_callback(lambda _: self.started.set())
-        self.started.wait()
-        return future.result
-
-    def _submit(self, fn, *args):
-        """``fn(i, *args)`` submitted under the next claim flag ``i``, and
-        ``(i, future)``."""
-        i = self.submitted
-        self.submitted += 1
-        return i, self.pool.submit(fn, i, *args)
-
-    def background(self, plan: list[tuple[int, tuple[int, ...]]]):
-        """The governor's ``scorer`` hook for a background cycle that
-        :func:`governor.background_plan` gives as ``plan``.
-
-        With a pool, each plan entry becomes one task now, ahead of every
-        chunk, which a worker scores with :func:`_background_in_worker`.
-        Asked for a planned frame whose task a worker has claimed, the hook
-        returns a ``score`` that reads that task's result, waiting for it if
-        need be. Otherwise, and with no pool, it returns
-        ``FrameScorer(synthesizer, frame)``, for the caller to score in the
-        governor's tick. Either way the scores are the same floats.
-        """
-        own = partial(FrameScorer, self.scenario.synthesizer)
-        if self.pool is None:
-            return own
-        tasks = {
-            frame: self._submit(_background_in_worker, frame, passes) for frame, passes in plan
-        }
-
-        def scorer(frame: int):
-            i, future = tasks.pop(frame, (None, None))
-            if i is None or _claim(self.claims, i):
-                return own(frame)
-            return lambda configs: [future.result()[c] for c in configs]
-
-        return scorer
-
     def submit(
         self, frames: list[_Governed], jobs: list[tuple[int, list[RenderingConfiguration]]]
-    ) -> None:
-        if self.pool is None:
-            self.chunks.append(_score_chunk(self.scenario, frames, jobs))
-        else:
-            self.chunks.append((frames, jobs, *self._submit(_score_in_worker, frames, jobs)))
+    ) -> int:
+        """Hand a task to the workers; its index, for :meth:`result`."""
+        i = len(self.tasks)
+        self.tasks.append((frames, jobs, self._to_worker(i, frames, jobs)))
+        return i
 
-    def results(self) -> list[tuple[list[_FramePowers], list[list[float]]]]:
-        """Every chunk's :func:`_score_chunk` result, in submission order."""
-        if self.pool is None:
-            return self.chunks
-        scored = [None] * len(self.chunks)
-        for k in reversed(range(len(self.chunks))):
-            frames, jobs, i, _ = self.chunks[k]
-            if _claim(self.claims, i):
-                scored[k] = _score_chunk(self.scenario, frames, jobs)
-        return [
-            future.result() if done is None else done
-            for (_, _, _, future), done in zip(self.chunks, scored)
-        ]
+    def result(self, i: int) -> _Scored:
+        """Task ``i``'s :func:`_score_chunk` result, scored here if no worker
+        has started it. Ask once per task."""
+        frames, jobs, future = self.tasks[i]
+        if _claim(self.claims, self.lock, i):
+            return _score_chunk(self.scenario, frames, jobs)
+        return future.result()
+
+    def results(self, tasks) -> list[_Scored]:
+        """:meth:`result` of each of ``tasks``, in order. Workers take tasks in
+        submission order and the caller asks from the last one back, so it
+        scores every task no worker has started before it waits for any, and
+        then waits for at most the tasks the workers are scoring."""
+        return [self.result(i) for i in reversed(tasks)][::-1]
 
 
 def _mean(values) -> float:
@@ -558,16 +501,17 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration, on_frame=No
     """
     scenario.roster.validate_config(config)
     frame_count, every = scenario.trace.frame_count, scenario.error_sample_every
-    tasks = 0 if config == scenario.roster.best_config() else -(-frame_count // _CHUNK)
-    with _Scorer(scenario, tasks) as scorer:
+    workers = 1 if config == scenario.roster.best_config() else None
+    with _Scorer(scenario, -(-frame_count // _CHUNK), workers) as scorer:
+        chunks = []
         for start in range(0, frame_count, _CHUNK):
             chunk = range(start, min(start + _CHUNK, frame_count))
-            scorer.submit([], [(f, [config]) for f in chunk if f % every == 0])
+            chunks.append(scorer.submit([], [(f, [config]) for f in chunk if f % every == 0]))
         powers = [
             measure_power(scenario.oracle, config, frame, scenario.trace)
             for frame in range(frame_count)
         ]
-        errors = [err for _, truths in scorer.results() for (err,) in truths]
+        errors = [err for _, truths in scorer.results(chunks) for (err,) in truths]
     truths = dict(zip(range(0, frame_count, every), errors))
     if on_frame is not None:
         for frame, measured in enumerate(powers):
@@ -584,19 +528,22 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     """Initialization plus the governed frame loop, with min/max-quality
     replays as in-run baselines.
 
-    The :class:`_Scorer` starts first, so where it forks, its worker
-    calibrates the error ratios (:func:`_calibrate`) while the caller probes
-    and fits (:func:`_probe`); the caller waits for the ratios before it
-    builds the governor. Where it cannot fork, the caller calibrates at that
-    point. Either way the governor starts from :func:`initialize`'s models.
+    The :class:`_Scorer` starts first, and its first tasks are one per
+    calibration frame: score every single-pass degradation against that
+    frame. Where it forks, its workers calibrate while the caller probes and
+    fits (:func:`_probe`); the caller then collects those tasks, scoring any
+    no worker has started, and hands their scores to
+    :func:`quality.calibrate_ratios`. Either way the governor starts from
+    :func:`initialize`'s models.
 
     The governor's background cycle is known before the loop starts
-    (:func:`governor.background_plan`), so right after the calibration, and
-    before any chunk, the scorer gets one task per reference frame of the
-    cycle: score that cycle's pass slots against it, in the worker. The
-    governor's ticks then read those scores instead of computing them; only
-    a task the caller reaches before a worker has started it is scored in
-    the tick, as it is where the scorer cannot fork.
+    (:func:`governor.background_plan`), so next, before any chunk, the scorer
+    gets one task per reference frame of the cycle: score that cycle's pass
+    slots against it. At a ``ref`` slot the governor's ``scorer`` hook takes
+    that task's result, scoring the task in the tick if no worker has started
+    it, and its pass slots look their scores up. A reference that is not
+    planned has no pass slot inside the trace, so the hook renders nothing
+    for it.
 
     The baselines ride along with the governed loop: every frame also
     measures the best and worst configurations, and every sampled frame
@@ -607,38 +554,61 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     outside the governor's accuracy-check and fitting windows, so the loop
     itself only ticks the governor and builds each frame's row. It hands
     every :data:`_CHUNK` frames, each as a :data:`_Governed` tuple, and each
-    sampled frame's ``(frame, [worst, s_eff])``, to a :class:`_Scorer`,
+    sampled frame's ``(frame, [worst, s_eff])``, to the scorer as one task,
     which measures and predicts every frame's power and scores the sampled
-    frames beside the loop in forked workers, or serially where it cannot
-    fork. The governor's model changes only when a fit lands, and ``s_eff``
-    only while it glides, so the loop computes ``s_eff``'s coefficients only
-    when either changes. The rows' ``predicted_w``, ``measured_w`` and
-    ``true_error`` cells are filled in after the loop.
+    frames beside the loop in forked workers; after the loop the caller
+    scores the chunks no worker has started. The governor's model changes
+    only when a fit lands, and ``s_eff`` only while it glides, so the loop
+    computes ``s_eff``'s coefficients only when either changes. The rows'
+    ``predicted_w``, ``measured_w`` and ``true_error`` cells are filled in
+    after the loop.
     """
-    worst = scenario.roster.worst_config()
+    roster = scenario.roster
+    worst = roster.worst_config()
     frame_count = scenario.trace.frame_count
     every = scenario.error_sample_every
-
-    plan = background_plan(scenario.roster, scenario.governor, frame_count)
+    calibration = scenario.calibration_frames
+    degradations = [
+        single_degradation_config(roster, i, level)
+        for i, p in enumerate(roster.passes)
+        for level in range(1, p.level_count)
+    ]
+    plan = background_plan(roster, scenario.governor, frame_count)
 
     rows = []
     model = config = coefficients = None
-    with _Scorer(scenario, -(-frame_count // _CHUNK) + len(plan)) as scorer:
-        ratios = scorer.later(_calibrate)
-        background = scorer.background(plan)
+    tasks = len(calibration) + len(plan) + -(-frame_count // _CHUNK)
+    with _Scorer(scenario, tasks) as scorer:
+        calibrating = [scorer.submit([], [(frame, degradations)]) for frame in calibration]
+        references = {}
+        for ref, passes in plan:
+            configs = [pass_slot_config(roster, p) for p in passes]
+            references[ref] = scorer.submit([], [(ref, configs)]), configs
+
+        def background(frame: int):
+            # No pass slot asks for an unplanned reference's scores.
+            i, configs = references.get(frame, (None, []))
+            errors = [] if i is None else scorer.result(i)[1][0]
+            return _lookup(configs, errors)
+
         init = _probe(scenario)
+        calibrated = {
+            frame: _lookup(degradations, errors)
+            for frame, (_, (errors,)) in zip(calibration, scorer.results(calibrating))
+        }
         gov = Governor(
-            roster=scenario.roster,
+            roster=roster,
             config=scenario.governor,
             power_model=init.power_model,
-            error_model=ErrorModel.initial(ratios()),
-            measure=lambda cfg, frame: measure_power(scenario.oracle, cfg, frame, scenario.trace),
-            primitives=lambda cfg, frame: scenario.trace.primitives_for(
-                scenario.roster, cfg, frame
+            error_model=ErrorModel.initial(
+                calibrate_ratios(calibrated.__getitem__, roster, calibration)
             ),
+            measure=lambda cfg, frame: measure_power(scenario.oracle, cfg, frame, scenario.trace),
+            primitives=lambda cfg, frame: scenario.trace.primitives_for(roster, cfg, frame),
             scorer=background,
             initial_config=scenario.initial_config,
         )
+        chunks = []
         for start in range(0, frame_count, _CHUNK):
             frames, jobs = [], []
             for frame in range(start, min(start + _CHUNK, frame_count)):
@@ -651,8 +621,8 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
                 if frame % every == 0:
                     jobs.append((frame, [worst, config]))
                 rows.append(_record_row(tick.record))
-            scorer.submit(frames, jobs)
-        scored = scorer.results()
+            chunks.append(scorer.submit(frames, jobs))
+        scored = scorer.results(chunks)
     powers = [frame_powers for chunk_powers, _ in scored for frame_powers in chunk_powers]
     truths = [truth for _, chunk_truths in scored for truth in chunk_truths]
 

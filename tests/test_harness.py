@@ -18,8 +18,12 @@ import numpy as np
 import pytest
 
 from rendergov import cli, harness, simgpu
-from rendergov.configspace import RenderingConfiguration, enumerate_configurations
-from rendergov.governor import Governor, background_plan
+from rendergov.configspace import (
+    RenderingConfiguration,
+    enumerate_configurations,
+    single_degradation_config,
+)
+from rendergov.governor import Governor, background_plan, pass_slot_config
 from rendergov.harness import (
     _true_errors,
     initialize,
@@ -320,13 +324,12 @@ def _truth_jobs(scenario, count):
     return [(frames[k % len(frames)], lists[k % len(lists)]) for k in range(count)]
 
 
-def _scorer_truths(scenario, jobs, workers=None, tasks=None):
+def _scorer_truths(scenario, jobs, workers=None):
     """:func:`_true_errors` of each job, in order, from a ``harness._Scorer``
-    for ``tasks`` tasks (by default one per job) handed one job per chunk."""
-    with harness._Scorer(scenario, len(jobs) if tasks is None else tasks, workers) as scorer:
-        for job in jobs:
-            scorer.submit([], [job])
-        return [truths for _, (truths,) in scorer.results()]
+    handed one job per task."""
+    with harness._Scorer(scenario, len(jobs), workers) as scorer:
+        chunks = [scorer.submit([], [job]) for job in jobs]
+        return [truths for _, (truths,) in scorer.results(chunks)]
 
 
 @needs_fork
@@ -455,16 +458,27 @@ def test_run_scored_beside_loop_equals_serial(
         started = _recording_pools(monkeypatch, tasks)
         forked = run(scenario, tmp_path / f"{base.name}_forked{every}")
         assert started == [(len(allowed) - 1,)]
-        # The worker calibrates first, while the caller probes, then takes
-        # the background cycle, one task per reference frame, then the chunks.
-        plan = background_plan(scenario.roster, scenario.governor, 203)
-        assert tasks[0] == (harness._in_worker, (harness._calibrate,))
-        assert tasks[1 : 1 + len(plan)] == [
-            (harness._background_in_worker, (i, frame, passes))
-            for i, (frame, passes) in enumerate(plan)
+        # One task kind. The worker calibrates first, one task per
+        # calibration frame, while the caller probes, then takes the
+        # background cycle, one task per reference frame, then the chunks.
+        roster = scenario.roster
+        degradations = [
+            single_degradation_config(roster, i, level)
+            for i, p in enumerate(roster.passes)
+            for level in range(1, p.level_count)
         ]
-        chunks = [fn for fn, _ in tasks[1 + len(plan) :]]
-        assert chunks == [harness._score_in_worker] * -(-203 // harness._CHUNK)
+        plan = background_plan(roster, scenario.governor, 203)
+        expected = [[(frame, degradations)] for frame in scenario.calibration_frames] + [
+            [(frame, [pass_slot_config(roster, p) for p in passes])] for frame, passes in plan
+        ]
+        assert [fn for fn, _ in tasks] == [harness._score_in_worker] * len(tasks)
+        assert [args[0] for _, args in tasks] == list(range(len(tasks)))
+        assert [(frames, jobs) for _, (_, frames, jobs) in tasks[: len(expected)]] == [
+            ([], jobs) for jobs in expected
+        ]
+        chunks = [frames for _, (_, frames, _) in tasks[len(expected) :]]
+        assert [frame for frames in chunks for frame, *_ in frames] == list(range(203))
+        assert len(chunks) == -(-203 // harness._CHUNK)
         assert os.sched_getaffinity(0) == allowed
         for name in ("log_path", "summary_path"):
             assert getattr(forked, name).read_bytes() == getattr(serial, name).read_bytes()
@@ -518,10 +532,12 @@ def test_replay_forked_equals_serial(mini_scenario, regime_scenario, monkeypatch
 def test_background_cycle_renders_its_frame_once(
     mini_scenario, regime_scenario, monkeypatch, tmp_path
 ):
-    """Inside the governor's ticks, each background cycle looks up its
-    reference frame's base pattern once, at its ``ref`` slot; its pass slots
-    score from what that lookup rendered. Serial, so ground truth evicts
-    frames from the pattern cache between the slots."""
+    """Inside the governor's ticks, each planned background cycle looks up
+    its reference frame's base pattern once, at its ``ref`` slot, where the
+    caller scores all its pass slots. Serial, so the caller scores every
+    cycle. A reference with no pass slot inside the trace is not rendered:
+    mini cut to 201 frames takes a reference at frame 200, after ten cycles
+    of 4 slots 5 frames apart."""
     pattern = simgpu._base_pattern
     tick = Governor.tick
     ticking, looked_up = [], []
@@ -541,14 +557,20 @@ def test_background_cycle_renders_its_frame_once(
     monkeypatch.setattr(simgpu, "_base_pattern", recorded_pattern)
     monkeypatch.setattr(Governor, "tick", recorded_tick)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    for scenario in (mini_scenario, regime_scenario):
+    cut = dataclasses.replace(
+        mini_scenario, trace=dataclasses.replace(mini_scenario.trace, frame_count=201)
+    )
+    for k, scenario in enumerate((mini_scenario, regime_scenario, cut)):
         looked_up.clear()
-        result = run(scenario, tmp_path / scenario.name)
+        result = run(scenario, tmp_path / str(k))
         header, *lines = result.log_path.read_text().splitlines()[1:]
         bg_request = header.split(",").index("bg_request")
         refs = [int(line.split(",")[0]) for line in lines if line.split(",")[bg_request] == "ref"]
-        assert len(refs) > 1
-        assert looked_up == refs, scenario.name
+        plan = background_plan(scenario.roster, scenario.governor, scenario.trace.frame_count)
+        planned = [ref for ref, _ in plan]
+        assert len(planned) > 1
+        assert looked_up == planned, k
+        assert refs == planned + ([200] if scenario is cut else []), k
 
 
 def _governed_powers(scenario) -> list[tuple[float, float]]:
@@ -631,33 +653,49 @@ def test_run_worker_error_reaches_caller(mini_scenario, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _hold_worker(release: Path, scenario) -> bool:
-    """Keep a worker busy until ``release`` exists, for at most 20 s; whether
-    it was released."""
-    deadline = time.monotonic() + 20
-    while not release.exists() and time.monotonic() < deadline:
-        time.sleep(0.005)
-    return release.exists()
+# The frame of a hold task's one job, at which ``_true_errors``, as
+# :func:`_hold_workers` patches it, holds the worker that scores it.
+_HOLD = -1
+# A released hold task's result.
+_RELEASED = ([], [[True]])
 
 
-def _hold_workers_in_run(monkeypatch, release: Path, workers: int) -> list:
-    """Have ``run``'s scorer hold each of its ``workers`` busy with
-    :func:`_hold_worker` from just before it submits the background tasks
-    until it exits; the returned list gets each hold's result callable."""
-    background, exit_ = harness._Scorer.background, harness._Scorer.__exit__
-    held = []
+def _hold_workers(monkeypatch, release: Path) -> None:
+    """Have a scoring task whose one job is at frame :data:`_HOLD` keep its
+    worker busy until ``release`` exists, for at most 20 s, and score
+    whether it was released. It touches ``release.held`` once it holds."""
+    true_errors = harness._true_errors
 
-    def holding(self, plan):
-        held.extend(self.later(partial(_hold_worker, release)) for _ in range(workers))
-        return background(self, plan)
+    def holding(scenario, frame, configs):
+        if frame != _HOLD:
+            return true_errors(scenario, frame, configs)
+        release.with_suffix(".held").touch()
+        deadline = time.monotonic() + 20
+        while not release.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return [release.exists()]
+
+    monkeypatch.setattr(harness, "_true_errors", holding)
+
+
+def _hold_workers_in_run(monkeypatch, release: Path, workers: int) -> None:
+    """Have ``run``'s scorer hold each of its ``workers`` busy from its start
+    until it exits: ahead of ``run``'s own tasks it submits one hold task
+    (:func:`_hold_workers`) per worker, and each worker takes one first."""
+    _hold_workers(monkeypatch, release)
+    init, exit_ = harness._Scorer.__init__, harness._Scorer.__exit__
+
+    def holding(self, scenario, tasks, *args):
+        init(self, scenario, tasks + workers, *args)
+        for _ in range(workers):
+            self.submit([], [(_HOLD, [])])
 
     def releasing(self, *exc):
         release.touch()
         return exit_(self, *exc)
 
-    monkeypatch.setattr(harness._Scorer, "background", holding)
+    monkeypatch.setattr(harness._Scorer, "__init__", holding)
     monkeypatch.setattr(harness._Scorer, "__exit__", releasing)
-    return held
 
 
 @needs_two_cpus
@@ -680,19 +718,20 @@ def test_run_background_scored_ahead_equals_serial(
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
             serial = run(scenario, out / "serial")
         futures = []
+        holds = len(allowed) - 1 if held else 0
         with monkeypatch.context() as m:
             started = _recording_pools(m, futures=futures)
-            release = out / "release"
-            holds = _hold_workers_in_run(m, release, len(allowed) - 1) if held else []
+            if held:
+                _hold_workers_in_run(m, out / "release", holds)
             forked = run(scenario, out / "forked")
         assert started == [(len(allowed) - 1,)]
-        assert [hold() for hold in holds] == [True] * len(holds)
+        assert [f.result() for _, f in futures[:holds]] == [_RELEASED] * holds
         plan = background_plan(scenario.roster, scenario.governor, scenario.trace.frame_count)
-        # The scorer's exit cancels the tasks no worker has taken.
+        # The hold tasks, then one task per calibration frame, then one per
+        # reference. The scorer's exit cancels the tasks no worker has taken.
+        first = holds + len(scenario.calibration_frames)
         background = [
-            None if f.cancelled() else f.result()
-            for fn, f in futures
-            if fn is harness._background_in_worker
+            None if f.cancelled() else f.result() for _, f in futures[first : first + len(plan)]
         ]
         assert len(background) == len(plan) > 1
         if held:
@@ -712,52 +751,59 @@ def test_run_background_scored_ahead_equals_serial(
 @needs_two_cpus
 def test_run_background_error_reaches_caller(mini_scenario, monkeypatch):
     parent = os.getpid()
-    slot_config = harness.pass_slot_config
+    true_errors = harness._true_errors
+    roster = mini_scenario.roster
+    plan = background_plan(roster, mini_scenario.governor, mini_scenario.trace.frame_count)
+    references = {frame: [pass_slot_config(roster, p) for p in passes] for frame, passes in plan}
 
-    def failing_in_worker(roster, slot):
-        if os.getpid() != parent:
-            raise ValueError(f"pass {slot} cannot be scored")
-        return slot_config(roster, slot)
+    def failing_in_worker(scenario, frame, configs):
+        if os.getpid() != parent and configs == references.get(frame):
+            raise ValueError(f"reference {frame} cannot be scored")
+        return true_errors(scenario, frame, configs)
 
-    monkeypatch.setattr(harness, "pass_slot_config", failing_in_worker)
-    futures = []
-    started = _recording_pools(monkeypatch, futures=futures)
+    monkeypatch.setattr(harness, "_true_errors", failing_in_worker)
+    started = _recording_pools(monkeypatch)
     allowed = os.sched_getaffinity(0)
     with pytest.raises(ValueError) as raised:
         run(mini_scenario)
     assert type(raised.value) is ValueError
-    assert re.fullmatch(r"pass \d cannot be scored", str(raised.value))
-    # Raised in the worker, inside a background task the caller then read.
-    assert "_background_in_worker" in str(raised.value.__cause__)
+    assert re.fullmatch(r"reference \d+ cannot be scored", str(raised.value))
+    # Raised in the worker, inside a reference's task the caller then read.
+    assert "_score_in_worker" in str(raised.value.__cause__)
     assert len(started) == 1
-    assert any(fn is harness._background_in_worker for fn, _ in futures)
     assert os.sched_getaffinity(0) == allowed
     assert multiprocessing.active_children() == []
     assert threading.active_count() == 1
 
 
 @needs_fork
-def test_caller_takes_every_chunk_no_worker_started(mini_scenario, tmp_path):
+def test_caller_takes_every_chunk_no_worker_started(mini_scenario, monkeypatch, tmp_path):
     # The pool hands a busy worker's queue more chunks than it can cancel;
     # the caller must still take them all without waiting for the worker.
     jobs = _truth_jobs(mini_scenario, 5)
     serial = [_true_errors(mini_scenario, frame, configs) for frame, configs in jobs]
     release = tmp_path / "release"
-    with harness._Scorer(mini_scenario, len(jobs), workers=2) as scorer:
-        held = scorer.later(partial(_hold_worker, release))
-        for job in jobs:
-            scorer.submit([], [job])
-        truths = [truths for _, (truths,) in scorer.results()]
+    _hold_workers(monkeypatch, release)
+    with harness._Scorer(mini_scenario, len(jobs) + 1, workers=2) as scorer:
+        held = scorer.submit([], [(_HOLD, [])])
+        deadline = time.monotonic() + 20
+        while not release.with_suffix(".held").exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert release.with_suffix(".held").exists()
+        chunks = [scorer.submit([], [job]) for job in jobs]
+        truths = [truths for _, (truths,) in scorer.results(chunks)]
         release.touch()
-        assert held() is True
+        assert scorer.result(held) == _RELEASED
     assert truths == serial
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
 def test_each_chunk_is_scored_once(mini_scenario, monkeypatch, tmp_path):
-    # More workers than CPUs, and chunks that score in no time, so the
-    # workers and the caller race for the claims.
+    # More workers than CPUs, and tasks that score in no time, so the
+    # workers and the caller race for the claims. As in run, calibration
+    # tasks come first and are collected together, then reference tasks,
+    # each asked for on its own, then the chunks.
     scored = tmp_path / "scored"
     score_chunk = harness._score_chunk
 
@@ -768,11 +814,18 @@ def test_each_chunk_is_scored_once(mini_scenario, monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "_score_chunk", logged)
     best = mini_scenario.roster.best_config()
-    jobs = [(frame, [best]) for frame in range(200)]
-    for workers in (2, 2 * len(os.sched_getaffinity(0)) + 1):
-        scored.write_text("")
-        assert _scorer_truths(mini_scenario, jobs, workers=workers) == [[0.0]] * len(jobs)
-        assert sorted(map(int, scored.read_text().split())) == list(range(200)), workers
+    for calibration, references in ((0, 0), (3, 40)):
+        jobs = [(frame, [best]) for frame in range(calibration + references + 200)]
+        for workers in (2, 2 * len(os.sched_getaffinity(0)) + 1):
+            scored.write_text("")
+            with harness._Scorer(mini_scenario, len(jobs), workers) as scorer:
+                tasks = [scorer.submit([], [job]) for job in jobs]
+                calibrated = scorer.results(tasks[:calibration])
+                referenced = [scorer.result(i) for i in tasks[calibration:-200]]
+                chunks = scorer.results(tasks[-200:])
+            assert calibrated + referenced + chunks == [([], [[0.0]])] * len(jobs)
+            done = sorted(map(int, scored.read_text().split()))
+            assert done == list(range(len(jobs))), (calibration, references, workers)
     assert multiprocessing.active_children() == []
 
 
@@ -816,8 +869,6 @@ def test_run_calibration_error_reaches_caller(mini_scenario, monkeypatch):
     with pytest.raises(ValueError) as forked:
         run(scenario)
     assert started == [(len(allowed) - 1,)]
-    # Raised in the worker: the pool attaches the child's traceback.
-    assert "calibrate_ratios" in str(forked.value.__cause__)
     assert type(forked.value) is type(serial.value) is ValueError
     assert str(forked.value) == str(serial.value) == "calibration needs at least one frame"
     assert multiprocessing.active_children() == []
@@ -827,8 +878,8 @@ def test_run_calibration_error_reaches_caller(mini_scenario, monkeypatch):
 
 @needs_two_cpus
 def test_run_fails_when_no_worker_starts(mini_scenario, monkeypatch):
-    # run waits until its worker has started calibrating; a pool whose worker
-    # never starts must end that wait too.
+    # A pool whose worker never starts must fail the run, not leave it
+    # waiting for a worker.
     def no_worker(*args):
         raise OSError("the worker cannot start")
 
@@ -878,8 +929,9 @@ def test_frame_truths_starts_no_process_for_best_only_jobs(mini_scenario, monkey
     monkeypatch.setattr(harness, "ProcessPoolExecutor", NoProcesses)
     best = mini_scenario.roster.best_config()
     jobs = [(frame, [best, best]) for frame in range(0, 40, 2)]
-    # replay_trace hands the all-best configuration's jobs to a scorer of no tasks.
-    assert _scorer_truths(mini_scenario, jobs, workers=2, tasks=0) == [[0.0, 0.0]] * len(jobs)
+    # replay_trace hands the all-best configuration's jobs to a scorer with
+    # one worker, the caller.
+    assert _scorer_truths(mini_scenario, jobs, workers=1) == [[0.0, 0.0]] * len(jobs)
     result = replay(mini_scenario, best, tmp_path)
     assert result.summary["mean_error"] == 0.0
     assert result.summary["error_samples"] == 120
