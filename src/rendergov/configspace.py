@@ -214,3 +214,13 @@ def single_degradation_config(
     levels[pass_index] = level
     return RenderingConfiguration(tuple(levels))
 
+
+def single_degradations(roster: PassRoster) -> dict[tuple[int, int], RenderingConfiguration]:
+    """The :func:`single_degradation_config` of every (pass, level > 0), pass
+    by pass and level by level: what ratio calibration scores at each
+    calibration frame."""
+    return {
+        (i, level): single_degradation_config(roster, i, level)
+        for i, p in enumerate(roster.passes)
+        for level in range(1, p.level_count)
+    }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
@@ -22,11 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configspace import (
-    RenderingConfiguration,
-    enumerate_configurations,
-    single_degradation_config,
-)
+from .configspace import RenderingConfiguration, enumerate_configurations, single_degradations
 from .governor import (
     Governor,
     RunLogRecord,
@@ -41,7 +38,7 @@ from .powermodel import (
     SaturationConstants,
     UnitCosts,
     fit_coefficients,
-    predict_power,
+    predict_powers,
     solve_unit_costs,
 )
 from .quality import (
@@ -51,9 +48,9 @@ from .quality import (
 )
 from .scenario import Scenario
 from .simgpu import (
+    FramePowers,
     ProbeResult,
     empty_trace,
-    exact_power,
     exact_power_all,
     measure_power,
     probe_min_power,
@@ -321,22 +318,29 @@ def _score_chunk(
     """The :data:`_FramePowers` of each governed frame, and
     :func:`_true_errors` of each ``(frame, configurations)`` job.
 
-    A frame's noise draw, curve values and s_eff's counts are memoized on
-    the oracle and the trace, so the prediction reuses the counts its
-    measurement queried.
+    The powers take one array pass over the frames per configuration
+    (:class:`simgpu.FramePowers`, :func:`powermodel.predict_powers`): one
+    each for the best and worst configurations, and one for each run of
+    frames whose s_eff, saturation constants and coefficients are the same
+    objects, as :func:`run` hands them until a fit lands or s_eff changes.
+    Every frame's curve values and noise draw are taken once, and a run's
+    prediction reuses the counts its measurement computed.
     """
-    roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
-    best, worst = roster.best_config(), roster.worst_config()
-    powers = [
-        (
-            measure_power(oracle, best, f, trace),
-            measure_power(oracle, worst, f, trace),
-            measure_power(oracle, config, f, trace),
-            predict_power(saturation, coefficients, trace.primitives_for(roster, config, f)),
-        )
-        for f, config, saturation, coefficients in frames
-    ]
-    return powers, [_true_errors(scenario, frame, configs) for frame, configs in jobs]
+    truths = [_true_errors(scenario, frame, configs) for frame, configs in jobs]
+    if not frames:
+        return [], truths
+    roster = scenario.roster
+    at = FramePowers(scenario.oracle, scenario.trace, [frame for frame, *_ in frames])
+    best, worst = at.measured(roster.best_config()), at.measured(roster.worst_config())
+    measured, predicted = np.empty(len(frames)), np.empty(len(frames))
+    start = 0
+    for _, group in itertools.groupby(frames, lambda governed: tuple(map(id, governed[1:]))):
+        _, config, saturation, coefficients = next(group)
+        rows = slice(start, start + 1 + sum(1 for _ in group))
+        measured[rows] = at.measured(config)[rows]
+        predicted[rows] = predict_powers(saturation, coefficients, at.primitives(config)[rows])
+        start = rows.stop
+    return list(zip(best.tolist(), worst.tolist(), measured.tolist(), predicted.tolist())), truths
 
 
 def _keep_freed_memory() -> None:
@@ -496,8 +500,9 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration, on_frame=No
     frame; ``true_error`` is None on frames whose error is not sampled. The
     sampled frames are handed to a :class:`_Scorer` every :data:`_CHUNK`
     frames, as :func:`run` hands them, and scored while the caller measures
-    each frame's power. The all-best configuration scores 0.0 without
-    rendering, so its replay starts no process.
+    every frame's power in one array pass (:class:`simgpu.FramePowers`).
+    The all-best configuration scores 0.0 without rendering, so its replay
+    starts no process.
     """
     scenario.roster.validate_config(config)
     frame_count, every = scenario.trace.frame_count, scenario.error_sample_every
@@ -507,10 +512,8 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration, on_frame=No
         for start in range(0, frame_count, _CHUNK):
             chunk = range(start, min(start + _CHUNK, frame_count))
             chunks.append(scorer.submit([], [(f, [config]) for f in chunk if f % every == 0]))
-        powers = [
-            measure_power(scenario.oracle, config, frame, scenario.trace)
-            for frame in range(frame_count)
-        ]
+        at = FramePowers(scenario.oracle, scenario.trace, range(frame_count))
+        powers = at.measured(config).tolist()
         errors = [err for _, truths in scorer.results(chunks) for (err,) in truths]
     truths = dict(zip(range(0, frame_count, every), errors))
     if on_frame is not None:
@@ -559,7 +562,9 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     frames beside the loop in forked workers; after the loop the caller
     scores the chunks no worker has started. The governor's model changes
     only when a fit lands, and ``s_eff`` only while it glides, so the loop
-    computes ``s_eff``'s coefficients only when either changes. The rows'
+    computes ``s_eff``'s coefficients only when either changes, and hands
+    the same objects on until then: the scorer measures and predicts each
+    such run of frames in one array pass (:func:`_score_chunk`). The rows'
     ``predicted_w``, ``measured_w`` and ``true_error`` cells are filled in
     after the loop.
     """
@@ -568,11 +573,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     frame_count = scenario.trace.frame_count
     every = scenario.error_sample_every
     calibration = scenario.calibration_frames
-    degradations = [
-        single_degradation_config(roster, i, level)
-        for i, p in enumerate(roster.passes)
-        for level in range(1, p.level_count)
-    ]
+    degradations = list(single_degradations(roster).values())
     plan = background_plan(roster, scenario.governor, frame_count)
 
     rows = []
@@ -666,9 +667,13 @@ def replay(
     scenario: Scenario, config: RenderingConfiguration, out_dir: str | Path | None = None
 ) -> RunResult:
     """Pinned-configuration replay with the same artifact shapes as a run.
-    It reads no error model, so it probes without calibrating."""
+    It reads no error model, so it probes without calibrating. A row's
+    ``predicted_w`` is the configuration's exact power, taken for every frame
+    in one array pass (:class:`simgpu.FramePowers`)."""
     init = _probe(scenario)
     budget = budget_watts(scenario.governor, init.power_model.saturation)
+    frames = range(scenario.trace.frame_count)
+    exact = FramePowers(scenario.oracle, scenario.trace, frames).exact(config).tolist()
     rows = []
 
     def log_frame(frame: int, measured: float, true_err: float | None) -> None:
@@ -681,7 +686,7 @@ def replay(
             staleness=tuple(-1 for _ in scenario.roster.passes),
         )
         row = _record_row(record)
-        row[_PREDICTED] = exact_power(scenario.oracle, config, frame, scenario.trace)
+        row[_PREDICTED] = exact[frame]
         row[_MEASURED] = measured
         row[_TRUE_ERROR] = true_err
         rows.append(row)

@@ -231,13 +231,60 @@ def predict_power(
     asymptote is open in exact arithmetic; rounding can still land on P_M at
     extreme loads, so the bound is enforced explicitly.
     """
-    # Left to right, as lattice_power adds its tables: since Python 3.12 the
-    # builtin sum() compensates float rounding, which changes the last bits.
+    # Left to right, as lattice_power and load_power add: since Python 3.12
+    # the builtin sum() compensates float rounding, which changes the last
+    # bits.
     alpha = 0.0
     for term in load_terms(saturation, coefficients, primitives):
         alpha += term
     p = saturation.p_min + saturation.span * (1.0 - math.exp(-alpha))
     return min(p, math.nextafter(saturation.p_max, -math.inf))
+
+
+def per_entry(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of each entry of ``values``, taken on Python floats: for
+    ``math.exp`` and ``math.sin``, whose vectorized numpy counterparts can
+    differ from them in the last bit, and by CPU."""
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
+
+
+def _saturate(saturation: SaturationConstants, alpha: np.ndarray) -> np.ndarray:
+    """The power formula, unclamped, of each load sum in ``alpha``."""
+    return saturation.p_min + saturation.span * (1.0 - per_entry(math.exp, -alpha))
+
+
+def load_power(saturation: SaturationConstants, terms: np.ndarray) -> np.ndarray:
+    """The power formula, unclamped, of each frame's load terms: ``terms[k,
+    i]`` holds pass i's (b, v, f) terms at frame k.
+
+    Each pass's terms add as (b + v) + f and the passes left to right, the
+    order of :func:`predict_power`, so every watt equals the scalar formula
+    bit for bit.
+    """
+    per_pass = (terms[:, :, 0] + terms[:, :, 1]) + terms[:, :, 2]
+    alpha = np.zeros(len(terms))
+    for i in range(per_pass.shape[1]):
+        alpha = alpha + per_pass[:, i]
+    return _saturate(saturation, alpha)
+
+
+def predict_powers(
+    saturation: SaturationConstants,
+    coefficients: PowerCoefficients,
+    primitives: np.ndarray,
+) -> np.ndarray:
+    """:func:`predict_power` of each frame, bit for bit: ``primitives[k, i]``
+    holds pass i's (b, v, f) counts at frame k, 0.0 for every kind the pass
+    does not use."""
+    n = len(saturation.per_pass)
+    if len(coefficients.per_pass) != n or primitives.shape[1:] != (n, 3):
+        raise ValueError("saturation, coefficients, and primitives disagree on pass count")
+    terms = (np.reshape(coefficients.per_pass, (n, 3)) * primitives) / np.reshape(
+        saturation.per_pass, (n, 3)
+    )
+    return np.minimum(
+        load_power(saturation, terms), math.nextafter(saturation.p_max, -math.inf)
+    )
 
 
 def linearize_sample(
@@ -437,8 +484,8 @@ def lattice_power(
     configuration (every pass at ``min(l, L_i - 1)``, resolution at ``r``) to
     fill one ``L_i x L_res`` table of :func:`load_terms` per pass. The tables
     are summed over the lattice in roster order, the left-to-right order of
-    the scalar sum, and each entry gets its own ``math.exp``, so every watt
-    equals the scalar formula bit for bit.
+    the scalar sum, and each entry gets its own ``math.exp`` (:func:`per_entry`),
+    so every watt equals the scalar formula bit for bit.
     """
     model_indices = roster.model_pass_indices
     res = roster.resolution_index
@@ -461,10 +508,7 @@ def lattice_power(
     alpha = np.zeros(tuple(p.level_count for p in roster.passes))
     for table, i in zip(tables, model_indices):
         alpha = alpha + table[grid[i], res_levels]
-    # math.exp, not np.exp: the vectorized exp can differ from the scalar one
-    # in the last bit.
-    decay = np.array([math.exp(-a) for a in alpha.ravel().tolist()])
-    return saturation.p_min + saturation.span * (1.0 - decay)
+    return _saturate(saturation, alpha.ravel())
 
 
 def predict_all(model: PowerModel, primitives_for) -> np.ndarray:

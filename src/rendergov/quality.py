@@ -17,7 +17,7 @@ from .configspace import (
     PassRoster,
     RenderingConfiguration,
     level_grid,
-    single_degradation_config,
+    single_degradations,
 )
 
 SSIM_WINDOW = 11
@@ -270,10 +270,8 @@ def calibrate_ratios(
     if not calibration_frames:
         raise ValueError("calibration needs at least one frame")
 
-    degradations = [
-        (i, lvl) for i, p in enumerate(roster.passes) for lvl in range(1, p.level_count)
-    ]
-    configs = [single_degradation_config(roster, i, lvl) for i, lvl in degradations]
+    degradations = single_degradations(roster)
+    configs = list(degradations.values())
     # Per calibration frame: (pass, level) -> error.
     errors = [dict(zip(degradations, scorer(frame)(configs))) for frame in calibration_frames]
 

@@ -27,6 +27,8 @@ from .powermodel import (
     SaturationConstants,
     UnitCosts,
     lattice_power,
+    load_power,
+    per_entry,
 )
 from .quality import FrameImage
 
@@ -109,7 +111,10 @@ class SceneTrace:
     too, for a repeated query with the same configuration and roster
     objects; identity keeps a miss, the common case, cheap. The memos live
     on the instance and are set up empty in
-    ``__post_init__``, which ``dataclasses.replace`` runs again.
+    ``__post_init__``, which ``dataclasses.replace`` runs again. It also sets
+    up each curve parameter as one ``(passes, 3)`` array, from which
+    :class:`FramePowers` evaluates the curves at many frames at once; nothing
+    on the instance grows with the trace.
     """
 
     frame_count: int
@@ -139,6 +144,16 @@ class SceneTrace:
         object.__setattr__(self, "_event_memo", None)
         object.__setattr__(self, "_frame_memo", None)
         object.__setattr__(self, "_query_memo", None)
+        # base, amp, period, phase, jitter_amp, jitter_period and the jitter's
+        # phase 1.7 * phase, each of shape (passes, 3).
+        params = [
+            (c.base, c.amp, c.period, c.phase, c.jitter_amp, c.jitter_period, 1.7 * c.phase)
+            for triple in self.curves
+            for c in triple
+        ]
+        object.__setattr__(
+            self, "_curve_params", np.array(params, dtype=float).reshape(n, 3, 7).transpose(2, 0, 1)
+        )
 
     @property
     def is_empty(self) -> bool:
@@ -147,8 +162,9 @@ class SceneTrace:
         )
 
     def _event_table(self, roster: PassRoster):
-        """Event frames, and the per-model-pass (count, cost) scales in
-        effect after each prefix of the events; entry k follows k events."""
+        """Event frames, the per-model-pass (count, cost) scales in effect
+        after each prefix of the events, entry k following k events, and the
+        same scales as one ``(events + 1, 2, passes)`` array."""
         memo = self._event_memo
         if memo is not None and (memo[0] is roster or memo[0] == roster):
             return memo[1]
@@ -161,7 +177,8 @@ class SceneTrace:
             counts[mi] *= e.count_scale
             costs[mi] *= e.cost_scale
             table.append((tuple(counts), tuple(costs)))
-        result = ([e.frame for e in self.events], table)
+        scales = np.array(table, dtype=float).reshape(len(table), 2, len(names))
+        result = ([e.frame for e in self.events], table, scales)
         object.__setattr__(self, "_event_memo", (roster, result))
         return result
 
@@ -171,7 +188,7 @@ class SceneTrace:
         memo = self._frame_memo
         if memo is not None and memo[1] == frame and (memo[0] is roster or memo[0] == roster):
             return memo[2]
-        frames, table = self._event_table(roster)
+        frames, table, _ = self._event_table(roster)
         counts, costs = table[bisect_right(frames, frame)]
         values = tuple(tuple(c.value(frame) for c in triple) for triple in self.curves)
         terms = (values, counts, costs)
@@ -397,6 +414,77 @@ def measure_power(
     :func:`exact_power` rejects frames outside the trace before any draw."""
     p = exact_power(oracle, config, frame_index, trace) + oracle.noise(frame_index)
     return max(p, 1e-9)
+
+
+class FramePowers:
+    """:func:`exact_power`, :func:`measure_power` and
+    :meth:`SceneTrace.primitives_for` of one configuration at each of a list
+    of frames, in one array pass per configuration, bit for bit.
+
+    Construction rejects a frame outside the trace, as :func:`exact_power`
+    does, and takes what every configuration's power at these frames shares:
+    each frame's curve values and (count, cost) event scales. The first
+    :meth:`measured` takes each frame's :meth:`HiddenPowerOracle.noise` draw
+    once. Every step keeps the scalar operand order, and sines and
+    exponentials are taken with ``math`` per entry (:func:`powermodel.per_entry`).
+    The most recent configuration's counts are kept, by identity, for a
+    prediction that follows its measurement.
+    """
+
+    def __init__(self, oracle: HiddenPowerOracle, trace: SceneTrace, frames) -> None:
+        for frame in frames:
+            _check_frame(frame, trace)
+        self.oracle, self.trace, self.frames = oracle, trace, frames
+        roster = oracle.roster
+        n = len(roster.model_pass_indices)
+        base, amp, period, phase, jitter_amp, jitter_period, jitter_phase = trace._curve_params
+        # CurveSpec.value, term for term: 2*pi*frame/period + phase.
+        x = (2.0 * math.pi) * np.asarray(frames, dtype=float)[:, None, None]
+        ripple = amp * per_entry(math.sin, x / period + phase)
+        jitter = jitter_amp * per_entry(math.sin, x / jitter_period + jitter_phase)
+        self._values = base * ((1.0 + ripple) + jitter)
+        event_frames, _, table = trace._event_table(roster)
+        scales = table[np.searchsorted(event_frames, np.asarray(frames, dtype=int), side="right")]
+        self._counts, self._costs = scales[:, 0, :, None], scales[:, 1, :, None]
+        self._masks = np.reshape(roster.model_masks, (n, 3))
+        self._saturation = np.reshape(oracle.saturation.per_pass, (n, 3))
+        self._noise = None
+        self._primitives_memo = None
+
+    def primitives(self, config: RenderingConfiguration) -> np.ndarray:
+        """``[k, i]`` is model pass i's (b, v, f) at frame k, 0.0 for every
+        kind the pass does not use."""
+        if self._primitives_memo is not None and self._primitives_memo[0] is config:
+            return self._primitives_memo[1]
+        roster, trace = self.oracle.roster, self.trace
+        roster.validate_config(config)
+        levels = [config[ri] for ri in roster.model_pass_indices]
+        tables = (trace.level_scale_batches, trace.level_scale_vertices, trace.level_scale_fragments)
+        scales = [[table[mi][lvl] for table in tables] for mi, lvl in enumerate(levels)]
+        out = (self._values * np.reshape(scales, (-1, 3))) * self._counts
+        out[:, :, 2] *= roster.fragment_scale(config)
+        out = np.where(self._masks, out, 0.0)
+        self._primitives_memo = config, out
+        return out
+
+    def exact(self, config: RenderingConfiguration) -> np.ndarray:
+        """:func:`exact_power` of ``config`` at each frame."""
+        primitives = self.primitives(config)
+        oracle = self.oracle
+        # HiddenPowerOracle.true_coefficients before the cost scales.
+        coefficients = [
+            (oracle.k_b[i], oracle._k_v[i], oracle._k_f[i][config[ri]])
+            for i, ri in enumerate(oracle.roster.model_pass_indices)
+        ]
+        coefficients = np.reshape(coefficients, (-1, 3))
+        terms = ((coefficients * self._costs) * primitives) / self._saturation
+        return load_power(oracle.saturation, terms)
+
+    def measured(self, config: RenderingConfiguration) -> np.ndarray:
+        """:func:`measure_power` of ``config`` at each frame."""
+        if self._noise is None:
+            self._noise = np.array([self.oracle.noise(frame) for frame in self.frames], dtype=float)
+        return np.maximum(self.exact(config) + self._noise, 1e-9)
 
 
 # --------------------------------------------------------------------------

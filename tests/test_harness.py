@@ -35,8 +35,8 @@ from rendergov.harness import (
     run,
     write_oracle_table,
 )
-from rendergov.powermodel import predict_power
-from rendergov.quality import map_mean, quality_error, row_sums
+from rendergov.powermodel import PowerCoefficients, predict_power
+from rendergov.quality import calibrate_ratios, map_mean, quality_error, row_sums
 from rendergov.simgpu import exact_power, measure_power, render_frame
 from rendergov.truth import FrameScorer
 
@@ -604,11 +604,15 @@ def _governed_powers(scenario) -> list[tuple[float, float]]:
 
 @pytest.mark.parametrize("forked", [False, pytest.param(True, marks=needs_two_cpus)])
 def test_run_power_cells_equal_governed_oracle(
-    forked, mini_scenario, regime_scenario, monkeypatch, tmp_path
+    forked, mini_scenario, regime_scenario, lattice_scenario, monkeypatch, tmp_path
 ):
-    # Both scenarios install a fitted model in the middle of a chunk:
-    # mini's startup fit and regime_change's forced refit.
-    for scenario in (mini_scenario, regime_scenario):
+    # Both small scenarios install a fitted model in the middle of a chunk:
+    # mini's startup fit and regime_change's forced refit. The 8-pass lattice
+    # is cut to 240 frames, which take it through its first selection.
+    lattice = dataclasses.replace(
+        lattice_scenario, trace=dataclasses.replace(lattice_scenario.trace, frame_count=240)
+    )
+    for scenario in (mini_scenario, regime_scenario, lattice):
         expected = _governed_powers(scenario)
         with monkeypatch.context() as m:
             if forked:
@@ -627,6 +631,44 @@ def test_run_power_cells_equal_governed_oracle(
         ]
         assert got == expected, scenario.name
         assert result.summary["governed_mean_power"] == sum(m for _, m in expected) / len(expected)
+
+
+def test_chunk_powers_equal_scalar_powers(regime_scenario, demo_scenario):
+    """A chunk's powers equal the scalar path's when its coefficients or
+    saturation constants change mid-chunk, and when every frame's s_eff is
+    an equal but distinct object, as a glide builds them."""
+    for scenario, start in ((regime_scenario, 24), (demo_scenario, 592)):
+        roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
+        config = RenderingConfiguration(tuple(p.level_count // 2 for p in roster.passes))
+        fitted = PowerCoefficients(oracle.true_coefficients(config).per_pass)
+        refit = PowerCoefficients(tuple((b, 1.1 * v, 0.9 * f) for b, v, f in fitted.per_pass))
+        saturation = oracle.saturation
+        moved = dataclasses.replace(saturation, p_max=1.01 * saturation.p_max)
+        frames = range(start, start + 16)
+        changing = [
+            (f, config, saturation if f < start + 11 else moved, fitted if f < start + 5 else refit)
+            for f in frames
+        ]
+        # The glide steps to the worst configuration at its tenth frame.
+        step = start + 10
+        gliding = [
+            (f, RenderingConfiguration(tuple(config if f < step else roster.worst_config())),
+             saturation, fitted)
+            for f in frames
+        ]
+        for governed in (changing, gliding):
+            expected = [
+                (
+                    measure_power(oracle, roster.best_config(), f, trace),
+                    measure_power(oracle, roster.worst_config(), f, trace),
+                    measure_power(oracle, s_eff, f, trace),
+                    predict_power(sat, coefficients, trace.primitives_for(roster, s_eff, f)),
+                )
+                for f, s_eff, sat, coefficients in governed
+            ]
+            powers, truths = harness._score_chunk(scenario, governed, [])
+            assert powers == expected and truths == []
+            assert {type(watts) for frame_powers in powers for watts in frame_powers} == {float}
 
 
 @needs_two_cpus
@@ -855,6 +897,41 @@ def test_run_probe_error_stops_the_worker(mini_scenario, monkeypatch):
     assert multiprocessing.active_children() == []
     assert os.sched_getaffinity(0) == allowed
     assert threading.active_count() == 1
+
+
+def test_calibration_asks_for_what_run_scores(mini_scenario, lattice_scenario, monkeypatch):
+    """``calibrate_ratios`` looks up exactly the configurations ``run``
+    scored for each calibration frame, in the same order."""
+
+    class Calibrated(Exception):
+        pass
+
+    for scenario in (mini_scenario, lattice_scenario):
+        submitted, asked = [], []
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            submit = harness._Scorer.submit
+            m.setattr(
+                harness._Scorer,
+                "submit",
+                lambda self, frames, jobs: submitted.extend(jobs) or submit(self, frames, jobs),
+            )
+
+            def calibrate(scorer, roster, frames):
+                def recording(frame):
+                    score = scorer(frame)
+                    return lambda configs: asked.append((frame, list(configs))) or score(configs)
+
+                calibrate_ratios(recording, roster, frames)
+                raise Calibrated
+
+            m.setattr(harness, "calibrate_ratios", calibrate)
+            with pytest.raises(Calibrated):
+                run(scenario)
+        calibration = scenario.calibration_frames
+        assert asked == submitted[: len(calibration)]
+        assert [frame for frame, _ in asked] == list(calibration)
+        assert len(asked[0][1]) == sum(p.level_count - 1 for p in scenario.roster.passes)
 
 
 @needs_two_cpus

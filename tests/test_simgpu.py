@@ -22,11 +22,13 @@ from rendergov.powermodel import (
     fit_coefficients,
     load_terms,
     predict_power,
+    predict_powers,
 )
 from rendergov.harness import _generic_sweep_samples
 from rendergov.quality import quality_error
 from rendergov.simgpu import (
     CurveSpec,
+    FramePowers,
     HiddenPowerOracle,
     PassDegradation,
     ProbeError,
@@ -330,14 +332,28 @@ def test_empty_trace_is_empty(mini_scenario):
     assert not mini_scenario.trace.is_empty
 
 
-def test_power_queries_reject_frames_outside_the_trace(mini_scenario):
+def test_power_queries_reject_frames_outside_the_trace(mini_scenario, monkeypatch):
     sc = mini_scenario
     assert sc.oracle.noise_sigma > 0.0  # a noisy meter must not reach its draw
+    draws = []
+    noise = HiddenPowerOracle.noise
+    monkeypatch.setattr(
+        HiddenPowerOracle, "noise", lambda self, frame: draws.append(frame) or noise(self, frame)
+    )
     cfg = sc.roster.worst_config()
+
+    def in_list(method):
+        # The array path checks every frame of its list before it draws.
+        return lambda o, c, frame, t: method(FramePowers(o, t, [0, 1, frame]), c)
+
+    queries = (
+        exact_power, measure_power, in_list(FramePowers.exact), in_list(FramePowers.measured)
+    )
     for frame in (-1, -240, sc.trace.frame_count, 10**6):
-        for query in (exact_power, measure_power):
+        for query in queries:
             with pytest.raises(ValueError, match=rf"frame {frame} outside .*\[0, 240\)"):
                 query(sc.oracle, cfg, frame, sc.trace)
+    assert draws == []
     assert exact_power(sc.oracle, cfg, 0, sc.trace) > 0.0
     assert measure_power(sc.oracle, cfg, sc.trace.frame_count - 1, sc.trace) > 0.0
 
@@ -594,3 +610,75 @@ def test_exact_power_all_equals_scalar_path(
     for frame in (-1, sc.trace.frame_count):
         with pytest.raises(ValueError, match=rf"frame {frame} outside .*\[0, 240\)"):
             exact_power_all(sc.oracle, frame, sc.trace)
+
+
+def test_frame_powers_equal_scalar_path(mini_scenario, regime_scenario, demo_scenario):
+    """The array powers and counts of every frame equal the scalar ones bit
+    for bit, whole traces and 16-frame chunks alike, and so do the array
+    predictions, the clamp below P_M included."""
+    regime = regime_scenario
+    # A count event and cost events inside 16-frame chunks.
+    regime_trace = dataclasses.replace(
+        regime.trace,
+        events=regime.trace.events
+        + (
+            TraceEvent(120, "shading", count_scale=0.6),
+            TraceEvent(200, "postfx", count_scale=1.3, cost_scale=0.8),
+        ),
+    )
+    assert all(e.frame % 16 for e in regime_trace.events)
+    demo = demo_scenario
+    assert demo.oracle.noise_sigma > 0.0
+    # p_min = 0 is below what SaturationConstants accepts; on an empty trace
+    # every exact power is 0.0, so each negative draw clamps the reading.
+    saturation = dataclasses.replace(mini_scenario.oracle.saturation)
+    object.__setattr__(saturation, "p_min", 0.0)
+    idle_oracle = dataclasses.replace(mini_scenario.oracle, saturation=saturation, noise_sigma=0.05)
+    partial = _partial_uses_case()
+    rng = random.Random(22)
+
+    def some(roster, k):
+        configs = enumerate_configurations(roster)
+        return [roster.best_config(), roster.worst_config(), *rng.sample(configs, k)]
+
+    mini = mini_scenario
+    assert mini.roster.resolution_index is not None
+    quiet_demo = dataclasses.replace(demo.oracle, noise_sigma=0.0)
+    # (roster, trace, oracle, configurations, frames per FramePowers or None
+    # for the whole trace)
+    cases = [
+        (regime.roster, regime_trace, regime.oracle, enumerate_configurations(regime.roster), 16),
+        (mini.roster, mini.trace, mini.oracle, enumerate_configurations(mini.roster), None),
+        (demo.roster, demo.trace, demo.oracle, some(demo.roster, 4), 16),
+        (demo.roster, demo.trace, quiet_demo, some(demo.roster, 4), None),
+        (*partial, enumerate_configurations(partial[0]), 16),
+        (mini.roster, empty_trace(mini.roster, 64), idle_oracle, some(mini.roster, 2), None),
+    ]
+    clamped = saturated = 0
+    for roster, trace, oracle, configs, chunk in cases:
+        step = chunk or trace.frame_count
+        for start in range(0, trace.frame_count, step):
+            frames = list(range(start, min(start + step, trace.frame_count)))
+            at = FramePowers(oracle, trace, frames)
+            for config in configs:
+                primitives = [trace.primitives_for(roster, config, f) for f in frames]
+                assert at.primitives(config).tolist() == [list(map(list, p)) for p in primitives]
+                assert at.exact(config).tolist() == [
+                    exact_power(oracle, config, f, trace) for f in frames
+                ]
+                measured = at.measured(config).tolist()
+                assert measured == [measure_power(oracle, config, f, trace) for f in frames]
+                clamped += measured.count(1e-9)
+                for scale in (1.0, 1e4):
+                    true = oracle.true_coefficients(config).per_pass
+                    coefficients = PowerCoefficients(
+                        tuple(tuple(k * scale for k in ks) for ks in true)
+                    )
+                    predicted = predict_powers(
+                        oracle.saturation, coefficients, at.primitives(config)
+                    ).tolist()
+                    assert predicted == [
+                        predict_power(oracle.saturation, coefficients, p) for p in primitives
+                    ]
+                    saturated += predicted.count(math.nextafter(oracle.saturation.p_max, 0.0))
+    assert clamped > 0 and saturated > 0
