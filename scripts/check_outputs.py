@@ -7,7 +7,8 @@ For each ``scenarios/*.json`` it writes ``OUT_DIR/<name>/run_log.csv`` and
 ``--seed``), plus demo's ``oracle_frame200.csv``, mini's
 ``oracle_frame120.csv`` (a second frame geometry: 64 px, with a 2-level
 resolution pass), ``demo_lattice/`` (demo grown to 8 passes, 6,561
-configurations, as ``tests/conftest.py`` builds it: its ``oracle_frame600.csv``
+configurations, by :func:`lattice_scenario`, which the tests' fixture of
+that name calls too: its ``oracle_frame600.csv``
 and the ``run_log.csv`` and ``summary.txt`` of a governed run, whose
 background cycle has 9 slots) and the
 logs and summaries of ``replay``s of demo's worst and best configurations,

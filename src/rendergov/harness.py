@@ -128,8 +128,8 @@ def initialize(scenario: Scenario) -> Initialization:
 
 def _probe(scenario: Scenario) -> Initialization:
     """The rest of :func:`initialize`: probe idle and saturated power and seed
-    the power model, fitted to a generic sweep if the scenario asks; no error
-    model."""
+    the power model, fitted to a generic sweep where the governor does not
+    fit on the first live frames (``initial_fit``); no error model."""
     roster = scenario.roster
     oracle = scenario.oracle
     probe_opts = scenario.probe
@@ -148,7 +148,7 @@ def _probe(scenario: Scenario) -> Initialization:
         fitted_config=scenario.initial_config,
     )
 
-    if scenario.initial_fit_mode == "generic":
+    if not scenario.governor.initial_fit:
         sweep = _generic_sweep_samples(scenario, probe.saturation.per_pass)
         fit = fit_coefficients(sweep, probe.saturation)
         costs = solve_unit_costs(
@@ -493,16 +493,17 @@ def _mean(values) -> float:
     return total / count if count else 0.0
 
 
-def replay_trace(scenario: Scenario, config: RenderingConfiguration, on_frame=None) -> dict:
+def replay_trace(scenario: Scenario, config: RenderingConfiguration) -> dict:
     """Run the trace with one pinned configuration; no governor involved.
 
-    ``on_frame(frame, measured_power, true_error)``, if given, sees every
-    frame; ``true_error`` is None on frames whose error is not sampled. The
-    sampled frames are handed to a :class:`_Scorer` every :data:`_CHUNK`
-    frames, as :func:`run` hands them, and scored while the caller measures
-    every frame's power in one array pass (:class:`simgpu.FramePowers`).
-    The all-best configuration scores 0.0 without rendering, so its replay
-    starts no process.
+    Returns every frame's ``exact`` and ``measured`` power, the true
+    ``errors`` of the sampled frames (every ``error_sample_every``-th, from
+    frame 0), and the means of ``measured`` and ``errors``. The sampled
+    frames are handed to a :class:`_Scorer` every :data:`_CHUNK` frames, as
+    :func:`run` hands them, and scored while the caller takes every frame's
+    power in one array pass (:class:`simgpu.FramePowers`). The all-best
+    configuration scores 0.0 without rendering, so its replay starts no
+    process.
     """
     scenario.roster.validate_config(config)
     frame_count, every = scenario.trace.frame_count, scenario.error_sample_every
@@ -513,17 +514,14 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration, on_frame=No
             chunk = range(start, min(start + _CHUNK, frame_count))
             chunks.append(scorer.submit([], [(f, [config]) for f in chunk if f % every == 0]))
         at = FramePowers(scenario.oracle, scenario.trace, range(frame_count))
-        powers = at.measured(config).tolist()
+        exact, measured = at.exact(config).tolist(), at.measured(config).tolist()
         errors = [err for _, truths in scorer.results(chunks) for (err,) in truths]
-    truths = dict(zip(range(0, frame_count, every), errors))
-    if on_frame is not None:
-        for frame, measured in enumerate(powers):
-            on_frame(frame, measured, truths.get(frame))
     return {
-        "mean_power": _mean(powers),
+        "exact": exact,
+        "measured": measured,
+        "errors": errors,
+        "mean_power": _mean(measured),
         "mean_error": _mean(errors),
-        "frames": frame_count,
-        "error_samples": len(errors),
     }
 
 
@@ -668,15 +666,15 @@ def replay(
 ) -> RunResult:
     """Pinned-configuration replay with the same artifact shapes as a run.
     It reads no error model, so it probes without calibrating. A row's
-    ``predicted_w`` is the configuration's exact power, taken for every frame
-    in one array pass (:class:`simgpu.FramePowers`)."""
+    ``predicted_w`` is the configuration's exact power
+    (:func:`replay_trace`)."""
     init = _probe(scenario)
     budget = budget_watts(scenario.governor, init.power_model.saturation)
+    stats = replay_trace(scenario, config)
     frames = range(scenario.trace.frame_count)
-    exact = FramePowers(scenario.oracle, scenario.trace, frames).exact(config).tolist()
+    truths = dict(zip(frames[:: scenario.error_sample_every], stats["errors"]))
     rows = []
-
-    def log_frame(frame: int, measured: float, true_err: float | None) -> None:
+    for frame, exact, measured in zip(frames, stats["exact"], stats["measured"]):
         record = RunLogRecord(
             frame=frame,
             phase="replay",
@@ -686,23 +684,21 @@ def replay(
             staleness=tuple(-1 for _ in scenario.roster.passes),
         )
         row = _record_row(record)
-        row[_PREDICTED] = exact[frame]
+        row[_PREDICTED] = exact
         row[_MEASURED] = measured
-        row[_TRUE_ERROR] = true_err
+        row[_TRUE_ERROR] = truths.get(frame)
         rows.append(row)
-
-    stats = replay_trace(scenario, config, log_frame)
     summary = {
         "scenario": scenario.name,
         "seed": scenario.seed,
         "replay_config": str(config),
-        "frames": stats["frames"],
+        "frames": len(frames),
         "budget_watts": budget,
         "p_min_probed": init.p_min_probed,
         "p_max_probed": init.probe.p_max_observed,
         "mean_power": stats["mean_power"],
         "mean_error": stats["mean_error"],
-        "error_samples": stats["error_samples"],
+        "error_samples": len(stats["errors"]),
     }
     tag = str(config).replace("-", "")
     return _result(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .configspace import PassDescriptor, PassRoster, RenderingConfiguration
@@ -50,6 +50,21 @@ def _int(value, where: str) -> int:
     return value
 
 
+# The checks of the int and float fields of the option dataclasses, by
+# annotation: every module here postpones annotations, so each is a string.
+_CHECKS = {"int": _int, "float": _number}
+
+
+def _options(cls, raw: dict, where: str) -> dict:
+    """Each int and float option of dataclass ``cls`` that ``raw`` sets,
+    checked by its annotation; an option left out keeps its default."""
+    return {
+        f.name: _CHECKS[f.type](raw[f.name], f"{where}.{f.name}")
+        for f in fields(cls)
+        if f.type in _CHECKS and f.default is not MISSING and f.name in raw
+    }
+
+
 def _numbers(value, where: str) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ScenarioError(f"{where}: expected a list of numbers")
@@ -69,7 +84,6 @@ class Scenario:
     synthesizer: FrameSynthesizer
     governor: GovernorConfig
     initial_config: RenderingConfiguration
-    initial_fit_mode: str = "window"  # "window" | "generic"
     calibration_frames: tuple[int, ...] = ()
     probe: ProbeOptions = field(default_factory=ProbeOptions)
     error_sample_every: int = 1
@@ -184,11 +198,7 @@ def _build_curve(raw, where: str) -> CurveSpec:
     try:
         return CurveSpec(
             base=_number(_require(raw, "base", where), f"{where}.base"),
-            amp=_number(raw.get("amp", 0.0), f"{where}.amp"),
-            period=_number(raw.get("period", 1.0), f"{where}.period"),
-            phase=_number(raw.get("phase", 0.0), f"{where}.phase"),
-            jitter_amp=_number(raw.get("jitter_amp", 0.0), f"{where}.jitter_amp"),
-            jitter_period=_number(raw.get("jitter_period", 7.0), f"{where}.jitter_period"),
+            **_options(CurveSpec, raw, where),
         )
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
@@ -236,8 +246,7 @@ def _build_trace(raw, roster: PassRoster, where: str = "trace") -> SceneTrace:
             TraceEvent(
                 frame=_int(_require(entry, "frame", here), f"{here}.frame"),
                 pass_name=pass_name,
-                count_scale=_number(entry.get("count_scale", 1.0), f"{here}.count_scale"),
-                cost_scale=_number(entry.get("cost_scale", 1.0), f"{here}.cost_scale"),
+                **_options(TraceEvent, entry, here),
             )
         )
     try:
@@ -285,34 +294,20 @@ def _build_synthesizer(
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _build_governor(raw, where: str = "governor") -> tuple[GovernorConfig, str, object]:
+def _build_governor(raw, where: str = "governor") -> tuple[GovernorConfig, object]:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object")
-    initial_fit_mode = raw.get("initial_fit", "window")
-    if initial_fit_mode not in ("window", "generic"):
+    initial_fit = raw.get("initial_fit", "window")
+    if initial_fit not in ("window", "generic"):
         raise ScenarioError(f"{where}.initial_fit: expected 'window' or 'generic'")
-    initial_config = raw.get("initial_config", "best")
-    kwargs = {}
-    for name in (
-        "budget_percent",
-        "error_budget",
-        "accuracy_threshold",
-        "filter_interval",
-        "fps",
-        "fit_latency",
-        "reuse_latency",
-        "ssim_latency",
-    ):
-        if name in raw:
-            kwargs[name] = _number(raw[name], f"{where}.{name}")
-    for name in ("accuracy_check_window", "fitting_window", "error_frequency", "selection_period"):
-        if name in raw:
-            kwargs[name] = _int(raw[name], f"{where}.{name}")
+    kwargs = _options(GovernorConfig, raw, where)
     if "mode" in raw:
         kwargs["mode"] = raw["mode"]
-    kwargs["initial_fit"] = initial_fit_mode == "window"
     try:
-        return GovernorConfig(**kwargs), initial_fit_mode, initial_config
+        return (
+            GovernorConfig(**kwargs, initial_fit=initial_fit == "window"),
+            raw.get("initial_config", "best"),
+        )
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -342,9 +337,7 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     oracle = _build_oracle(_require(doc, "oracle", "scenario"), roster, cost_table, seed)
     trace = _build_trace(_require(doc, "trace", "scenario"), roster)
     synthesizer = _build_synthesizer(_require(doc, "synthesizer", "scenario"), roster, seed)
-    governor, initial_fit_mode, initial_config_spec = _build_governor(
-        _require(doc, "governor", "scenario")
-    )
+    governor, initial_config_spec = _build_governor(_require(doc, "governor", "scenario"))
     initial_config = _build_initial_config(
         initial_config_spec, roster, "governor.initial_config"
     )
@@ -360,14 +353,7 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     probe_raw = doc.get("probe", {})
     if not isinstance(probe_raw, dict):
         raise ScenarioError("probe: expected an object")
-    probe_kwargs = {}
-    for name_ in ("min_power_frames", "frames_per_reading", "max_doublings"):
-        if name_ in probe_raw:
-            probe_kwargs[name_] = _int(probe_raw[name_], f"probe.{name_}")
-    for name_ in ("start_count", "plateau_threshold", "min_rise_fraction"):
-        if name_ in probe_raw:
-            probe_kwargs[name_] = _number(probe_raw[name_], f"probe.{name_}")
-    probe = ProbeOptions(**probe_kwargs)
+    probe = ProbeOptions(**_options(ProbeOptions, probe_raw, "probe"))
     for name_ in ("min_power_frames", "frames_per_reading"):
         if getattr(probe, name_) < 1:
             raise ScenarioError(f"probe.{name_} must be >= 1")
@@ -388,7 +374,6 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         synthesizer=synthesizer,
         governor=governor,
         initial_config=initial_config,
-        initial_fit_mode=initial_fit_mode,
         calibration_frames=calibration_frames,
         probe=probe,
         error_sample_every=every,

@@ -105,12 +105,12 @@ class SceneTrace:
 
     Every configuration measured at one frame shares that frame's curve
     values and event scales, so the trace keeps them for the most recent
-    ``(roster, frame)`` only, and the cumulative event scales for the most
-    recent roster. A frame's power is often measured and predicted for one
-    configuration, so :meth:`primitives_for` keeps its most recent answer
-    too, for a repeated query with the same configuration and roster
-    objects; identity keeps a miss, the common case, cheap. The memos live
-    on the instance and are set up empty in
+    ``(roster, frame)`` only, and the cumulative event scales, as one array,
+    for the most recent roster. A frame's power is often measured and
+    predicted for one configuration, so :meth:`primitives_for` keeps its most
+    recent answer too, for a repeated query with the same configuration and
+    roster objects; identity keeps a miss, the common case, cheap. The memos
+    live on the instance and are set up empty in
     ``__post_init__``, which ``dataclasses.replace`` runs again. It also sets
     up each curve parameter as one ``(passes, 3)`` array, from which
     :class:`FramePowers` evaluates the curves at many frames at once; nothing
@@ -162,23 +162,23 @@ class SceneTrace:
         )
 
     def _event_table(self, roster: PassRoster):
-        """Event frames, the per-model-pass (count, cost) scales in effect
-        after each prefix of the events, entry k following k events, and the
-        same scales as one ``(events + 1, 2, passes)`` array."""
+        """Event frames, and the per-model-pass (count, cost) scales in effect
+        after each prefix of the events as one ``(events + 1, 2, passes)``
+        array, entry k following k events."""
         memo = self._event_memo
         if memo is not None and (memo[0] is roster or memo[0] == roster):
             return memo[1]
         names = [roster.passes[i].name for i in roster.model_pass_indices]
         counts = [1.0] * len(names)
         costs = [1.0] * len(names)
-        table = [(tuple(counts), tuple(costs))]
+        table = [counts + costs]
         for e in self.events:
             mi = names.index(e.pass_name)
             counts[mi] *= e.count_scale
             costs[mi] *= e.cost_scale
-            table.append((tuple(counts), tuple(costs)))
+            table.append(counts + costs)
         scales = np.array(table, dtype=float).reshape(len(table), 2, len(names))
-        result = ([e.frame for e in self.events], table, scales)
+        result = ([e.frame for e in self.events], scales)
         object.__setattr__(self, "_event_memo", (roster, result))
         return result
 
@@ -188,8 +188,8 @@ class SceneTrace:
         memo = self._frame_memo
         if memo is not None and memo[1] == frame and (memo[0] is roster or memo[0] == roster):
             return memo[2]
-        frames, table, _ = self._event_table(roster)
-        counts, costs = table[bisect_right(frames, frame)]
+        frames, scales = self._event_table(roster)
+        counts, costs = map(tuple, scales[bisect_right(frames, frame)].tolist())
         values = tuple(tuple(c.value(frame) for c in triple) for triple in self.curves)
         terms = (values, counts, costs)
         object.__setattr__(self, "_frame_memo", (roster, frame, terms))
@@ -265,9 +265,9 @@ class HiddenPowerOracle:
     public entry times factor**u with a seeded u in [-1, 1], so 1.0 means the
     public cost table is exactly true.
 
-    The unscaled vertex and per-level fragment coefficients are computed once
-    from the true costs, and :meth:`noise` keeps the most recent frame's
-    draw, so power queries for many configurations at one frame share both.
+    Each model pass's unscaled ``(k_b, k_v, k_f)`` at each of its levels is
+    computed once from the true costs, and every power query reads that
+    table.
     """
 
     roster: PassRoster
@@ -305,16 +305,12 @@ class HiddenPowerOracle:
         true_costs = CostTable(ins_v, ins_f, tex_f)
         object.__setattr__(self, "true_costs", true_costs)
         chi, psi = self.unit_costs.chi, self.unit_costs.psi
-        object.__setattr__(self, "_k_v", tuple(chi * x for x in true_costs.ins_v))
-        object.__setattr__(
-            self,
-            "_k_f",
-            tuple(
-                tuple(chi * i_f + psi * t_f for i_f, t_f in zip(ins_row, tex_row))
-                for ins_row, tex_row in zip(true_costs.ins_f, true_costs.tex_f)
-            ),
+        # [i][l]: model pass i's (k_b, k_v, k_f) at level l, before cost scales.
+        table = tuple(
+            tuple((k_b, chi * v, chi * i_f + psi * t_f) for i_f, t_f in zip(i_row, t_row))
+            for k_b, v, i_row, t_row in zip(self.k_b, ins_v, ins_f, tex_f)
         )
-        object.__setattr__(self, "_noise_memo", None)
+        object.__setattr__(self, "_coefficients", table)
 
     def true_coefficients(
         self, config: RenderingConfiguration, cost_scales=None
@@ -325,9 +321,8 @@ class HiddenPowerOracle:
         per_pass = []
         for i, ri in enumerate(self.roster.model_pass_indices):
             scale = 1.0 if cost_scales is None else cost_scales[i]
-            per_pass.append(
-                (self.k_b[i] * scale, self._k_v[i] * scale, self._k_f[i][config[ri]] * scale)
-            )
+            k_b, k_v, k_f = self._coefficients[i][config[ri]]
+            per_pass.append((k_b * scale, k_v * scale, k_f * scale))
         return PowerCoefficients(tuple(per_pass))
 
     def exact_power_from_primitives(
@@ -346,27 +341,18 @@ class HiddenPowerOracle:
         alpha = 0.0
         for i, ri in enumerate(model_indices):
             scale = 1.0 if cost_scales is None else cost_scales[i]
+            k_b, k_v, k_f = self._coefficients[i][config[ri]]
             big_b, big_v, big_f = sat.per_pass[i]
             b, v, f = primitives[i]
-            alpha += (
-                self.k_b[i] * scale * b / big_b
-                + self._k_v[i] * scale * v / big_v
-                + self._k_f[i][config[ri]] * scale * f / big_f
-            )
+            alpha += k_b * scale * b / big_b + k_v * scale * v / big_v + k_f * scale * f / big_f
         return sat.p_min + sat.span * (1.0 - math.exp(-alpha))
 
     def noise(self, frame_index: int) -> float:
         if self.noise_sigma == 0.0:
             return 0.0
-        memo = self._noise_memo
-        if memo is not None and memo[0] == frame_index:
-            return memo[1]
         rng = np.random.default_rng([self.seed, frame_index])
-        draw = float(rng.standard_normal())
-        draw = max(-3.0, min(3.0, draw))
-        value = draw * self.noise_sigma * self.saturation.span
-        object.__setattr__(self, "_noise_memo", (frame_index, value))
-        return value
+        draw = max(-3.0, min(3.0, float(rng.standard_normal())))
+        return draw * self.noise_sigma * self.saturation.span
 
 
 def _check_frame(frame_index: int, trace: SceneTrace) -> None:
@@ -443,7 +429,7 @@ class FramePowers:
         ripple = amp * per_entry(math.sin, x / period + phase)
         jitter = jitter_amp * per_entry(math.sin, x / jitter_period + jitter_phase)
         self._values = base * ((1.0 + ripple) + jitter)
-        event_frames, _, table = trace._event_table(roster)
+        event_frames, table = trace._event_table(roster)
         scales = table[np.searchsorted(event_frames, np.asarray(frames, dtype=int), side="right")]
         self._counts, self._costs = scales[:, 0, :, None], scales[:, 1, :, None]
         self._masks = np.reshape(roster.model_masks, (n, 3))
@@ -472,11 +458,8 @@ class FramePowers:
         primitives = self.primitives(config)
         oracle = self.oracle
         # HiddenPowerOracle.true_coefficients before the cost scales.
-        coefficients = [
-            (oracle.k_b[i], oracle._k_v[i], oracle._k_f[i][config[ri]])
-            for i, ri in enumerate(oracle.roster.model_pass_indices)
-        ]
-        coefficients = np.reshape(coefficients, (-1, 3))
+        levels = [config[ri] for ri in oracle.roster.model_pass_indices]
+        coefficients = np.reshape([row[l] for row, l in zip(oracle._coefficients, levels)], (-1, 3))
         terms = ((coefficients * self._costs) * primitives) / self._saturation
         return load_power(oracle.saturation, terms)
 

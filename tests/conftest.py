@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from rendergov.quality import quality_error
 from rendergov.scenario import load_scenario, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+CHECK_OUTPUTS = SCENARIO_DIR.parent / "scripts" / "check_outputs.py"
 
 
 @pytest.fixture(scope="session")
@@ -24,24 +26,12 @@ def demo_40px_scenario():
 
 @pytest.fixture(scope="session")
 def lattice_scenario():
-    """demo.json grown to 8 passes (3**8 configurations) by cloning two passes."""
-    doc = json.loads((SCENARIO_DIR / "demo.json").read_text())
-    clones = ("shadows", "metals")
-    roster = []
-    for entry in doc["roster"]:
-        roster.append(entry)
-        if entry["name"] in clones:
-            roster.append({**entry, "name": entry["name"] + "_2"})
-    doc["roster"] = roster
-    for section in (
-        doc["cost_table"],
-        doc["oracle"]["passes"],
-        doc["trace"]["passes"],
-        doc["synthesizer"]["passes"],
-    ):
-        for name in clones:
-            section[name + "_2"] = section[name]
-    return scenario_from_dict(doc)
+    """demo.json grown to 8 passes (3**8 configurations) by cloning two
+    passes, as ``scripts/check_outputs.py`` builds it."""
+    spec = importlib.util.spec_from_file_location("check_outputs", CHECK_OUTPUTS)
+    check_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_outputs)
+    return check_outputs.lattice_scenario(None)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,12 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from rendergov.governor import GovernorConfig
 from rendergov.scenario import ScenarioError, load_scenario, scenario_from_dict
+from rendergov.simgpu import CurveSpec, ProbeOptions, TraceEvent
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -132,3 +135,53 @@ def test_smallest_valid_probe_options_load():
     doc["probe"] = {"frames_per_reading": 1, "min_power_frames": 1, "start_count": 0.5}
     probe = scenario_from_dict(doc).probe
     assert (probe.frames_per_reading, probe.min_power_frames, probe.start_count) == (1, 1, 0.5)
+
+
+# Per dataclass the loader reads options of: its object in the demo document,
+# the loaded object, and the fields the loader reads by name.
+OPTION_SECTIONS = {
+    GovernorConfig: (lambda doc: doc["governor"], lambda sc: sc.governor, {"mode", "initial_fit"}),
+    ProbeOptions: (lambda doc: doc.setdefault("probe", {}), lambda sc: sc.probe, set()),
+    CurveSpec: (
+        lambda doc: doc["trace"]["passes"]["base_shading"]["batches"],
+        lambda sc: sc.trace.curves[0][0],
+        {"base"},
+    ),
+    TraceEvent: (
+        lambda doc: doc["trace"]["events"][0],
+        lambda sc: sc.trace.events[0],
+        {"frame", "pass_name"},
+    ),
+}
+
+
+def _non_default(default):
+    """A valid value other than an option's default: one more than an
+    integer, half of a nonzero number, 0.25 otherwise."""
+    if isinstance(default, int):
+        return default + 1
+    return default / 2 if default else 0.25
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (cls, f.name)
+        for cls, (_, _, by_name) in OPTION_SECTIONS.items()
+        for f in fields(cls)
+        if f.name not in by_name
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_every_option_loads_its_value_or_its_default(cls, name):
+    # Every other field is read from the dataclass's own fields, so a field
+    # whose annotation the loader does not check would be skipped silently.
+    section, loaded, _ = OPTION_SECTIONS[cls]
+    default = next(f.default for f in fields(cls) if f.name == name)
+    doc = _demo_doc()
+    section(doc).pop(name, None)
+    assert getattr(loaded(scenario_from_dict(doc)), name) == default
+    value = _non_default(default)
+    section(doc)[name] = value
+    got = getattr(loaded(scenario_from_dict(doc)), name)
+    assert (got, type(got)) == (value, type(value))
