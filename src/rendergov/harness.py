@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import gc
 import itertools
 import json
 import multiprocessing
@@ -286,61 +287,65 @@ def _true_errors(
     return FrameScorer(scenario.synthesizer, frame)(configs)
 
 
-# Frames per scoring task in :func:`run` and :func:`replay_trace`. After the
-# loop the caller scores the chunks no worker has started, so the last one it
-# waits for is at most a chunk long: 64 frames made short runs slower than 16,
-# and 8 gained less.
+# Frames per chunk in :func:`run` and :func:`replay_trace`: each chunk that
+# holds a sampled frame is one scoring task, of that chunk's sampled frames.
+# After the loop the caller scores the chunks no worker has started, so the last
+# one it waits for is at most a chunk long: 64 frames made short runs slower
+# than 16, and 8 gained less.
 _CHUNK = 16
 
 # What a forked scoring worker serves: the scenario, and the tasks' claim flags
 # and their lock. Its initializer sets them, so a task carries only its claim
-# flag's index and what it scores.
+# flag's index and its jobs.
 _worker: tuple | None = None
 
-
-# One governed frame handed to the scorer: the frame, its s_eff, and the
-# saturation constants and s_eff's coefficients of the power model the
-# governor held after its tick.
-_Governed = tuple[int, RenderingConfiguration, SaturationConstants, PowerCoefficients]
+# A scoring task's jobs: score each configuration against the frame.
+_Jobs = list[tuple[int, list[RenderingConfiguration]]]
+# One governed frame of a run: its s_eff, and the saturation constants and
+# s_eff's coefficients of the power model the governor held after its tick.
+_Governed = tuple[RenderingConfiguration, SaturationConstants, PowerCoefficients]
 # Per governed frame: the best and worst configurations' measured power, and
 # s_eff's measured and predicted power.
 _FramePowers = tuple[float, float, float, float]
-# A scoring task's result: the powers of each of its governed frames, and the
-# errors of each of its jobs.
-_Scored = tuple[list[_FramePowers], list[list[float]]]
 
 
-def _score_chunk(
-    scenario: Scenario,
-    frames: list[_Governed],
-    jobs: list[tuple[int, list[RenderingConfiguration]]],
-) -> _Scored:
-    """The :data:`_FramePowers` of each governed frame, and
-    :func:`_true_errors` of each ``(frame, configurations)`` job.
+def _sampled_chunks(scenario: Scenario) -> list[list[int]]:
+    """The sampled frames (every ``error_sample_every``-th, from frame 0) of
+    each :data:`_CHUNK`-frame chunk that holds one, in order."""
+    sampled = range(0, scenario.trace.frame_count, scenario.error_sample_every)
+    return [list(chunk) for _, chunk in itertools.groupby(sampled, lambda f: f // _CHUNK)]
 
-    The powers take one array pass over the frames per configuration
-    (:class:`simgpu.FramePowers`, :func:`powermodel.predict_powers`): one
-    each for the best and worst configurations, and one for each run of
-    frames whose s_eff, saturation constants and coefficients are the same
-    objects, as :func:`run` hands them until a fit lands or s_eff changes.
-    Every frame's curve values and noise draw are taken once, and a run's
+
+def _score_jobs(scenario: Scenario, jobs: _Jobs) -> list[list[float]]:
+    """:func:`_true_errors` of each ``(frame, configurations)`` job."""
+    return [_true_errors(scenario, frame, configs) for frame, configs in jobs]
+
+
+def _run_powers(scenario: Scenario, governed: list[_Governed]) -> list[_FramePowers]:
+    """The :data:`_FramePowers` of each frame of a run, from frame 0, given
+    each frame's :data:`_Governed` tuple.
+
+    One array pass over the frames (:class:`simgpu.FramePowers`) takes every
+    frame's curve values and noise draw once and measures the best and worst
+    configurations. Each run of frames whose s_eff, saturation constants and
+    coefficients are the same objects, as :func:`run` keeps them until a fit
+    lands or s_eff changes, is then measured and predicted
+    (:func:`powermodel.predict_powers`) in one pass over its own rows, and its
     prediction reuses the counts its measurement computed.
     """
-    truths = [_true_errors(scenario, frame, configs) for frame, configs in jobs]
-    if not frames:
-        return [], truths
     roster = scenario.roster
-    at = FramePowers(scenario.oracle, scenario.trace, [frame for frame, *_ in frames])
+    at = FramePowers(scenario.oracle, scenario.trace, range(len(governed)))
     best, worst = at.measured(roster.best_config()), at.measured(roster.worst_config())
-    measured, predicted = np.empty(len(frames)), np.empty(len(frames))
+    measured, predicted = np.empty(len(governed)), np.empty(len(governed))
     start = 0
-    for _, group in itertools.groupby(frames, lambda governed: tuple(map(id, governed[1:]))):
-        _, config, saturation, coefficients = next(group)
+    for _, group in itertools.groupby(governed, lambda frame: tuple(map(id, frame))):
+        config, saturation, coefficients = next(group)
         rows = slice(start, start + 1 + sum(1 for _ in group))
-        measured[rows] = at.measured(config)[rows]
-        predicted[rows] = predict_powers(saturation, coefficients, at.primitives(config)[rows])
+        part = at[rows]
+        measured[rows] = part.measured(config)
+        predicted[rows] = predict_powers(saturation, coefficients, part.primitives(config))
         start = rows.stop
-    return list(zip(best.tolist(), worst.tolist(), measured.tolist(), predicted.tolist())), truths
+    return list(zip(best.tolist(), worst.tolist(), measured.tolist(), predicted.tolist()))
 
 
 def _keep_freed_memory() -> None:
@@ -373,11 +378,11 @@ def _claim(claims, lock, i: int) -> bool:
         return True
 
 
-def _score_in_worker(i, frames, jobs) -> _Scored | None:
-    """Task ``i``'s :func:`_score_chunk` result, or None if the caller has
+def _score_in_worker(i, jobs: _Jobs) -> list[list[float]] | None:
+    """Task ``i``'s :func:`_score_jobs` result, or None if the caller has
     claimed it."""
     scenario, claims, lock = _worker
-    return _score_chunk(scenario, frames, jobs) if _claim(claims, lock, i) else None
+    return _score_jobs(scenario, jobs) if _claim(claims, lock, i) else None
 
 
 def _lookup(configs, errors):
@@ -390,15 +395,18 @@ def _lookup(configs, errors):
 
 class _Scorer:
     """Scores up to ``tasks`` tasks beside the caller, each a list of
-    :data:`_Governed` frames and a list of ``(frame, configurations)`` jobs,
-    with :func:`_score_chunk`; a context manager.
+    ``(frame, configurations)`` jobs, with :func:`_score_jobs`; a context
+    manager.
 
     With n = min(CPUs this process may run on, ``tasks``) > 1 (``workers``
     replaces the CPU count), n - 1 workers are forked from one process pool on
     the first :meth:`submit`, and take the tasks in submission order while the
     caller goes on. Each worker and the caller is pinned to its own CPU,
     because the scheduler can leave a forked child on its parent's CPU; the
-    caller gets its CPU set back on exit.
+    caller gets its CPU set back on exit. The caller's objects are frozen
+    (``gc.freeze``) before the fork, so that no collection in a worker or in
+    the caller walks them and a worker does not copy their pages; they are
+    unfrozen on exit, as every run ends in the same process.
 
     One claim rule decides who scores a task. Each task has a claim flag that
     the workers share: a worker claims a task before it scores it and skips
@@ -416,7 +424,7 @@ class _Scorer:
 
     def __init__(self, scenario: Scenario, tasks: int, workers: int | None = None):
         self.scenario = scenario
-        # (frames, jobs, the worker's future or None) of each task.
+        # (jobs, the worker's future or None) of each task.
         self.tasks: list = []
         self.claims, self.lock = bytearray(tasks), contextlib.nullcontext()
         self._to_worker = lambda *task: None
@@ -442,6 +450,8 @@ class _Scorer:
             for i in range(n - 1):
                 worker_cpus.put(cpus[i % len(cpus)])
             self.claims, self.lock = context.RawArray("b", tasks), context.Lock()
+            gc.freeze()
+            stack.callback(gc.unfreeze)
             pool = ProcessPoolExecutor(
                 n - 1,
                 mp_context=context,
@@ -459,23 +469,21 @@ class _Scorer:
     def __exit__(self, *exc) -> None:
         self._exit.close()
 
-    def submit(
-        self, frames: list[_Governed], jobs: list[tuple[int, list[RenderingConfiguration]]]
-    ) -> int:
+    def submit(self, jobs: _Jobs) -> int:
         """Hand a task to the workers; its index, for :meth:`result`."""
         i = len(self.tasks)
-        self.tasks.append((frames, jobs, self._to_worker(i, frames, jobs)))
+        self.tasks.append((jobs, self._to_worker(i, jobs)))
         return i
 
-    def result(self, i: int) -> _Scored:
-        """Task ``i``'s :func:`_score_chunk` result, scored here if no worker
+    def result(self, i: int) -> list[list[float]]:
+        """Task ``i``'s :func:`_score_jobs` result, scored here if no worker
         has started it. Ask once per task."""
-        frames, jobs, future = self.tasks[i]
+        jobs, future = self.tasks[i]
         if _claim(self.claims, self.lock, i):
-            return _score_chunk(self.scenario, frames, jobs)
+            return _score_jobs(self.scenario, jobs)
         return future.result()
 
-    def results(self, tasks) -> list[_Scored]:
+    def results(self, tasks) -> list[list[list[float]]]:
         """:meth:`result` of each of ``tasks``, in order. Workers take tasks in
         submission order and the caller asks from the last one back, so it
         scores every task no worker has started before it waits for any, and
@@ -499,23 +507,20 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration) -> dict:
     Returns every frame's ``exact`` and ``measured`` power, the true
     ``errors`` of the sampled frames (every ``error_sample_every``-th, from
     frame 0), and the means of ``measured`` and ``errors``. The sampled
-    frames are handed to a :class:`_Scorer` every :data:`_CHUNK` frames, as
-    :func:`run` hands them, and scored while the caller takes every frame's
-    power in one array pass (:class:`simgpu.FramePowers`). The all-best
-    configuration scores 0.0 without rendering, so its replay starts no
-    process.
+    frames of each :data:`_CHUNK`-frame chunk are one task of a
+    :class:`_Scorer`, as :func:`run` hands them, and are scored while the
+    caller takes every frame's power in one array pass
+    (:class:`simgpu.FramePowers`). The all-best configuration scores 0.0
+    without rendering, so its replay starts no process.
     """
     scenario.roster.validate_config(config)
-    frame_count, every = scenario.trace.frame_count, scenario.error_sample_every
+    chunks = _sampled_chunks(scenario)
     workers = 1 if config == scenario.roster.best_config() else None
-    with _Scorer(scenario, -(-frame_count // _CHUNK), workers) as scorer:
-        chunks = []
-        for start in range(0, frame_count, _CHUNK):
-            chunk = range(start, min(start + _CHUNK, frame_count))
-            chunks.append(scorer.submit([], [(f, [config]) for f in chunk if f % every == 0]))
-        at = FramePowers(scenario.oracle, scenario.trace, range(frame_count))
+    with _Scorer(scenario, len(chunks), workers) as scorer:
+        tasks = [scorer.submit([(frame, [config]) for frame in chunk]) for chunk in chunks]
+        at = FramePowers(scenario.oracle, scenario.trace, range(scenario.trace.frame_count))
         exact, measured = at.exact(config).tolist(), at.measured(config).tolist()
-        errors = [err for _, truths in scorer.results(chunks) for (err,) in truths]
+        errors = [err for truths in scorer.results(tasks) for (err,) in truths]
     return {
         "exact": exact,
         "measured": measured,
@@ -553,18 +558,19 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
 
     No decision reads a baseline, a true error, or the power of a frame
     outside the governor's accuracy-check and fitting windows, so the loop
-    itself only ticks the governor and builds each frame's row. It hands
-    every :data:`_CHUNK` frames, each as a :data:`_Governed` tuple, and each
-    sampled frame's ``(frame, [worst, s_eff])``, to the scorer as one task,
-    which measures and predicts every frame's power and scores the sampled
-    frames beside the loop in forked workers; after the loop the caller
-    scores the chunks no worker has started. The governor's model changes
-    only when a fit lands, and ``s_eff`` only while it glides, so the loop
-    computes ``s_eff``'s coefficients only when either changes, and hands
-    the same objects on until then: the scorer measures and predicts each
-    such run of frames in one array pass (:func:`_score_chunk`). The rows'
-    ``predicted_w``, ``measured_w`` and ``true_error`` cells are filled in
-    after the loop.
+    itself only ticks the governor, builds each frame's row and keeps its
+    :data:`_Governed` tuple. At the end of each :data:`_CHUNK` frames that
+    hold a sampled frame it hands the scorer one task, each sampled frame's
+    ``(frame, [worst, s_eff])``, which forked workers score beside the loop;
+    a chunk with no sampled frame is not handed over. After the loop the
+    caller takes every frame's powers in one pass over the whole trace
+    (:func:`_run_powers`) while the workers score, then scores the chunks no
+    worker has started. The governor's model changes only when a fit lands,
+    and ``s_eff`` only while it glides, so the loop computes ``s_eff``'s
+    coefficients only when either changes, and keeps the same objects until
+    then: each such run of frames is measured and predicted in one array
+    pass. The rows' ``predicted_w``, ``measured_w`` and ``true_error`` cells
+    are filled in after the loop.
     """
     roster = scenario.roster
     worst = roster.worst_config()
@@ -576,24 +582,24 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
 
     rows = []
     model = config = coefficients = None
-    tasks = len(calibration) + len(plan) + -(-frame_count // _CHUNK)
+    tasks = len(calibration) + len(plan) + len(_sampled_chunks(scenario))
     with _Scorer(scenario, tasks) as scorer:
-        calibrating = [scorer.submit([], [(frame, degradations)]) for frame in calibration]
+        calibrating = [scorer.submit([(frame, degradations)]) for frame in calibration]
         references = {}
         for ref, passes in plan:
             configs = [pass_slot_config(roster, p) for p in passes]
-            references[ref] = scorer.submit([], [(ref, configs)]), configs
+            references[ref] = scorer.submit([(ref, configs)]), configs
 
         def background(frame: int):
             # No pass slot asks for an unplanned reference's scores.
             i, configs = references.get(frame, (None, []))
-            errors = [] if i is None else scorer.result(i)[1][0]
+            errors = [] if i is None else scorer.result(i)[0]
             return _lookup(configs, errors)
 
         init = _probe(scenario)
         calibrated = {
             frame: _lookup(degradations, errors)
-            for frame, (_, (errors,)) in zip(calibration, scorer.results(calibrating))
+            for frame, (errors,) in zip(calibration, scorer.results(calibrating))
         }
         gov = Governor(
             roster=roster,
@@ -607,23 +613,23 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
             scorer=background,
             initial_config=scenario.initial_config,
         )
-        chunks = []
+        governed, chunks = [], []
         for start in range(0, frame_count, _CHUNK):
-            frames, jobs = [], []
+            jobs = []
             for frame in range(start, min(start + _CHUNK, frame_count)):
                 tick = gov.tick(frame)
                 # A glide builds a new, equal s_eff on every frame.
                 if gov.power_model is not model or tick.s_eff != config:
                     model, config = gov.power_model, tick.s_eff
                     coefficients = model.coefficients_for(config)
-                frames.append((frame, config, model.saturation, coefficients))
+                governed.append((config, model.saturation, coefficients))
                 if frame % every == 0:
                     jobs.append((frame, [worst, config]))
                 rows.append(_record_row(tick.record))
-            chunks.append(scorer.submit(frames, jobs))
-        scored = scorer.results(chunks)
-    powers = [frame_powers for chunk_powers, _ in scored for frame_powers in chunk_powers]
-    truths = [truth for _, chunk_truths in scored for truth in chunk_truths]
+            if jobs:
+                chunks.append(scorer.submit(jobs))
+        powers = _run_powers(scenario, governed)
+        truths = [truth for chunk in scorer.results(chunks) for truth in chunk]
 
     for row, (_, _, measured, predicted) in zip(rows, powers):
         row[_PREDICTED] = predicted

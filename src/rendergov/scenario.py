@@ -184,8 +184,14 @@ def _build_oracle(
             k_b=tuple(k_b),
             unit_costs=UnitCosts(chi, psi),
             public_costs=cost_table,
-            cost_distortion=_number(raw.get("cost_distortion", 1.0), f"{where}.cost_distortion"),
-            noise_sigma=_number(raw.get("noise_sigma", 0.0), f"{where}.noise_sigma"),
+            # A dataclass's class attribute holds its field's default.
+            cost_distortion=_number(
+                raw.get("cost_distortion", HiddenPowerOracle.cost_distortion),
+                f"{where}.cost_distortion",
+            ),
+            noise_sigma=_number(
+                raw.get("noise_sigma", HiddenPowerOracle.noise_sigma), f"{where}.noise_sigma"
+            ),
             seed=seed,
         )
     except ValueError as exc:
@@ -267,7 +273,7 @@ def _build_synthesizer(
 ) -> FrameSynthesizer:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object")
-    size = _int(raw.get("size", 128), f"{where}.size")
+    size = _int(raw.get("size", FrameSynthesizer.height), f"{where}.size")
     entries = _per_pass_section(_require(raw, "passes", where), roster, f"{where}.passes", False)
     degradations = []
     for entry, p in zip(entries, roster.passes):
@@ -277,7 +283,7 @@ def _build_synthesizer(
                 PassDegradation(
                     op=_require(entry, "op", here),
                     strength=_numbers(_require(entry, "strength", here), f"{here}.strength"),
-                    amplitude=_number(entry.get("amplitude", 0.25), f"{here}.amplitude"),
+                    **_options(PassDegradation, entry, here),
                 )
             )
         except ValueError as exc:

@@ -11,6 +11,7 @@ function of (seed, frame index, configuration).
 
 from __future__ import annotations
 
+import copy
 import math
 import zlib
 from bisect import bisect_right
@@ -436,6 +437,18 @@ class FramePowers:
         self._saturation = np.reshape(oracle.saturation.per_pass, (n, 3))
         self._noise = None
         self._primitives_memo = None
+
+    def __getitem__(self, rows: slice) -> FramePowers:
+        """These powers at ``frames[rows]`` alone, sharing the curve values,
+        event scales and noise draws already taken, so that a part costs a
+        pass over its own rows."""
+        part = copy.copy(self)
+        part.frames = self.frames[rows]
+        part._values, part._counts = self._values[rows], self._counts[rows]
+        part._costs = self._costs[rows]
+        part._noise = None if self._noise is None else self._noise[rows]
+        part._primitives_memo = None
+        return part
 
     def primitives(self, config: RenderingConfiguration) -> np.ndarray:
         """``[k, i]`` is model pass i's (b, v, f) at frame k, 0.0 for every

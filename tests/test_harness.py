@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import multiprocessing
@@ -328,8 +329,8 @@ def _scorer_truths(scenario, jobs, workers=None):
     """:func:`_true_errors` of each job, in order, from a ``harness._Scorer``
     handed one job per task."""
     with harness._Scorer(scenario, len(jobs), workers) as scorer:
-        chunks = [scorer.submit([], [job]) for job in jobs]
-        return [truths for _, (truths,) in scorer.results(chunks)]
+        chunks = [scorer.submit([job]) for job in jobs]
+        return [truths for (truths,) in scorer.results(chunks)]
 
 
 @needs_fork
@@ -458,9 +459,10 @@ def test_run_scored_beside_loop_equals_serial(
         started = _recording_pools(monkeypatch, tasks)
         forked = run(scenario, tmp_path / f"{base.name}_forked{every}")
         assert started == [(len(allowed) - 1,)]
-        # One task kind. The worker calibrates first, one task per
-        # calibration frame, while the caller probes, then takes the
-        # background cycle, one task per reference frame, then the chunks.
+        # One task kind, SSIM jobs only. The worker calibrates first, one task
+        # per calibration frame, while the caller probes, then takes the
+        # background cycle, one task per reference frame, then the chunks
+        # that hold a sampled frame, one task each.
         roster = scenario.roster
         degradations = [
             single_degradation_config(roster, i, level)
@@ -473,12 +475,17 @@ def test_run_scored_beside_loop_equals_serial(
         ]
         assert [fn for fn, _ in tasks] == [harness._score_in_worker] * len(tasks)
         assert [args[0] for _, args in tasks] == list(range(len(tasks)))
-        assert [(frames, jobs) for _, (_, frames, jobs) in tasks[: len(expected)]] == [
-            ([], jobs) for jobs in expected
-        ]
-        chunks = [frames for _, (_, frames, _) in tasks[len(expected) :]]
-        assert [frame for frames in chunks for frame, *_ in frames] == list(range(203))
-        assert len(chunks) == -(-203 // harness._CHUNK)
+        assert all(len(args) == 2 for _, args in tasks)
+        assert [jobs for _, (_, jobs) in tasks[: len(expected)]] == expected
+        chunks = [jobs for _, (_, jobs) in tasks[len(expected) :]]
+        sampled = range(0, 203, every)
+        assert [frame for jobs in chunks for frame, _ in jobs] == list(sampled)
+        assert [len({frame // harness._CHUNK for frame, _ in jobs}) for jobs in chunks] == [
+            1
+        ] * len(chunks)
+        assert len(chunks) == len({frame // harness._CHUNK for frame in sampled})
+        if every == 37:
+            assert len(chunks) < -(-203 // harness._CHUNK)
         assert os.sched_getaffinity(0) == allowed
         for name in ("log_path", "summary_path"):
             assert getattr(forked, name).read_bytes() == getattr(serial, name).read_bytes()
@@ -499,10 +506,13 @@ def test_run_task_sends_coefficients_not_power_models(demo_scenario, monkeypatch
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Measuring)
     trace = dataclasses.replace(demo_scenario.trace, frame_count=6 * harness._CHUNK)
     run(dataclasses.replace(demo_scenario, trace=trace))
-    # The whole PowerModel pickles to 1,927 bytes on demo.
+    # Tasks carry SSIM jobs only: the caller takes the powers, so no part of
+    # a power model crosses to a worker. The whole PowerModel pickles to
+    # 1,927 bytes on demo.
     model_size = len(pickle.dumps(initialize(demo_scenario).power_model))
     assert tasks and max(map(len, tasks)) < min(1_100, model_size)
-    assert not any(b"PowerModel" in task for task in tasks)
+    for name in (b"PowerModel", b"PowerCoefficients", b"SaturationConstants"):
+        assert not any(name in task for task in tasks), name
 
 
 @needs_two_cpus
@@ -633,26 +643,29 @@ def test_run_power_cells_equal_governed_oracle(
         assert result.summary["governed_mean_power"] == sum(m for _, m in expected) / len(expected)
 
 
-def test_chunk_powers_equal_scalar_powers(regime_scenario, demo_scenario):
-    """A chunk's powers equal the scalar path's when its coefficients or
-    saturation constants change mid-chunk, and when every frame's s_eff is
-    an equal but distinct object, as a glide builds them."""
-    for scenario, start in ((regime_scenario, 24), (demo_scenario, 592)):
-        roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
+def test_run_powers_equal_scalar_powers(regime_scenario, demo_scenario):
+    """A run's powers, taken in one pass over the whole trace, equal the
+    scalar path's when the coefficients and the saturation constants change
+    mid-run, and when every frame's s_eff is an equal but distinct object,
+    as a glide builds them."""
+    for scenario in (regime_scenario, demo_scenario):
+        roster, oracle = scenario.roster, scenario.oracle
+        trace = dataclasses.replace(scenario.trace, frame_count=203)
+        scenario = dataclasses.replace(scenario, trace=trace)
         config = RenderingConfiguration(tuple(p.level_count // 2 for p in roster.passes))
         fitted = PowerCoefficients(oracle.true_coefficients(config).per_pass)
         refit = PowerCoefficients(tuple((b, 1.1 * v, 0.9 * f) for b, v, f in fitted.per_pass))
         saturation = oracle.saturation
         moved = dataclasses.replace(saturation, p_max=1.01 * saturation.p_max)
-        frames = range(start, start + 16)
+        frames = range(203)
+        # Coefficients swap at frame 37, saturation constants at frame 150.
         changing = [
-            (f, config, saturation if f < start + 11 else moved, fitted if f < start + 5 else refit)
+            (config, saturation if f < 150 else moved, fitted if f < 37 else refit)
             for f in frames
         ]
-        # The glide steps to the worst configuration at its tenth frame.
-        step = start + 10
+        # The glide steps to the worst configuration at frame 100.
         gliding = [
-            (f, RenderingConfiguration(tuple(config if f < step else roster.worst_config())),
+            (RenderingConfiguration(tuple(config if f < 100 else roster.worst_config())),
              saturation, fitted)
             for f in frames
         ]
@@ -664,11 +677,12 @@ def test_chunk_powers_equal_scalar_powers(regime_scenario, demo_scenario):
                     measure_power(oracle, s_eff, f, trace),
                     predict_power(sat, coefficients, trace.primitives_for(roster, s_eff, f)),
                 )
-                for f, s_eff, sat, coefficients in governed
+                for f, (s_eff, sat, coefficients) in zip(frames, governed)
             ]
-            powers, truths = harness._score_chunk(scenario, governed, [])
-            assert powers == expected and truths == []
+            powers = harness._run_powers(scenario, governed)
+            assert powers == expected
             assert {type(watts) for frame_powers in powers for watts in frame_powers} == {float}
+    assert harness._run_powers(scenario, []) == []
 
 
 @needs_two_cpus
@@ -693,13 +707,33 @@ def test_run_worker_error_reaches_caller(mini_scenario, monkeypatch):
     assert len(started) == 1
     assert os.sched_getaffinity(0) == allowed
     assert multiprocessing.active_children() == []
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("forked", [False, pytest.param(True, marks=needs_two_cpus)])
+def test_run_unfreezes_what_it_froze(forked, mini_scenario, monkeypatch):
+    """A forked run freezes the caller's objects before its workers fork and
+    unfreezes them when it ends; a serial run freezes nothing."""
+    probe, frozen = harness._probe, []
+
+    def counting(scenario):
+        frozen.append(gc.get_freeze_count())
+        return probe(scenario)
+
+    monkeypatch.setattr(harness, "_probe", counting)
+    if not forked:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert gc.get_freeze_count() == 0
+    run(mini_scenario)
+    assert (frozen[0] > 0) == forked
+    assert gc.get_freeze_count() == 0
 
 
 # The frame of a hold task's one job, at which ``_true_errors``, as
 # :func:`_hold_workers` patches it, holds the worker that scores it.
 _HOLD = -1
 # A released hold task's result.
-_RELEASED = ([], [[True]])
+_RELEASED = [[True]]
 
 
 def _hold_workers(monkeypatch, release: Path) -> None:
@@ -730,7 +764,7 @@ def _hold_workers_in_run(monkeypatch, release: Path, workers: int) -> None:
     def holding(self, scenario, tasks, *args):
         init(self, scenario, tasks + workers, *args)
         for _ in range(workers):
-            self.submit([], [(_HOLD, [])])
+            self.submit([(_HOLD, [])])
 
     def releasing(self, *exc):
         release.touch()
@@ -827,13 +861,13 @@ def test_caller_takes_every_chunk_no_worker_started(mini_scenario, monkeypatch, 
     release = tmp_path / "release"
     _hold_workers(monkeypatch, release)
     with harness._Scorer(mini_scenario, len(jobs) + 1, workers=2) as scorer:
-        held = scorer.submit([], [(_HOLD, [])])
+        held = scorer.submit([(_HOLD, [])])
         deadline = time.monotonic() + 20
         while not release.with_suffix(".held").exists() and time.monotonic() < deadline:
             time.sleep(0.005)
         assert release.with_suffix(".held").exists()
-        chunks = [scorer.submit([], [job]) for job in jobs]
-        truths = [truths for _, (truths,) in scorer.results(chunks)]
+        chunks = [scorer.submit([job]) for job in jobs]
+        truths = [truths for (truths,) in scorer.results(chunks)]
         release.touch()
         assert scorer.result(held) == _RELEASED
     assert truths == serial
@@ -847,25 +881,25 @@ def test_each_chunk_is_scored_once(mini_scenario, monkeypatch, tmp_path):
     # tasks come first and are collected together, then reference tasks,
     # each asked for on its own, then the chunks.
     scored = tmp_path / "scored"
-    score_chunk = harness._score_chunk
+    score_jobs = harness._score_jobs
 
-    def logged(scenario, frames, jobs):
+    def logged(scenario, jobs):
         with open(scored, "a") as f:
             f.write(f"{jobs[0][0]}\n")
-        return score_chunk(scenario, frames, jobs)
+        return score_jobs(scenario, jobs)
 
-    monkeypatch.setattr(harness, "_score_chunk", logged)
+    monkeypatch.setattr(harness, "_score_jobs", logged)
     best = mini_scenario.roster.best_config()
     for calibration, references in ((0, 0), (3, 40)):
         jobs = [(frame, [best]) for frame in range(calibration + references + 200)]
         for workers in (2, 2 * len(os.sched_getaffinity(0)) + 1):
             scored.write_text("")
             with harness._Scorer(mini_scenario, len(jobs), workers) as scorer:
-                tasks = [scorer.submit([], [job]) for job in jobs]
+                tasks = [scorer.submit([job]) for job in jobs]
                 calibrated = scorer.results(tasks[:calibration])
                 referenced = [scorer.result(i) for i in tasks[calibration:-200]]
                 chunks = scorer.results(tasks[-200:])
-            assert calibrated + referenced + chunks == [([], [[0.0]])] * len(jobs)
+            assert calibrated + referenced + chunks == [[[0.0]]] * len(jobs)
             done = sorted(map(int, scored.read_text().split()))
             assert done == list(range(len(jobs))), (calibration, references, workers)
     assert multiprocessing.active_children() == []
@@ -914,7 +948,7 @@ def test_calibration_asks_for_what_run_scores(mini_scenario, lattice_scenario, m
             m.setattr(
                 harness._Scorer,
                 "submit",
-                lambda self, frames, jobs: submitted.extend(jobs) or submit(self, frames, jobs),
+                lambda self, jobs: submitted.extend(jobs) or submit(self, jobs),
             )
 
             def calibrate(scorer, roster, frames):

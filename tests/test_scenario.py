@@ -6,7 +6,14 @@ import pytest
 
 from rendergov.governor import GovernorConfig
 from rendergov.scenario import ScenarioError, load_scenario, scenario_from_dict
-from rendergov.simgpu import CurveSpec, ProbeOptions, TraceEvent
+from rendergov.simgpu import (
+    CurveSpec,
+    FrameSynthesizer,
+    HiddenPowerOracle,
+    PassDegradation,
+    ProbeOptions,
+    TraceEvent,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -185,3 +192,51 @@ def test_every_option_loads_its_value_or_its_default(cls, name):
     section(doc)[name] = value
     got = getattr(loaded(scenario_from_dict(doc)), name)
     assert (got, type(got)) == (value, type(value))
+
+
+# Keys the loader reads by hand: the section of the demo document holding the
+# key, the key, a valid value other than the default, and the loaded value with
+# its dataclass default.
+HAND_READ_KEYS = [
+    (
+        lambda doc: doc["oracle"],
+        "cost_distortion",
+        1.5,
+        lambda sc: (sc.oracle.cost_distortion, HiddenPowerOracle.cost_distortion),
+    ),
+    (
+        lambda doc: doc["oracle"],
+        "noise_sigma",
+        0.5,
+        lambda sc: (sc.oracle.noise_sigma, HiddenPowerOracle.noise_sigma),
+    ),
+    (
+        lambda doc: doc["synthesizer"],
+        "size",
+        64,
+        lambda sc: (
+            (sc.synthesizer.height, sc.synthesizer.width),
+            (FrameSynthesizer.height, FrameSynthesizer.width),
+        ),
+    ),
+    (
+        lambda doc: doc["synthesizer"]["passes"]["reflections"],
+        "amplitude",
+        0.5,
+        lambda sc: (sc.synthesizer.degradations[2].amplitude, PassDegradation.amplitude),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, loaded", HAND_READ_KEYS, ids=[key for _, key, _, _ in HAND_READ_KEYS]
+)
+def test_omitted_key_loads_the_dataclass_default(section, key, value, loaded):
+    doc = _demo_doc()
+    assert doc["roster"][2]["name"] == "reflections"
+    section(doc)[key] = value
+    got, default = loaded(scenario_from_dict(doc))
+    assert got != default
+    section(doc).pop(key, None)
+    got, default = loaded(scenario_from_dict(doc))
+    assert got == default and type(got) is type(default)

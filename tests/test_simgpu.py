@@ -682,3 +682,24 @@ def test_frame_powers_equal_scalar_path(mini_scenario, regime_scenario, demo_sce
                     ]
                     saturated += predicted.count(math.nextafter(oracle.saturation.p_max, 0.0))
     assert clamped > 0 and saturated > 0
+
+
+def test_frame_powers_part_equals_its_own_frames(regime_scenario, demo_scenario):
+    """A slice of a FramePowers gives the powers and counts of a FramePowers
+    built over those frames alone, whether the noise was drawn before the
+    slice was taken or after."""
+    for scenario in (regime_scenario, demo_scenario):
+        roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
+        config = RenderingConfiguration(tuple(p.level_count // 2 for p in roster.passes))
+        frames = list(range(0, trace.frame_count, 3))
+        for rows in (slice(0, 1), slice(5, 41), slice(len(frames) - 7, len(frames))):
+            alone = FramePowers(oracle, trace, frames[rows])
+            for drawn in (False, True):
+                at = FramePowers(oracle, trace, frames)
+                if drawn:
+                    at.measured(roster.best_config())
+                part = at[rows]
+                assert part.frames == frames[rows]
+                assert part.measured(config).tolist() == alone.measured(config).tolist()
+                assert part.exact(config).tolist() == alone.exact(config).tolist()
+                assert part.primitives(config).tolist() == alone.primitives(config).tolist()
