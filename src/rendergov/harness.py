@@ -57,6 +57,8 @@ from .simgpu import (
     probe_min_power,
     probe_saturation,
     render_frame,  # noqa: F401 -- perfbench's tests trace this binding
+    seed_states,
+    seeded_generator,
 )
 from .truth import FrameScorer, lattice_errors
 
@@ -194,8 +196,10 @@ def _generic_sweep_samples(scenario: Scenario, saturation_per_pass):
     cfg = roster.best_config()
     samples = []
     n = len(saturation_per_pass)
+    # Sample k's weights are default_rng([seed, 424243, k])'s draws.
+    states = seed_states((scenario.seed, 424243), 0, _SWEEP_SAMPLES)
     for k in range(_SWEEP_SAMPLES):
-        rng = np.random.default_rng([scenario.seed, 424243, k])
+        rng = seeded_generator(states[k])
         total_load = 1.8 * (k + 1) / _SWEEP_SAMPLES
         weights = rng.uniform(0.1, 1.0, size=(n, 3)) * uses
         weights *= total_load / weights.sum()

@@ -55,13 +55,21 @@ def _int(value, where: str) -> int:
 _CHECKS = {"int": _int, "float": _number}
 
 
-def _options(cls, raw: dict, where: str) -> dict:
+def _options(cls, raw: dict, where: str, reads: tuple[str, ...] = ()) -> dict:
     """Each int and float option of dataclass ``cls`` that ``raw`` sets,
-    checked by its annotation; an option left out keeps its default."""
-    return {
-        f.name: _CHECKS[f.type](raw[f.name], f"{where}.{f.name}")
+    checked by its annotation; an option left out keeps its default. Any other
+    key of ``raw`` must be one of ``reads``, the keys its section reads by
+    name, so a misspelt option is an error, not a silent default."""
+    options = {
+        f.name: _CHECKS[f.type]
         for f in fields(cls)
-        if f.type in _CHECKS and f.default is not MISSING and f.name in raw
+        if f.type in _CHECKS and f.default is not MISSING
+    }
+    unknown = [key for key in raw if key not in options and key not in reads]
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown}")
+    return {
+        name: check(raw[name], f"{where}.{name}") for name, check in options.items() if name in raw
     }
 
 
@@ -201,11 +209,10 @@ def _build_oracle(
 def _build_curve(raw, where: str) -> CurveSpec:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object")
+    base = _number(_require(raw, "base", where), f"{where}.base")
+    options = _options(CurveSpec, raw, where, reads=("base",))
     try:
-        return CurveSpec(
-            base=_number(_require(raw, "base", where), f"{where}.base"),
-            **_options(CurveSpec, raw, where),
-        )
+        return CurveSpec(base=base, **options)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -252,7 +259,7 @@ def _build_trace(raw, roster: PassRoster, where: str = "trace") -> SceneTrace:
             TraceEvent(
                 frame=_int(_require(entry, "frame", here), f"{here}.frame"),
                 pass_name=pass_name,
-                **_options(TraceEvent, entry, here),
+                **_options(TraceEvent, entry, here, reads=("frame", "pass")),
             )
         )
     try:
@@ -278,14 +285,11 @@ def _build_synthesizer(
     degradations = []
     for entry, p in zip(entries, roster.passes):
         here = f"{where}.passes.{p.name}"
+        op = _require(entry, "op", here)
+        strength = _numbers(_require(entry, "strength", here), f"{here}.strength")
+        options = _options(PassDegradation, entry, here, reads=("op", "strength"))
         try:
-            degradations.append(
-                PassDegradation(
-                    op=_require(entry, "op", here),
-                    strength=_numbers(_require(entry, "strength", here), f"{here}.strength"),
-                    **_options(PassDegradation, entry, here),
-                )
-            )
+            degradations.append(PassDegradation(op=op, strength=strength, **options))
         except ValueError as exc:
             raise ScenarioError(f"{here}: {exc}") from exc
     try:
@@ -306,7 +310,9 @@ def _build_governor(raw, where: str = "governor") -> tuple[GovernorConfig, objec
     initial_fit = raw.get("initial_fit", "window")
     if initial_fit not in ("window", "generic"):
         raise ScenarioError(f"{where}.initial_fit: expected 'window' or 'generic'")
-    kwargs = _options(GovernorConfig, raw, where)
+    kwargs = _options(
+        GovernorConfig, raw, where, reads=("mode", "initial_fit", "initial_config")
+    )
     if "mode" in raw:
         kwargs["mode"] = raw["mode"]
     try:
@@ -338,6 +344,8 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     name = doc.get("name", name)
     seed = _int(_require(doc, "seed", "scenario"), "seed")
+    if seed < 0:
+        raise ScenarioError(f"seed: expected a non-negative integer, got {seed}")
     roster = _build_roster(_require(doc, "roster", "scenario"))
     cost_table = _build_cost_table(_require(doc, "cost_table", "scenario"), roster)
     oracle = _build_oracle(_require(doc, "oracle", "scenario"), roster, cost_table, seed)

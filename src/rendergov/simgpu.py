@@ -249,13 +249,111 @@ def empty_trace(roster: PassRoster, frame_count: int) -> SceneTrace:
 # --------------------------------------------------------------------------
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), which its
+# random-stream policy (NEP 19) keeps fixed.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n``'s 32-bit words, least significant first, as SeedSequence splits
+    an entropy integer: 0 is one word."""
+    if n < 0:
+        raise ValueError(f"seed words must be non-negative integers, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def seed_states(prefix, first: int, count: int) -> np.ndarray:
+    """``[j]`` is ``np.random.SeedSequence([*prefix, first + j])
+    .generate_state(4, np.uint64)``, the state ``np.random.default_rng`` seeds
+    a PCG64 with, for ``count`` consecutive last words at once.
+
+    SeedSequence's hashmix and mix steps, in numpy's order, over uint32
+    arrays: the constant prefix words stay one-entry arrays that broadcast
+    against the column of last words, and the hash constants, which depend
+    only on the number of steps taken, are plain integers. Each last word must
+    fit one 32-bit word, so ``first + count`` may not pass 2**32.
+    """
+    if first < 0 or count < 0 or first + count > 1 << 32:
+        raise ValueError(f"seed words {first}..{first + count - 1} outside [0, 2**32)")
+    entropy = [np.array([w], dtype=np.uint32) for p in prefix for w in _uint32_words(p)]
+    entropy.append(np.arange(first, first + count, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight uint32 words, cycling over the pool.
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ value >> 16).astype(np.uint64))
+    # Each uint64 is two uint32 words, the first one low.
+    states = np.empty((count, 4), dtype=np.uint64)
+    for j in range(4):
+        states[:, j] = words[2 * j] | words[2 * j + 1] << np.uint64(32)
+    return states
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """Hands one row of :func:`seed_states` to ``np.random.PCG64``, which asks
+    its seed sequence for exactly that: ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def seeded_generator(state: np.ndarray) -> np.random.Generator:
+    """The generator ``np.random.default_rng`` builds from the entropy whose
+    :func:`seed_states` row is ``state``."""
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
 def _entry_jitter(seed: int, tag: str, factor: float) -> float:
-    """Deterministic multiplicative jitter in [1/factor, factor]."""
+    """Deterministic multiplicative jitter in [1/factor, factor].
+
+    Keeps ``default_rng``: each tag's CRC is a different last word, so the
+    oracle's few jitter draws share no block of :func:`seed_states`."""
     if factor == 1.0:
         return 1.0
     rng = np.random.default_rng([seed, zlib.crc32(tag.encode("ascii"))])
     u = rng.uniform(-1.0, 1.0)
     return float(factor**u)
+
+
+# Frames whose noise seed states one oracle computes at a time.
+NOISE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -268,7 +366,8 @@ class HiddenPowerOracle:
 
     Each model pass's unscaled ``(k_b, k_v, k_f)`` at each of its levels is
     computed once from the true costs, and every power query reads that
-    table.
+    table. :meth:`noise` keeps the :func:`seed_states` of the
+    :data:`NOISE_BLOCK` frames around its latest draw, one block per oracle.
     """
 
     roster: PassRoster
@@ -282,6 +381,8 @@ class HiddenPowerOracle:
     true_costs: CostTable = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma cannot be negative")
         if self.cost_distortion < 1.0:
@@ -312,6 +413,8 @@ class HiddenPowerOracle:
             for k_b, v, i_row, t_row in zip(self.k_b, ins_v, ins_f, tex_f)
         )
         object.__setattr__(self, "_coefficients", table)
+        # (block index, its seed states): dataclasses.replace starts afresh.
+        object.__setattr__(self, "_noise_block", (None, None))
 
     def true_coefficients(
         self, config: RenderingConfiguration, cost_scales=None
@@ -349,9 +452,16 @@ class HiddenPowerOracle:
         return sat.p_min + sat.span * (1.0 - math.exp(-alpha))
 
     def noise(self, frame_index: int) -> float:
+        """The meter's noise at a frame: ``default_rng([seed, frame_index])``'s
+        first standard normal, clamped at 3 sigma, bit for bit."""
         if self.noise_sigma == 0.0:
             return 0.0
-        rng = np.random.default_rng([self.seed, frame_index])
+        block, row = divmod(frame_index, NOISE_BLOCK)
+        memo = self._noise_block
+        if memo[0] != block:
+            memo = block, seed_states((self.seed,), block * NOISE_BLOCK, NOISE_BLOCK)
+            object.__setattr__(self, "_noise_block", memo)
+        rng = seeded_generator(memo[1][row])
         draw = max(-3.0, min(3.0, float(rng.standard_normal())))
         return draw * self.noise_sigma * self.saturation.span
 

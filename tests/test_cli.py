@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from rendergov import cli
 from rendergov.cli import EXIT_OK, EXIT_PROBE_FAILURE, EXIT_SCENARIO_ERROR, main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -115,3 +118,20 @@ def test_seed_override_changes_outputs(tmp_path):
     c = (out3 / "run_log.csv").read_text()
     assert a != b
     assert b == c
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_negative_seed_exits_2_before_the_run(tmp_path, capsys, monkeypatch, where):
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("run started"))
+    args = ["run", "--scenario", MINI, "--out-dir", str(tmp_path)]
+    if where == "file":
+        doc = json.loads(Path(MINI).read_text())
+        doc["seed"] = -3
+        args[2] = str(tmp_path / "negative.json")
+        Path(args[2]).write_text(json.dumps(doc))
+        message = "seed: expected a non-negative integer, got -3"
+    else:
+        args += ["--seed", "-1"]
+        message = "seed must be a non-negative integer, got -1"
+    assert main(args) == EXIT_SCENARIO_ERROR
+    assert message in capsys.readouterr().err

@@ -240,3 +240,40 @@ def test_omitted_key_loads_the_dataclass_default(section, key, value, loaded):
     section(doc).pop(key, None)
     got, default = loaded(scenario_from_dict(doc))
     assert got == default and type(got) is type(default)
+
+
+def test_negative_seed_is_rejected_at_load():
+    doc = _demo_doc()
+    doc["seed"] = -3
+    with pytest.raises(ScenarioError, match="seed: expected a non-negative integer, got -3"):
+        scenario_from_dict(doc)
+
+
+# A misspelt key in each section read through the option dataclasses, and
+# the name of a field that the document spells otherwise ("pass").
+MISSPELT_KEYS = [
+    (lambda doc: doc["governor"], "governor", "selection_perod"),
+    (lambda doc: doc.setdefault("probe", {}), "probe", "max_doubling"),
+    (
+        lambda doc: doc["trace"]["passes"]["base_shading"]["batches"],
+        "trace.passes.base_shading.batches",
+        "jiter_amp",
+    ),
+    (lambda doc: doc["trace"]["events"][0], "trace.events[0]", "pass_name"),
+    (
+        lambda doc: doc["synthesizer"]["passes"]["reflections"],
+        "synthesizer.passes.reflections",
+        "amplitde",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "section, where, key", MISSPELT_KEYS, ids=[key for _, _, key in MISSPELT_KEYS]
+)
+def test_unknown_option_key_is_rejected(section, where, key):
+    doc = _demo_doc()
+    section(doc)[key] = 3
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == f"{where}: unknown keys [{key!r}]"

@@ -25,6 +25,7 @@ from rendergov.powermodel import (
     predict_powers,
 )
 from rendergov.harness import _generic_sweep_samples
+from rendergov import simgpu
 from rendergov.quality import quality_error
 from rendergov.simgpu import (
     CurveSpec,
@@ -44,6 +45,8 @@ from rendergov.simgpu import (
     probe_saturation,
     render_band,
     render_frame,
+    seed_states,
+    seeded_generator,
 )
 
 
@@ -703,3 +706,118 @@ def test_frame_powers_part_equals_its_own_frames(regime_scenario, demo_scenario)
                 assert part.measured(config).tolist() == alone.measured(config).tolist()
                 assert part.exact(config).tolist() == alone.exact(config).tolist()
                 assert part.primitives(config).tolist() == alone.primitives(config).tolist()
+
+
+# Seeds of one to four 32-bit words; 2**96 + 1 fills SeedSequence's pool of
+# four words with the seed alone, so the last word enters in its loop over
+# the remaining entropy.
+STATE_SEEDS = (0, 1, 20180427, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1)
+# (first, count): k = 0, 1, 255, 256, 257, 1199 and the generic sweep's
+# 20_000_000 + 0..119.
+STATE_RUNS = ((0, 2), (255, 3), (1199, 1), (20_000_000, 120))
+
+
+@pytest.mark.parametrize("seed", STATE_SEEDS)
+def test_seed_states_are_seed_sequence_states(seed):
+    for prefix in ((seed,), (seed, 424243)):
+        for first, count in STATE_RUNS:
+            states = seed_states(prefix, first, count)
+            assert states.dtype == np.uint64 and states.shape == (count, 4)
+            for j, state in enumerate(states):
+                entropy = [*prefix, first + j]
+                want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+                assert state.tolist() == want.tolist()
+        # A generator seeded from a row draws what default_rng draws.
+        state = seed_states(prefix, 257, 1)[0]
+        ours, theirs = seeded_generator(state), np.random.default_rng([*prefix, 257])
+        assert ours.standard_normal() == theirs.standard_normal()
+        assert ours.uniform(0.1, 1.0, size=(4, 3)).tolist() == theirs.uniform(
+            0.1, 1.0, size=(4, 3)
+        ).tolist()
+
+
+def test_seed_states_beyond_one_word_are_exact_or_rejected():
+    top = seed_states((7, 2**32 - 1), 2**32 - 2, 2)
+    for j, k in enumerate((2**32 - 2, 2**32 - 1)):
+        want = np.random.SeedSequence([7, 2**32 - 1, k]).generate_state(4, np.uint64)
+        assert top[j].tolist() == want.tolist()
+    # A last word past 32 bits would shift SeedSequence's word count, and a
+    # negative one has no words: neither is answered.
+    for first, count in ((2**32 - 1, 2), (2**32, 1), (-1, 1), (-300, 3)):
+        with pytest.raises(ValueError, match="outside"):
+            seed_states((7,), first, count)
+    for prefix in ((-1,), (7, -424243), (-(2**40),)):
+        with pytest.raises(ValueError, match="non-negative"):
+            seed_states(prefix, 0, 4)
+    oracle = dataclasses.replace(_partial_uses_case()[2], seed=7)
+    for frame in (-1, 2**32, 2**40):
+        with pytest.raises(ValueError, match="outside"):
+            oracle.noise(frame)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 6, 2**32 + 1])
+def test_noise_is_the_per_call_draw_on_every_demo_frame(demo_scenario, seed):
+    oracle = demo_scenario.oracle
+    if seed is not None:
+        oracle = dataclasses.replace(oracle, seed=seed)
+    # Every trace frame, and the probe's readings from frame 10_000_000 on.
+    frames = [*range(demo_scenario.trace.frame_count), *range(10_000_000, 10_000_300)]
+    assert [oracle.noise(f) for f in frames] == [_per_call_noise(oracle, f) for f in frames]
+
+
+def test_noise_memo_is_one_block_of_one_oracle(mini_scenario, monkeypatch):
+    """Each draw equals the per-call draw, whichever oracle drew last; an
+    oracle keeps only its latest block, and a new oracle, even one with the
+    same seed, computes its own."""
+    computed = []
+    states = simgpu.seed_states
+    monkeypatch.setattr(
+        simgpu, "seed_states", lambda *args: computed.append(args[1]) or states(*args)
+    )
+    a = dataclasses.replace(mini_scenario.oracle, seed=41)
+    b = dataclasses.replace(a, seed=42)
+    same = dataclasses.replace(a)
+    # (oracle, frame, first frame of the block computed, or None)
+    draws = [
+        (a, 300, 256), (b, 300, 256), (a, 300, None), (a, 255, 0), (a, 256, 256),
+        (a, 511, None), (b, 301, None), (a, 512, 512), (same, 300, 256), (a, 513, None),
+    ]
+    for oracle, frame, block in draws:
+        computed.clear()
+        assert oracle.noise(frame) == _per_call_noise(oracle, frame)
+        assert computed == ([] if block is None else [block])
+
+
+def _per_sample_sweep(scenario, saturation_per_pass):
+    """The generic sweep with a ``default_rng`` built per sample and per
+    noise draw: each sample's weights are ``default_rng([seed, 424243, k])``'s
+    draws, and its noise the meter's at frame 20_000_000 + k."""
+    oracle, roster = scenario.oracle, scenario.roster
+    uses = np.asarray(roster.model_masks, dtype=float)
+    n = len(saturation_per_pass)
+    samples = []
+    for k in range(120):
+        rng = np.random.default_rng([scenario.seed, 424243, k])
+        weights = rng.uniform(0.1, 1.0, size=(n, 3)) * uses
+        weights *= 1.8 * (k + 1) / 120 / weights.sum()
+        prims = tuple(
+            tuple(weights[i][j] * saturation_per_pass[i][j] for j in range(3)) for i in range(n)
+        )
+        power = oracle.exact_power_from_primitives(roster.best_config(), prims)
+        power += _per_call_noise(oracle, 20_000_000 + k)
+        samples.append(FrameSample(max(power, 1e-9), prims))
+    return samples
+
+
+def test_generic_sweep_equals_per_sample_default_rng(demo_scenario, mini_scenario):
+    for scenario in (demo_scenario, mini_scenario):
+        for seed in (scenario.seed, 2**32 + 1):
+            oracle = dataclasses.replace(scenario.oracle, seed=seed)
+            sc = dataclasses.replace(scenario, seed=seed, oracle=oracle)
+            per_pass = oracle.saturation.per_pass
+            assert _generic_sweep_samples(sc, per_pass) == _per_sample_sweep(sc, per_pass)
+
+
+def test_negative_seed_is_rejected_by_the_oracle(mini_scenario):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        dataclasses.replace(mini_scenario.oracle, seed=-1)
