@@ -10,7 +10,7 @@ seeds and scenarios produce identical logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,9 +26,11 @@ from .powermodel import (
     PowerModel,
     SaturationConstants,
     UnitCostResult,
+    config_counts,
     fit_coefficients,
+    mean,
     predict_all,
-    predict_power,
+    predict_powers,
     solve_unit_costs,
 )
 from .quality import ErrorModel, estimate_all_errors, estimate_error, update_worst_errors
@@ -196,12 +198,11 @@ def accuracy_check(
     window = list(window)
     if not window:
         raise ValueError("empty accuracy-check window")
-    coeffs = model.coefficients_for(config)
-    total = 0.0
-    for sample in window:
-        predicted = predict_power(model.saturation, coeffs, sample.per_pass)
-        total += abs(sample.measured_power - predicted)
-    return total / len(window) > threshold * model.saturation.span
+    predicted = predict_powers(
+        model.saturation, model.coefficients_for(config), [s.per_pass for s in window]
+    )
+    errors = (abs(s.measured_power - watts) for s, watts in zip(window, predicted.tolist()))
+    return mean(errors) > threshold * model.saturation.span
 
 
 def background_slots(roster: PassRoster) -> list[int | None]:
@@ -247,8 +248,8 @@ class GovernorState:
     filter_start_frame: int = 0
     frames_since_set: int = 0
     background_cursor: int = 0
-    accuracy_buffer: list = field(default_factory=list)
-    fitting_buffer: list = field(default_factory=list)
+    # Frames of the accuracy-check or fitting window taken so far.
+    window: int = 0
 
 
 @dataclass(frozen=True)
@@ -288,8 +289,11 @@ class Governor:
     Engine access goes through three hooks so the governor never touches the
     hidden oracle directly:
 
-    - ``measure(config, frame) -> watts``      (the power meter)
-    - ``primitives(config, frame) -> per-pass (b, v, f)``  (pipeline queries)
+    - ``measure(config, frames) -> watts``, one reading per frame (the power
+      meter)
+    - ``counts(frame) -> count table`` (pipeline queries): ``[l, r, i]`` is
+      pass i's (b, v, f) at level l and resolution level r, as
+      :func:`powermodel.predict_all` takes it
     - ``scorer(frame) -> score``  (background renders and SSIMs): ``score``
       maps a list of configurations to their ``1 - SSIM`` against the
       all-best render of ``frame``, as :class:`truth.FrameScorer` does. It
@@ -304,9 +308,11 @@ class Governor:
     its order, so a caller can have them computed before they are asked for.
 
     Like the paper's governor, it reads the meter, and the counts of the
-    configuration it renders, only on frames whose sample fills the
-    accuracy-check or fitting window; a steady or filtering tick queries
-    neither. Selection asks ``primitives`` for the configurations it predicts.
+    configuration it renders, only for the frames of its accuracy-check and
+    fitting windows. ``s_eff`` does not change inside a window, so the tick
+    that fills one reads its frames' meter in one ``measure`` call and asks
+    ``counts`` for each of them; no other tick queries either, except that
+    selection asks ``counts`` for its frame.
     """
 
     def __init__(
@@ -316,7 +322,7 @@ class Governor:
         power_model: PowerModel,
         error_model: ErrorModel,
         measure,
-        primitives,
+        counts,
         scorer,
         initial_config: RenderingConfiguration | None = None,
     ) -> None:
@@ -325,7 +331,7 @@ class Governor:
         self.power_model = power_model
         self.error_model = error_model
         self._measure = measure
-        self._primitives = primitives
+        self._counts = counts
         self._scorer = scorer
 
         start = initial_config if initial_config is not None else roster.best_config()
@@ -371,8 +377,8 @@ class Governor:
                 flags["err_update_pass"] = pass_index
                 flags["err_update_value"] = self.error_model.e_worst[pass_index]
 
-    def _issue_fit(self, frame: int, fitted_config: RenderingConfiguration) -> None:
-        fit_res = fit_coefficients(self.state.fitting_buffer, self.power_model.saturation)
+    def _issue_fit(self, frame: int, window, fitted_config: RenderingConfiguration) -> None:
+        fit_res = fit_coefficients(window, self.power_model.saturation)
         # Slots this window could not identify keep what the previous snapshot
         # believed about this configuration instead of silently becoming zero.
         prior = self.power_model.coefficients_for(fitted_config)
@@ -412,7 +418,7 @@ class Governor:
     # -- selection -----------------------------------------------------------
 
     def _select(self, frame: int) -> SelectionResult:
-        predictions = predict_all(self.power_model, lambda c: self._primitives(c, frame))
+        predictions = predict_all(self.power_model, self._counts(frame))
         if self.config.mode == "error":
             result = select_configuration_error_budget(
                 self.roster, predictions, self.error_model, self.config.error_budget
@@ -449,11 +455,13 @@ class Governor:
 
     # -- the frame loop body ---------------------------------------------------
 
-    def _sample(self, frame: int) -> FrameSample:
-        """The meter reading and pipeline counts of ``s_eff`` at ``frame``."""
+    def _samples(self, frames: range) -> list[FrameSample]:
+        """The meter readings and pipeline counts of ``s_eff`` at ``frames``."""
         s_eff = self.state.s_eff
-        primitives = self._primitives(s_eff, frame)
-        return FrameSample(self._measure(s_eff, frame), primitives)
+        return [
+            FrameSample(watts, config_counts(self.roster, self._counts(frame), s_eff).tolist())
+            for frame, watts in zip(frames, self._measure(s_eff, frames))
+        ]
 
     def tick(self, frame: int) -> TickResult:
         st = self.state
@@ -480,7 +488,6 @@ class Governor:
                 st.s_old = st.s_new
                 st.frames_since_set = 0
                 st.phase = PHASE_CHECK
-                st.accuracy_buffer = []
                 if phase_label != PHASE_SELECTING:
                     phase_label = PHASE_CHECK
             else:
@@ -488,24 +495,21 @@ class Governor:
                 if phase_label != PHASE_SELECTING:
                     phase_label = PHASE_FILTERING
 
-        if st.phase == PHASE_CHECK:
-            st.accuracy_buffer.append(self._sample(frame))
-            if len(st.accuracy_buffer) >= cfg.accuracy_check_window:
-                needs_refit = accuracy_check(
-                    self.power_model, st.accuracy_buffer, cfg.accuracy_threshold, st.s_eff
-                )
-                if needs_refit:
+        if st.phase in (PHASE_CHECK, PHASE_FITTING):
+            size = cfg.accuracy_check_window if st.phase == PHASE_CHECK else cfg.fitting_window
+            st.window += 1
+            if st.window == size:
+                st.window = 0
+                window = self._samples(range(frame + 1 - size, frame + 1))
+                if st.phase == PHASE_FITTING:
+                    self._issue_fit(frame, window, st.s_eff)
+                    st.phase = PHASE_STEADY
+                elif accuracy_check(self.power_model, window, cfg.accuracy_threshold, st.s_eff):
                     flags["refit"] = True
                     self.refit_count += 1
                     st.phase = PHASE_FITTING
-                    st.fitting_buffer = []
                 else:
                     st.phase = PHASE_STEADY
-        elif st.phase == PHASE_FITTING:
-            st.fitting_buffer.append(self._sample(frame))
-            if len(st.fitting_buffer) >= cfg.fitting_window:
-                self._issue_fit(frame, st.s_eff)
-                st.phase = PHASE_STEADY
 
         bg_request = self._background(frame, flags)
         st.frames_since_set += 1

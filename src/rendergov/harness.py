@@ -39,6 +39,7 @@ from .powermodel import (
     SaturationConstants,
     UnitCosts,
     fit_coefficients,
+    mean,
     predict_powers,
     solve_unit_costs,
 )
@@ -53,7 +54,6 @@ from .simgpu import (
     ProbeResult,
     empty_trace,
     exact_power_all,
-    measure_power,
     probe_min_power,
     probe_saturation,
     render_frame,  # noqa: F401 -- perfbench's tests trace this binding
@@ -188,14 +188,13 @@ def _generic_sweep_samples(scenario: Scenario, saturation_per_pass):
     the per-pass primitive slots with random weights, 0.0 for every kind a
     pass does not use; the level ramps so measured power walks from near P_m
     toward P_M. The ramp tops out below deep saturation, where the log
-    transform would amplify measurement noise.
+    transform would amplify measurement noise. Every sample's exact power is
+    taken in one call.
     """
-    oracle = scenario.oracle
-    roster = scenario.roster
+    oracle, roster = scenario.oracle, scenario.roster
     uses = np.asarray(roster.model_masks, dtype=float)
-    cfg = roster.best_config()
-    samples = []
     n = len(saturation_per_pass)
+    counts = np.empty((_SWEEP_SAMPLES, n, 3))
     # Sample k's weights are default_rng([seed, 424243, k])'s draws.
     states = seed_states((scenario.seed, 424243), 0, _SWEEP_SAMPLES)
     for k in range(_SWEEP_SAMPLES):
@@ -203,17 +202,12 @@ def _generic_sweep_samples(scenario: Scenario, saturation_per_pass):
         total_load = 1.8 * (k + 1) / _SWEEP_SAMPLES
         weights = rng.uniform(0.1, 1.0, size=(n, 3)) * uses
         weights *= total_load / weights.sum()
-        prims = tuple(
-            (
-                weights[i][0] * saturation_per_pass[i][0],
-                weights[i][1] * saturation_per_pass[i][1],
-                weights[i][2] * saturation_per_pass[i][2],
-            )
-            for i in range(n)
-        )
-        power = oracle.exact_power_from_primitives(cfg, prims) + oracle.noise(20_000_000 + k)
-        samples.append(FrameSample(max(power, 1e-9), prims))
-    return samples
+        counts[k] = weights * np.asarray(saturation_per_pass)
+    exact = oracle.exact(roster.best_config(), counts).tolist()
+    return [
+        FrameSample(max(power + oracle.noise(20_000_000 + k), 1e-9), per_pass)
+        for k, (power, per_pass) in enumerate(zip(exact, counts.tolist()))
+    ]
 
 
 @dataclass(frozen=True)
@@ -325,20 +319,19 @@ def _score_jobs(scenario: Scenario, jobs: _Jobs) -> list[list[float]]:
     return [_true_errors(scenario, frame, configs) for frame, configs in jobs]
 
 
-def _run_powers(scenario: Scenario, governed: list[_Governed]) -> list[_FramePowers]:
+def _run_powers(at: FramePowers, governed: list[_Governed]) -> list[_FramePowers]:
     """The :data:`_FramePowers` of each frame of a run, from frame 0, given
-    each frame's :data:`_Governed` tuple.
+    each frame's :data:`_Governed` tuple and the run's :class:`simgpu.FramePowers`,
+    which has taken every frame's curve values and noise draw once.
 
-    One array pass over the frames (:class:`simgpu.FramePowers`) takes every
-    frame's curve values and noise draw once and measures the best and worst
+    One array pass over the frames measures the best and worst
     configurations. Each run of frames whose s_eff, saturation constants and
     coefficients are the same objects, as :func:`run` keeps them until a fit
     lands or s_eff changes, is then measured and predicted
     (:func:`powermodel.predict_powers`) in one pass over its own rows, and its
     prediction reuses the counts its measurement computed.
     """
-    roster = scenario.roster
-    at = FramePowers(scenario.oracle, scenario.trace, range(len(governed)))
+    roster = at.oracle.roster
     best, worst = at.measured(roster.best_config()), at.measured(roster.worst_config())
     measured, predicted = np.empty(len(governed)), np.empty(len(governed))
     start = 0
@@ -495,16 +488,6 @@ class _Scorer:
         return [self.result(i) for i in reversed(tasks)][::-1]
 
 
-def _mean(values) -> float:
-    # Left to right: since Python 3.12 the builtin sum() compensates float
-    # rounding, and the summaries would change with the interpreter.
-    total, count = 0.0, 0
-    for value in values:
-        total += value
-        count += 1
-    return total / count if count else 0.0
-
-
 def replay_trace(scenario: Scenario, config: RenderingConfiguration) -> dict:
     """Run the trace with one pinned configuration; no governor involved.
 
@@ -529,8 +512,8 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration) -> dict:
         "exact": exact,
         "measured": measured,
         "errors": errors,
-        "mean_power": _mean(measured),
-        "mean_error": _mean(errors),
+        "mean_power": mean(measured),
+        "mean_error": mean(errors),
     }
 
 
@@ -560,13 +543,16 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     scores the worst one against the same reference as ``s_eff``. The best
     configuration's error is exactly 0.0, so its baseline is power only.
 
-    No decision reads a baseline, a true error, or the power of a frame
-    outside the governor's accuracy-check and fitting windows, so the loop
-    itself only ticks the governor, builds each frame's row and keeps its
-    :data:`_Governed` tuple. At the end of each :data:`_CHUNK` frames that
-    hold a sampled frame it hands the scorer one task, each sampled frame's
-    ``(frame, [worst, s_eff])``, which forked workers score beside the loop;
-    a chunk with no sampled frame is not handed over. After the loop the
+    One :class:`simgpu.FramePowers` of the whole trace serves the governor's
+    ``measure`` and ``counts`` hooks, each window's readings in one pass, and
+    then :func:`_run_powers`. No decision reads a baseline, a true error, or
+    the power of a frame outside the governor's accuracy-check and fitting
+    windows, so the loop itself only ticks the governor, builds each frame's
+    row and keeps its :data:`_Governed` tuple. At the end of each
+    :data:`_CHUNK` frames that hold a sampled frame it hands the scorer one
+    task, each sampled frame's ``(frame, [worst, s_eff])``, which forked
+    workers score beside the loop; a chunk with no sampled frame is not
+    handed over. After the loop the
     caller takes every frame's powers in one pass over the whole trace
     (:func:`_run_powers`) while the workers score, then scores the chunks no
     worker has started. The governor's model changes only when a fit lands,
@@ -601,6 +587,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
             return _lookup(configs, errors)
 
         init = _probe(scenario)
+        at = FramePowers(scenario.oracle, scenario.trace, range(frame_count))
         calibrated = {
             frame: _lookup(degradations, errors)
             for frame, (errors,) in zip(calibration, scorer.results(calibrating))
@@ -612,8 +599,8 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
             error_model=ErrorModel.initial(
                 calibrate_ratios(calibrated.__getitem__, roster, calibration)
             ),
-            measure=lambda cfg, frame: measure_power(scenario.oracle, cfg, frame, scenario.trace),
-            primitives=lambda cfg, frame: scenario.trace.primitives_for(roster, cfg, frame),
+            measure=lambda cfg, frames: at[frames[0] : frames[-1] + 1].measured(cfg).tolist(),
+            counts=lambda frame: at.table(frame),
             scorer=background,
             initial_config=scenario.initial_config,
         )
@@ -632,7 +619,10 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
                 rows.append(_record_row(tick.record))
             if jobs:
                 chunks.append(scorer.submit(jobs))
-        powers = _run_powers(scenario, governed)
+        powers = _run_powers(at, governed)
+        # The hooks hold the trace's arrays only through this name: free them
+        # before the caller scores, so that its SSIM temporaries reuse them.
+        del at
         truths = [truth for chunk in scorer.results(chunks) for truth in chunk]
 
     for row, (_, _, measured, predicted) in zip(rows, powers):
@@ -655,18 +645,18 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         "p_min_probed": init.p_min_probed,
         "p_max_probed": init.probe.p_max_observed,
         "probe_frames_used": init.probe_frames_used,
-        "governed_mean_power": _mean(measured for _, _, measured, _ in powers),
-        "governed_mean_error": _mean(errors),
+        "governed_mean_power": mean(measured for _, _, measured, _ in powers),
+        "governed_mean_error": mean(errors),
         "governed_error_samples": len(errors),
         "selection_count": gov.selection_count,
         "refit_count": gov.refit_count,
         "fit_count": gov.fit_count,
         "infeasible_count": gov.infeasible_count,
         "fit_clamp_total": gov.clamp_total,
-        "replay_best_mean_power": _mean(best for best, _, _, _ in powers),
+        "replay_best_mean_power": mean(best for best, _, _, _ in powers),
         "replay_best_mean_error": 0.0,
-        "replay_worst_mean_power": _mean(worst for _, worst, _, _ in powers),
-        "replay_worst_mean_error": _mean(worst_errors),
+        "replay_worst_mean_power": mean(worst for _, worst, _, _ in powers),
+        "replay_worst_mean_error": mean(worst_errors),
     }
     return _result(scenario, rows, summary, out_dir, "run_log.csv", "summary.txt")
 

@@ -11,6 +11,10 @@ produces per-pass (b, v, f) counts reports 0.0 for every kind the pass does
 not use (``PassRoster.model_masks``), as the scene trace, the saturation probe
 and the generic sweep do.
 
+Every watt the program computes, predicted or exact, one frame or a whole
+trace or lattice, is :func:`power` of :func:`pass_loads`: one formula whose
+shapes are arrays, with the same bits in each.
+
 Fitting inverts the exponential with a log transform and solves a linear least
 squares problem with nonnegativity enforced by clamp-and-re-solve passes over
 the active set. A fitted coefficient set for one configuration is extended to
@@ -199,48 +203,6 @@ class PowerModel:
         )
 
 
-def load_terms(
-    saturation: SaturationConstants,
-    coefficients: PowerCoefficients,
-    primitives,
-) -> list[float]:
-    """Per-pass alpha contributions of the load sum.
-
-    ``primitives`` must hold 0.0 for every kind a pass does not use.
-    """
-    n = len(saturation.per_pass)
-    if len(coefficients.per_pass) != n or len(primitives) != n:
-        raise ValueError("saturation, coefficients, and primitives disagree on pass count")
-    terms = []
-    for i in range(n):
-        kb, kv, kf = coefficients.per_pass[i]
-        big_b, big_v, big_f = saturation.per_pass[i]
-        b, v, f = primitives[i]
-        terms.append(kb * b / big_b + kv * v / big_v + kf * f / big_f)
-    return terms
-
-
-def predict_power(
-    saturation: SaturationConstants,
-    coefficients: PowerCoefficients,
-    primitives,
-) -> float:
-    """Evaluate the saturating power model; result always lies in [P_m, P_M).
-
-    ``primitives`` must hold 0.0 for every kind a pass does not use. The
-    asymptote is open in exact arithmetic; rounding can still land on P_M at
-    extreme loads, so the bound is enforced explicitly.
-    """
-    # Left to right, as lattice_power and load_power add: since Python 3.12
-    # the builtin sum() compensates float rounding, which changes the last
-    # bits.
-    alpha = 0.0
-    for term in load_terms(saturation, coefficients, primitives):
-        alpha += term
-    p = saturation.p_min + saturation.span * (1.0 - math.exp(-alpha))
-    return min(p, math.nextafter(saturation.p_max, -math.inf))
-
-
 def per_entry(fn, values: np.ndarray) -> np.ndarray:
     """``fn`` of each entry of ``values``, taken on Python floats: for
     ``math.exp`` and ``math.sin``, whose vectorized numpy counterparts can
@@ -248,43 +210,67 @@ def per_entry(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
 
 
-def _saturate(saturation: SaturationConstants, alpha: np.ndarray) -> np.ndarray:
-    """The power formula, unclamped, of each load sum in ``alpha``."""
-    return saturation.p_min + saturation.span * (1.0 - per_entry(math.exp, -alpha))
+def mean(values) -> float:
+    """The mean of ``values``, added left to right (since Python 3.12 the
+    builtin ``sum()`` compensates float rounding, which would change the last
+    bits); 0.0 for no values."""
+    total, count = 0.0, 0
+    for value in values:
+        total += value
+        count += 1
+    return total / count if count else 0.0
 
 
-def load_power(saturation: SaturationConstants, terms: np.ndarray) -> np.ndarray:
-    """The power formula, unclamped, of each frame's load terms: ``terms[k,
-    i]`` holds pass i's (b, v, f) terms at frame k.
+def pass_loads(saturation: SaturationConstants, coefficients, counts) -> np.ndarray:
+    """Each pass's load term of broadcastable ``(..., passes, 3)``
+    coefficients and (b, v, f) counts: ``(k_b*b/B + k_v*v/V) + k_f*f/F``.
 
-    Each pass's terms add as (b + v) + f and the passes left to right, the
-    order of :func:`predict_power`, so every watt equals the scalar formula
-    bit for bit.
+    The counts must be 0.0 for every kind a pass does not use.
     """
-    per_pass = (terms[:, :, 0] + terms[:, :, 1]) + terms[:, :, 2]
-    alpha = np.zeros(len(terms))
-    for i in range(per_pass.shape[1]):
-        alpha = alpha + per_pass[:, i]
-    return _saturate(saturation, alpha)
+    terms = np.multiply(coefficients, counts) / np.reshape(saturation.per_pass, (-1, 3))
+    return (terms[..., 0] + terms[..., 1]) + terms[..., 2]
+
+
+def power(saturation: SaturationConstants, loads: np.ndarray) -> np.ndarray:
+    """The power formula, unclamped, of each row of per-pass load terms
+    ``loads[..., i]``: every watt the program computes, predicted or exact.
+
+    The passes add left to right, as :func:`mean` adds, and each
+    exponential is taken with ``math.exp`` (:func:`per_entry`), so a watt has
+    the same bits whatever the shape it is computed in.
+    """
+    alpha = np.zeros(loads.shape[:-1])
+    for i in range(loads.shape[-1]):
+        alpha = alpha + loads[..., i]
+    return saturation.p_min + saturation.span * (1.0 - per_entry(math.exp, -alpha))
 
 
 def predict_powers(
     saturation: SaturationConstants,
     coefficients: PowerCoefficients,
-    primitives: np.ndarray,
+    counts,
 ) -> np.ndarray:
-    """:func:`predict_power` of each frame, bit for bit: ``primitives[k, i]``
-    holds pass i's (b, v, f) counts at frame k, 0.0 for every kind the pass
-    does not use."""
+    """Predicted watts at each row of per-pass (b, v, f) counts
+    ``counts[..., i]``, 0.0 for every kind a pass does not use.
+
+    The result lies in [P_m, P_M): the asymptote is open in exact arithmetic,
+    but rounding can land on P_M at extreme loads, so the bound is enforced
+    explicitly.
+    """
     n = len(saturation.per_pass)
-    if len(coefficients.per_pass) != n or primitives.shape[1:] != (n, 3):
+    if len(coefficients.per_pass) != n or np.shape(counts)[-2:] != (n, 3):
         raise ValueError("saturation, coefficients, and primitives disagree on pass count")
-    terms = (np.reshape(coefficients.per_pass, (n, 3)) * primitives) / np.reshape(
-        saturation.per_pass, (n, 3)
-    )
-    return np.minimum(
-        load_power(saturation, terms), math.nextafter(saturation.p_max, -math.inf)
-    )
+    watts = power(saturation, pass_loads(saturation, coefficients.per_pass, counts))
+    return np.minimum(watts, math.nextafter(saturation.p_max, -math.inf))
+
+
+def predict_power(
+    saturation: SaturationConstants,
+    coefficients: PowerCoefficients,
+    primitives,
+) -> float:
+    """:func:`predict_powers` of one frame's per-pass (b, v, f) counts."""
+    return float(predict_powers(saturation, coefficients, np.asarray(primitives, dtype=float)))
 
 
 def linearize_sample(
@@ -393,9 +379,7 @@ def fit_coefficients(
     )
 
 
-def _model_levels(
-    roster: PassRoster, config: RenderingConfiguration
-) -> tuple[int, ...]:
+def _model_levels(roster: PassRoster, config: RenderingConfiguration) -> tuple[int, ...]:
     roster.validate_config(config)
     return tuple(config[i] for i in roster.model_pass_indices)
 
@@ -445,6 +429,29 @@ def solve_unit_costs(
     return UnitCostResult(UnitCosts(chi, psi), residual, psi_indeterminate)
 
 
+def level_coefficients(unit_costs: UnitCosts, cost_table: CostTable, k_b) -> np.ndarray:
+    """``[i, l]`` is pass i's (k_b, k_v, k_f) at level l: its batch cost
+    ``k_b[i]``, which no level changes, k_v = chi*Ins_v and
+    k_f = chi*Ins_f + psi*Tex_f. A pass with fewer levels than the table
+    repeats its last one."""
+    levels = max(map(len, cost_table.ins_f), default=1)
+    ins_f, tex_f = (
+        np.array([row + row[-1:] * (levels - len(row)) for row in rows]).reshape(-1, levels)
+        for rows in (cost_table.ins_f, cost_table.tex_f)
+    )
+    table = np.empty((cost_table.n_passes, levels, 3))
+    table[..., 0] = np.reshape(k_b, (-1, 1))
+    table[..., 1] = unit_costs.chi * np.reshape(cost_table.ins_v, (-1, 1))
+    table[..., 2] = unit_costs.chi * ins_f + unit_costs.psi * tex_f
+    return table
+
+
+def level_rows(roster: PassRoster, table: np.ndarray, config: RenderingConfiguration) -> np.ndarray:
+    """``[i]`` is ``table[i, l]``, model pass i's row at its level l in ``config``."""
+    levels = _model_levels(roster, config)
+    return table[range(len(levels)), levels]
+
+
 def coefficients_for_config(
     unit_costs: UnitCosts,
     cost_table: CostTable,
@@ -452,91 +459,58 @@ def coefficients_for_config(
     fitted: PowerCoefficients,
     roster: PassRoster,
 ) -> PowerCoefficients:
-    """Coefficients for an arbitrary configuration from one fitted set.
-
-    The batch cost is level-independent and carried over unchanged; vertex and
-    fragment costs are rebuilt from the unit costs and the cost table at the
-    configuration's levels.
-    """
-    levels = _model_levels(roster, config)
-    per_pass = []
-    for i, lvl in enumerate(levels):
-        kb = fitted.per_pass[i][0]
-        kv = unit_costs.chi * cost_table.ins_v[i]
-        kf = (
-            unit_costs.chi * cost_table.ins_f[i][lvl]
-            + unit_costs.psi * cost_table.tex_f[i][lvl]
-        )
-        per_pass.append((kb, kv, kf))
-    return PowerCoefficients(tuple(per_pass))
+    """Coefficients for an arbitrary configuration from one fitted set: its
+    row of :func:`level_coefficients`, with the fitted batch costs."""
+    table = level_coefficients(unit_costs, cost_table, [k[0] for k in fitted.per_pass])
+    return PowerCoefficients(level_rows(roster, table, config).tolist())
 
 
-def lattice_power(
-    roster: PassRoster, saturation: SaturationConstants, coefficients_at, primitives_for
+def config_counts(
+    roster: PassRoster, counts: np.ndarray, config: RenderingConfiguration
 ) -> np.ndarray:
-    """The power formula, unclamped, for every configuration in enumeration
-    order.
-
-    ``coefficients_at`` and ``primitives_for`` map a configuration to its
-    per-pass coefficients and (b, v, f) counts, with 0.0 for every kind a
-    pass does not use. Pass i's load term must depend only on its own level
-    and the resolution level, so both are called once per level-diagonal
-    configuration (every pass at ``min(l, L_i - 1)``, resolution at ``r``) to
-    fill one ``L_i x L_res`` table of :func:`load_terms` per pass. The tables
-    are summed over the lattice in roster order, the left-to-right order of
-    the scalar sum, and each entry gets its own ``math.exp`` (:func:`per_entry`),
-    so every watt equals the scalar formula bit for bit.
-    """
-    model_indices = roster.model_pass_indices
+    """``[i]`` is pass i's (b, v, f) in ``config``, from a frame's count
+    table ``counts[l, r, i]``: pass i's at level l and resolution level r."""
+    levels = _model_levels(roster, config)
     res = roster.resolution_index
-    res_count = 1 if res is None else roster.passes[res].level_count
-    counts = [roster.passes[i].level_count for i in model_indices]
-    tables = [np.empty((n, res_count)) for n in counts]
-    for lvl in range(max(counts, default=1)):
-        for r in range(res_count):
-            levels = [min(lvl, p.level_count - 1) for p in roster.passes]
-            if res is not None:
-                levels[res] = r
-            config = RenderingConfiguration(tuple(levels))
-            terms = load_terms(saturation, coefficients_at(config), primitives_for(config))
-            for table, n, term in zip(tables, counts, terms):
-                if lvl < n:
-                    table[lvl, r] = term
+    return counts[levels, 0 if res is None else config[res], range(len(levels))]
 
+
+def lattice_loads(roster: PassRoster, loads: np.ndarray) -> np.ndarray:
+    """Per-pass load terms ``loads[l, r, i]``, pass i's at level l and
+    resolution level r, spread over the lattice: ``[k, i]`` is pass i's at
+    configuration k, in enumeration order."""
     grid = level_grid(roster)
+    res = roster.resolution_index
     res_levels = 0 if res is None else grid[res]
-    alpha = np.zeros(tuple(p.level_count for p in roster.passes))
-    for table, i in zip(tables, model_indices):
-        alpha = alpha + table[grid[i], res_levels]
-    return _saturate(saturation, alpha.ravel())
+    shape = tuple(p.level_count for p in roster.passes)
+    per_pass = [
+        np.broadcast_to(loads[grid[ri], res_levels, i], shape)
+        for i, ri in enumerate(roster.model_pass_indices)
+    ]
+    return np.stack(per_pass, axis=-1).reshape(roster.config_count, -1)
 
 
-def predict_all(model: PowerModel, primitives_for) -> np.ndarray:
-    """Predicted watts for every configuration, in enumeration order.
+def predict_all(model: PowerModel, counts: np.ndarray) -> np.ndarray:
+    """Predicted watts for every configuration at one frame, in enumeration
+    order, from the frame's count table ``counts[l, r, i]``
+    (:meth:`simgpu.SceneTrace.counts`).
 
-    ``primitives_for`` maps a configuration to its per-pass (b, v, f) counts,
-    already reflecting per-level multipliers and the resolution fragment scale,
-    with 0.0 for every kind a pass does not use. The watts are
-    :func:`lattice_power` over reuse coefficients, clamped below P_M as in
-    :func:`predict_power`, so every entry equals the scalar formula bit for
-    bit. The fitted configuration keeps its raw coefficients, as in
-    :meth:`PowerModel.coefficients_for`.
+    A pass's load term depends only on its own level and the resolution
+    level, so each is taken once over the reuse coefficients
+    (:func:`level_coefficients`) and spread over the lattice
+    (:func:`lattice_loads`). The watts are clamped below P_M as in
+    :func:`predict_powers`, and the fitted configuration keeps its raw
+    coefficients, as in :meth:`PowerModel.coefficients_for`, so every entry
+    equals :func:`predict_power` of its configuration bit for bit.
     """
-    roster = model.roster
-    sat = model.saturation
-    # Reuse coefficients even at the fitted configuration's levels: other
-    # configurations share its per-pass levels.
-    watts = lattice_power(
-        roster,
-        sat,
-        lambda config: coefficients_for_config(
-            model.unit_costs, model.cost_table, config, model.coefficients, roster
-        ),
-        primitives_for,
+    roster, sat = model.roster, model.saturation
+    reuse = level_coefficients(
+        model.unit_costs, model.cost_table, [k[0] for k in model.coefficients.per_pass]
     )
-    out = np.minimum(watts, math.nextafter(sat.p_max, -math.inf))
+    loads = pass_loads(sat, reuse.transpose(1, 0, 2)[:, None], counts)
+    out = np.minimum(power(sat, lattice_loads(roster, loads)), math.nextafter(sat.p_max, -math.inf))
     fitted = model.fitted_config
-    out[config_index(roster, fitted)] = predict_power(
-        sat, model.coefficients, primitives_for(fitted)
+    out[config_index(roster, fitted)] = predict_powers(
+        sat, model.coefficients, config_counts(roster, counts, fitted)
     )
     return out

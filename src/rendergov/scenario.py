@@ -55,19 +55,25 @@ def _int(value, where: str) -> int:
 _CHECKS = {"int": _int, "float": _number}
 
 
+def _known(raw: dict, where: str, reads) -> None:
+    """Reject every key of ``raw`` that is not one of ``reads``, the keys its
+    section reads, so a misspelt key is an error, not a silent default."""
+    unknown = [key for key in raw if key not in reads]
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown}")
+
+
 def _options(cls, raw: dict, where: str, reads: tuple[str, ...] = ()) -> dict:
     """Each int and float option of dataclass ``cls`` that ``raw`` sets,
     checked by its annotation; an option left out keeps its default. Any other
     key of ``raw`` must be one of ``reads``, the keys its section reads by
-    name, so a misspelt option is an error, not a silent default."""
+    name (:func:`_known`)."""
     options = {
         f.name: _CHECKS[f.type]
         for f in fields(cls)
         if f.type in _CHECKS and f.default is not MISSING
     }
-    unknown = [key for key in raw if key not in options and key not in reads]
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {unknown}")
+    _known(raw, where, (*options, *reads))
     return {
         name: check(raw[name], f"{where}.{name}") for name, check in options.items() if name in raw
     }
@@ -107,7 +113,10 @@ def _build_roster(raw, where: str = "roster") -> PassRoster:
             raise ScenarioError(f"{here}: expected an object")
         name = _require(entry, "name", here)
         levels = _int(_require(entry, "levels", here), f"{here}.levels")
-        if entry.get("resolution", False):
+        resolution = entry.get("resolution", False)
+        own = "fragment_scale" if resolution else "uses"
+        _known(entry, here, ("name", "levels", "resolution", own))
+        if resolution:
             scales = _numbers(_require(entry, "fragment_scale", here), f"{here}.fragment_scale")
             desc = PassDescriptor(
                 name, levels, is_resolution=True, fragment_scale_per_level=scales
@@ -153,6 +162,7 @@ def _build_cost_table(raw, roster: PassRoster, where: str = "cost_table") -> Cos
     for entry, ri in zip(entries, roster.model_pass_indices):
         name = roster.passes[ri].name
         here = f"{where}.{name}"
+        _known(entry, here, ("ins_v", "ins_f", "tex_f"))
         levels = roster.passes[ri].level_count
         ins_v.append(_number(_require(entry, "ins_v", here), f"{here}.ins_v"))
         for key, dest in (("ins_f", ins_f), ("tex_f", tex_f)):
@@ -171,6 +181,7 @@ def _build_oracle(
 ) -> HiddenPowerOracle:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object")
+    _known(raw, where, ("p_min", "p_max", "chi", "psi", "cost_distortion", "noise_sigma", "passes"))
     p_min = _number(_require(raw, "p_min", where), f"{where}.p_min")
     p_max = _number(_require(raw, "p_max", where), f"{where}.p_max")
     chi = _number(_require(raw, "chi", where), f"{where}.chi")
@@ -179,27 +190,26 @@ def _build_oracle(
     k_b, per_pass = [], []
     for entry, ri in zip(entries, roster.model_pass_indices):
         here = f"{where}.passes.{roster.passes[ri].name}"
+        _known(entry, here, ("k_b", "saturation"))
         k_b.append(_number(_require(entry, "k_b", here), f"{here}.k_b"))
         sat = _numbers(_require(entry, "saturation", here), f"{here}.saturation")
         if len(sat) != 3:
             raise ScenarioError(f"{here}.saturation: expected [B, V, F]")
         per_pass.append(sat)
+    # A dataclass's class attribute holds its field's default.
+    distortion = _number(
+        raw.get("cost_distortion", HiddenPowerOracle.cost_distortion), f"{where}.cost_distortion"
+    )
+    sigma = _number(raw.get("noise_sigma", HiddenPowerOracle.noise_sigma), f"{where}.noise_sigma")
     try:
-        saturation = SaturationConstants(p_min, p_max, tuple(per_pass))
         return HiddenPowerOracle(
             roster=roster,
-            saturation=saturation,
+            saturation=SaturationConstants(p_min, p_max, tuple(per_pass)),
             k_b=tuple(k_b),
             unit_costs=UnitCosts(chi, psi),
             public_costs=cost_table,
-            # A dataclass's class attribute holds its field's default.
-            cost_distortion=_number(
-                raw.get("cost_distortion", HiddenPowerOracle.cost_distortion),
-                f"{where}.cost_distortion",
-            ),
-            noise_sigma=_number(
-                raw.get("noise_sigma", HiddenPowerOracle.noise_sigma), f"{where}.noise_sigma"
-            ),
+            cost_distortion=distortion,
+            noise_sigma=sigma,
             seed=seed,
         )
     except ValueError as exc:
@@ -220,12 +230,15 @@ def _build_curve(raw, where: str) -> CurveSpec:
 def _build_trace(raw, roster: PassRoster, where: str = "trace") -> SceneTrace:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object")
+    _known(raw, where, ("frames", "passes", "events"))
     frames = _int(_require(raw, "frames", where), f"{where}.frames")
     entries = _per_pass_section(_require(raw, "passes", where), roster, f"{where}.passes", True)
     curves, ls_b, ls_v, ls_f = [], [], [], []
+    scale_keys = ("level_scale_batches", "level_scale_vertices", "level_scale_fragments")
     for entry, ri in zip(entries, roster.model_pass_indices):
         p = roster.passes[ri]
         here = f"{where}.passes.{p.name}"
+        _known(entry, here, ("batches", "vertices", "fragments", *scale_keys))
         curves.append(
             (
                 _build_curve(_require(entry, "batches", here), f"{here}.batches"),
@@ -234,11 +247,7 @@ def _build_trace(raw, roster: PassRoster, where: str = "trace") -> SceneTrace:
             )
         )
         ones = tuple(1.0 for _ in range(p.level_count))
-        for key, dest in (
-            ("level_scale_batches", ls_b),
-            ("level_scale_vertices", ls_v),
-            ("level_scale_fragments", ls_f),
-        ):
+        for key, dest in zip(scale_keys, (ls_b, ls_v, ls_f)):
             if key in entry:
                 row = _numbers(entry[key], f"{here}.{key}")
                 if len(row) != p.level_count:
@@ -280,6 +289,7 @@ def _build_synthesizer(
 ) -> FrameSynthesizer:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object")
+    _known(raw, where, ("size", "passes"))
     size = _int(raw.get("size", FrameSynthesizer.height), f"{where}.size")
     entries = _per_pass_section(_require(raw, "passes", where), roster, f"{where}.passes", False)
     degradations = []
@@ -342,6 +352,8 @@ def _build_initial_config(spec, roster: PassRoster, where: str) -> RenderingConf
 def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    sections = ("roster", "cost_table", "oracle", "trace", "synthesizer", "governor", "calibration")
+    _known(doc, "scenario", ("name", "seed", *sections, "probe", "error_sample_every"))
     name = doc.get("name", name)
     seed = _int(_require(doc, "seed", "scenario"), "seed")
     if seed < 0:
@@ -359,6 +371,7 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     calibration = doc.get("calibration", {})
     if not isinstance(calibration, dict):
         raise ScenarioError("calibration: expected an object")
+    _known(calibration, "calibration", ("frames",))
     frames = calibration.get("frames", [trace.frame_count + 911 + 37 * i for i in range(3)])
     calibration_frames = tuple(_int(f, "calibration.frames") for f in frames)
     if not calibration_frames:

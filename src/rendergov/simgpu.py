@@ -1,12 +1,12 @@
 """Deterministic stand-ins for the GPU, the renderer, and the power meter.
 
-The hidden oracle evaluates the same saturating-exponential form as the public
-power model but with its own (possibly distorted) cost parameters, so "model
-form correct, parameters unknown" is testable. The scene trace turns frame
-indices into per-pass primitive counts; the synthesizer turns frame indices and
-configurations into images whose degradations live in (mostly) disjoint
-horizontal bands so error additivity approximately holds. Everything is a pure
-function of (seed, frame index, configuration).
+The hidden oracle evaluates the public power model's own formula
+(:func:`powermodel.power`) but with its own (possibly distorted) cost
+parameters, so "model form correct, parameters unknown" is testable. The scene
+trace turns frame indices into per-pass primitive counts; the synthesizer turns
+frame indices and configurations into images whose degradations live in
+(mostly) disjoint horizontal bands so error additivity approximately holds.
+Everything is a pure function of (seed, frame index, configuration).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import math
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,9 +26,13 @@ from .powermodel import (
     PowerCoefficients,
     SaturationConstants,
     UnitCosts,
-    lattice_power,
-    load_power,
+    lattice_loads,
+    level_coefficients,
+    level_rows,
+    mean,
+    pass_loads,
     per_entry,
+    power,
 )
 from .quality import FrameImage
 
@@ -69,14 +72,6 @@ class CurveSpec:
         if self.period <= 0 or self.jitter_period <= 0:
             raise ValueError("curve periods must be positive")
 
-    def value(self, frame: int) -> float:
-        return self.base * (
-            1.0
-            + self.amp * math.sin(2.0 * math.pi * frame / self.period + self.phase)
-            + self.jitter_amp
-            * math.sin(2.0 * math.pi * frame / self.jitter_period + 1.7 * self.phase)
-        )
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -104,18 +99,11 @@ class SceneTrace:
     runs at level l; fragments are additionally scaled by the resolution
     pass's fragment scale.
 
-    Every configuration measured at one frame shares that frame's curve
-    values and event scales, so the trace keeps them for the most recent
-    ``(roster, frame)`` only, and the cumulative event scales, as one array,
-    for the most recent roster. A frame's power is often measured and
-    predicted for one configuration, so :meth:`primitives_for` keeps its most
-    recent answer too, for a repeated query with the same configuration and
-    roster objects; identity keeps a miss, the common case, cheap. The memos
-    live on the instance and are set up empty in
-    ``__post_init__``, which ``dataclasses.replace`` runs again. It also sets
-    up each curve parameter as one ``(passes, 3)`` array, from which
-    :class:`FramePowers` evaluates the curves at many frames at once; nothing
-    on the instance grows with the trace.
+    ``__post_init__``, which ``dataclasses.replace`` runs again, sets up each
+    curve parameter as one ``(passes, 3)`` array and the level scales as one
+    ``(levels, passes, 3)`` array, from which :meth:`terms` and
+    :meth:`counts` take many frames or configurations in one array pass;
+    nothing on the instance grows with the trace.
     """
 
     frame_count: int
@@ -129,10 +117,9 @@ class SceneTrace:
         if self.frame_count < 0:
             raise ValueError("frame count cannot be negative")
         n = len(self.curves)
-        for name, table in (
-            ("level_scale_batches", self.level_scale_batches),
-            ("level_scale_vertices", self.level_scale_vertices),
-            ("level_scale_fragments", self.level_scale_fragments),
+        tables = (self.level_scale_batches, self.level_scale_vertices, self.level_scale_fragments)
+        for name, table in zip(
+            ("level_scale_batches", "level_scale_vertices", "level_scale_fragments"), tables
         ):
             if len(table) != n:
                 raise ValueError(f"{name} must cover every model pass")
@@ -142,9 +129,6 @@ class SceneTrace:
         frames = [e.frame for e in self.events]
         if frames != sorted(frames):
             raise ValueError("events must be sorted by frame")
-        object.__setattr__(self, "_event_memo", None)
-        object.__setattr__(self, "_frame_memo", None)
-        object.__setattr__(self, "_query_memo", None)
         # base, amp, period, phase, jitter_amp, jitter_period and the jitter's
         # phase 1.7 * phase, each of shape (passes, 3).
         params = [
@@ -155,6 +139,14 @@ class SceneTrace:
         object.__setattr__(
             self, "_curve_params", np.array(params, dtype=float).reshape(n, 3, 7).transpose(2, 0, 1)
         )
+        # [l, i]: pass i's (b, v, f) scales at level l; a pass with fewer
+        # levels repeats its last one.
+        levels = max((len(row) for table in tables for row in table), default=1)
+        rows = [
+            list(row) + [row[-1]] * (levels - len(row)) for kinds in zip(*tables) for row in kinds
+        ]
+        scales = np.array(rows, dtype=float).reshape(n, 3, levels)
+        object.__setattr__(self, "_level_scales", scales.transpose(2, 0, 1))
 
     @property
     def is_empty(self) -> bool:
@@ -162,69 +154,68 @@ class SceneTrace:
             e.count_scale != 1.0 for e in self.events
         )
 
-    def _event_table(self, roster: PassRoster):
-        """Event frames, and the per-model-pass (count, cost) scales in effect
-        after each prefix of the events as one ``(events + 1, 2, passes)``
-        array, entry k following k events."""
-        memo = self._event_memo
-        if memo is not None and (memo[0] is roster or memo[0] == roster):
-            return memo[1]
+    def terms(self, roster: PassRoster, frames):
+        """What every configuration's counts and power at ``frames`` share:
+        the per-pass curve values, ``(frames, passes, 3)``, and the count and
+        cost scales of the events up to each frame, each ``(frames, passes,
+        1)``. The values follow :class:`CurveSpec`'s formula term for term,
+        with ``math.sin`` taken per entry (:func:`powermodel.per_entry`)."""
+        base, amp, period, phase, jitter_amp, jitter_period, jitter_phase = self._curve_params
+        x = (2.0 * math.pi) * np.asarray(frames, dtype=float)[:, None, None]
+        ripple = amp * per_entry(math.sin, x / period + phase)
+        jitter = jitter_amp * per_entry(math.sin, x / jitter_period + jitter_phase)
         names = [roster.passes[i].name for i in roster.model_pass_indices]
-        counts = [1.0] * len(names)
-        costs = [1.0] * len(names)
+        counts, costs = [1.0] * len(names), [1.0] * len(names)
+        # Entry k: the (count, cost) scales after the first k events.
         table = [counts + costs]
         for e in self.events:
             mi = names.index(e.pass_name)
             counts[mi] *= e.count_scale
             costs[mi] *= e.cost_scale
             table.append(counts + costs)
-        scales = np.array(table, dtype=float).reshape(len(table), 2, len(names))
-        result = ([e.frame for e in self.events], scales)
-        object.__setattr__(self, "_event_memo", (roster, result))
-        return result
+        after = np.searchsorted(
+            [e.frame for e in self.events], np.asarray(frames, dtype=int), side="right"
+        )
+        scales = np.reshape(table, (-1, 2, len(names), 1))[after]
+        return base * ((1.0 + ripple) + jitter), scales[:, 0], scales[:, 1]
 
-    def _frame_terms(self, roster: PassRoster, frame: int):
-        """Per-pass curve values (b, v, f) and the (count, cost) event scales
-        at ``frame``."""
-        memo = self._frame_memo
-        if memo is not None and memo[1] == frame and (memo[0] is roster or memo[0] == roster):
-            return memo[2]
-        frames, scales = self._event_table(roster)
-        counts, costs = map(tuple, scales[bisect_right(frames, frame)].tolist())
-        values = tuple(tuple(c.value(frame) for c in triple) for triple in self.curves)
-        terms = (values, counts, costs)
-        object.__setattr__(self, "_frame_memo", (roster, frame, terms))
-        return terms
+    def counts(
+        self,
+        roster: PassRoster,
+        values: np.ndarray,
+        count_scales: np.ndarray,
+        config: RenderingConfiguration | None = None,
+    ) -> np.ndarray:
+        """Observable (b, v, f) counts: curve values times level scale times
+        event count scale times the resolution pass's fragment scale, 0.0 for
+        every kind a pass does not use.
 
-    def cost_scales(self, roster: PassRoster, frame: int) -> tuple[float, ...]:
-        """Hidden per-pass cost multipliers in effect at ``frame``."""
-        return self._frame_terms(roster, frame)[2]
+        With ``config``, its counts at many frames, from :meth:`terms` of
+        those frames: ``[k, i]`` is pass i's at frame k. Without, one frame's
+        count table, from one row of each: ``[l, r, i]`` is pass i's at level
+        l with the resolution pass at level r.
+        """
+        res = roster.resolution_index
+        frag = np.ones((1 if res is None else roster.passes[res].level_count, 3))
+        if res is not None:
+            frag[:, 2] = roster.passes[res].fragment_scale_per_level
+        if config is None:
+            level_scales, frag = self._level_scales[:, None], frag[:, None]
+        else:
+            roster.validate_config(config)
+            levels = [config[ri] for ri in roster.model_pass_indices]
+            level_scales = self._level_scales[levels, range(len(levels))]
+            frag = frag[0 if res is None else config[res]]
+        counts = ((values * level_scales) * count_scales) * frag
+        return np.where(np.reshape(roster.model_masks, (-1, 3)), counts, 0.0)
 
     def primitives_for(
         self, roster: PassRoster, config: RenderingConfiguration, frame: int
     ) -> tuple[tuple[float, float, float], ...]:
-        """Observable (b, v, f) per model pass for one frame and configuration,
-        0.0 for every kind the pass does not use."""
-        memo = self._query_memo
-        if memo is not None and memo[0] is config and memo[1] == frame and memo[2] is roster:
-            return memo[3]
-        roster.validate_config(config)
-        values, count_scales, _ = self._frame_terms(roster, frame)
-        frag_scale = roster.fragment_scale(config)
-        masks = roster.model_masks
-        out = []
-        for mi, ri in enumerate(roster.model_pass_indices):
-            lvl = config[ri]
-            vb, vv, vf = values[mi]
-            scale = count_scales[mi]
-            b = vb * self.level_scale_batches[mi][lvl] * scale
-            v = vv * self.level_scale_vertices[mi][lvl] * scale
-            f = vf * self.level_scale_fragments[mi][lvl] * scale * frag_scale
-            ub, uv, uf = masks[mi]
-            out.append((b if ub else 0.0, v if uv else 0.0, f if uf else 0.0))
-        out = tuple(out)
-        object.__setattr__(self, "_query_memo", (config, frame, roster, out))
-        return out
+        """Observable (b, v, f) per model pass for one frame and
+        configuration: :meth:`counts` at that frame alone."""
+        values, count_scales, _ = self.terms(roster, [frame])
+        return tuple(map(tuple, self.counts(roster, values, count_scales, config)[0].tolist()))
 
 
 def empty_trace(roster: PassRoster, frame_count: int) -> SceneTrace:
@@ -364,9 +355,9 @@ class HiddenPowerOracle:
     public entry times factor**u with a seeded u in [-1, 1], so 1.0 means the
     public cost table is exactly true.
 
-    Each model pass's unscaled ``(k_b, k_v, k_f)`` at each of its levels is
-    computed once from the true costs, and every power query reads that
-    table. :meth:`noise` keeps the :func:`seed_states` of the
+    ``coefficients[i, l]`` holds model pass i's unscaled true ``(k_b, k_v,
+    k_f)`` at level l (:func:`powermodel.level_coefficients`), and every power
+    query reads that table. :meth:`noise` keeps the :func:`seed_states` of the
     :data:`NOISE_BLOCK` frames around its latest draw, one block per oracle.
     """
 
@@ -379,6 +370,7 @@ class HiddenPowerOracle:
     noise_sigma: float = 0.0
     seed: int = 0
     true_costs: CostTable = field(init=False)
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -391,28 +383,20 @@ class HiddenPowerOracle:
             raise ValueError("k_b must have one entry per model pass")
         if any(k < 0 for k in self.k_b):
             raise ValueError("k_b entries must be nonnegative")
-        d = self.cost_distortion
-        s = self.seed
-        ins_v = tuple(
-            x * _entry_jitter(s, f"ins_v/{i}", d) for i, x in enumerate(self.public_costs.ins_v)
-        )
-        ins_f = tuple(
-            tuple(x * _entry_jitter(s, f"ins_f/{i}/{l}", d) for l, x in enumerate(row))
-            for i, row in enumerate(self.public_costs.ins_f)
-        )
-        tex_f = tuple(
-            tuple(x * _entry_jitter(s, f"tex_f/{i}/{l}", d) for l, x in enumerate(row))
-            for i, row in enumerate(self.public_costs.tex_f)
+        d, s, public = self.cost_distortion, self.seed, self.public_costs
+        ins_v = tuple(x * _entry_jitter(s, f"ins_v/{i}", d) for i, x in enumerate(public.ins_v))
+        ins_f, tex_f = (
+            tuple(
+                tuple(x * _entry_jitter(s, f"{name}/{i}/{l}", d) for l, x in enumerate(row))
+                for i, row in enumerate(getattr(public, name))
+            )
+            for name in ("ins_f", "tex_f")
         )
         true_costs = CostTable(ins_v, ins_f, tex_f)
         object.__setattr__(self, "true_costs", true_costs)
-        chi, psi = self.unit_costs.chi, self.unit_costs.psi
-        # [i][l]: model pass i's (k_b, k_v, k_f) at level l, before cost scales.
-        table = tuple(
-            tuple((k_b, chi * v, chi * i_f + psi * t_f) for i_f, t_f in zip(i_row, t_row))
-            for k_b, v, i_row, t_row in zip(self.k_b, ins_v, ins_f, tex_f)
+        object.__setattr__(
+            self, "coefficients", level_coefficients(self.unit_costs, true_costs, self.k_b)
         )
-        object.__setattr__(self, "_coefficients", table)
         # (block index, its seed states): dataclasses.replace starts afresh.
         object.__setattr__(self, "_noise_block", (None, None))
 
@@ -420,36 +404,20 @@ class HiddenPowerOracle:
         self, config: RenderingConfiguration, cost_scales=None
     ) -> PowerCoefficients:
         """Per-pass (k_b, k_v, k_f) at the configuration's levels, each times
-        the pass's cost scale: k_v = chi*Ins_v and k_f = chi*Ins_f + psi*Tex_f
-        over the true costs."""
-        per_pass = []
-        for i, ri in enumerate(self.roster.model_pass_indices):
-            scale = 1.0 if cost_scales is None else cost_scales[i]
-            k_b, k_v, k_f = self._coefficients[i][config[ri]]
-            per_pass.append((k_b * scale, k_v * scale, k_f * scale))
-        return PowerCoefficients(tuple(per_pass))
+        the pass's cost scale: ``config``'s rows of :attr:`coefficients`."""
+        rows = level_rows(self.roster, self.coefficients, config)
+        if cost_scales is not None:
+            rows = rows * np.reshape(cost_scales, (-1, 1))
+        return PowerCoefficients(rows.tolist())
 
-    def exact_power_from_primitives(
-        self, config: RenderingConfiguration, primitives, cost_scales=None
-    ) -> float:
-        """The power formula with :meth:`true_coefficients`, term for term as
-        :func:`powermodel.load_terms` evaluates it, without building them:
-        every power query pays only for its own arithmetic. As there,
-        ``primitives`` must hold 0.0 for every kind a pass does not use."""
-        sat = self.saturation
-        n = len(sat.per_pass)
-        model_indices = self.roster.model_pass_indices
-        if len(model_indices) != n or len(primitives) != n:
-            raise ValueError("saturation, coefficients, and primitives disagree on pass count")
-        # The terms add left to right, as in powermodel.predict_power.
-        alpha = 0.0
-        for i, ri in enumerate(model_indices):
-            scale = 1.0 if cost_scales is None else cost_scales[i]
-            k_b, k_v, k_f = self._coefficients[i][config[ri]]
-            big_b, big_v, big_f = sat.per_pass[i]
-            b, v, f = primitives[i]
-            alpha += k_b * scale * b / big_b + k_v * scale * v / big_v + k_f * scale * f / big_f
-        return sat.p_min + sat.span * (1.0 - math.exp(-alpha))
+    def exact(self, config: RenderingConfiguration, counts, cost_scales=1.0) -> np.ndarray:
+        """The power formula, unclamped, at each row of per-pass (b, v, f)
+        counts ``counts[..., i]``, over :meth:`true_coefficients` of
+        ``config`` times ``cost_scales``, which broadcast as ``(...,
+        passes, 1)``. As for every count, the counts must be 0.0 for every
+        kind a pass does not use."""
+        coefficients = level_rows(self.roster, self.coefficients, config) * cost_scales
+        return power(self.saturation, pass_loads(self.saturation, coefficients, counts))
 
     def noise(self, frame_index: int) -> float:
         """The meter's noise at a frame: ``default_rng([seed, frame_index])``'s
@@ -466,39 +434,21 @@ class HiddenPowerOracle:
         return draw * self.noise_sigma * self.saturation.span
 
 
-def _check_frame(frame_index: int, trace: SceneTrace) -> None:
-    if not 0 <= frame_index < trace.frame_count:
-        raise ValueError(f"frame {frame_index} outside the trace [0, {trace.frame_count})")
-
-
 def exact_power(
     oracle: HiddenPowerOracle,
     config: RenderingConfiguration,
     frame_index: int,
     trace: SceneTrace,
 ) -> float:
-    """Noise-free ground-truth power for one frame."""
-    _check_frame(frame_index, trace)
-    primitives = trace.primitives_for(oracle.roster, config, frame_index)
-    cost_scales = trace.cost_scales(oracle.roster, frame_index)
-    return oracle.exact_power_from_primitives(config, primitives, cost_scales)
+    """Noise-free ground-truth power for one frame: :meth:`FramePowers.exact`
+    at that frame alone."""
+    return float(FramePowers(oracle, trace, [frame_index]).exact(config)[0])
 
 
-def exact_power_all(
-    oracle: HiddenPowerOracle, frame_index: int, trace: SceneTrace
-) -> np.ndarray:
+def exact_power_all(oracle: HiddenPowerOracle, frame_index: int, trace: SceneTrace) -> np.ndarray:
     """:func:`exact_power` of every configuration at one frame, in
-    enumeration order: :func:`powermodel.lattice_power` over the true
-    coefficients, so every watt is bitwise the scalar one."""
-    _check_frame(frame_index, trace)
-    roster = oracle.roster
-    cost_scales = trace.cost_scales(roster, frame_index)
-    return lattice_power(
-        roster,
-        oracle.saturation,
-        lambda config: oracle.true_coefficients(config, cost_scales),
-        lambda config: trace.primitives_for(roster, config, frame_index),
-    )
+    enumeration order: :meth:`FramePowers.exact_all`."""
+    return FramePowers(oracle, trace, [frame_index]).exact_all(0)
 
 
 def measure_power(
@@ -507,90 +457,80 @@ def measure_power(
     frame_index: int,
     trace: SceneTrace,
 ) -> float:
-    """Ground-truth power plus seeded Gaussian noise (clamped at 3 sigma);
-    :func:`exact_power` rejects frames outside the trace before any draw."""
-    p = exact_power(oracle, config, frame_index, trace) + oracle.noise(frame_index)
-    return max(p, 1e-9)
+    """Ground-truth power plus seeded Gaussian noise (clamped at 3 sigma):
+    :meth:`FramePowers.measured` at that frame alone."""
+    return float(FramePowers(oracle, trace, [frame_index]).measured(config)[0])
 
 
 class FramePowers:
-    """:func:`exact_power`, :func:`measure_power` and
-    :meth:`SceneTrace.primitives_for` of one configuration at each of a list
-    of frames, in one array pass per configuration, bit for bit.
+    """The counts and the exact and measured power of configurations at each
+    of a list of frames, in array passes: every watt the program takes of a
+    trace.
 
-    Construction rejects a frame outside the trace, as :func:`exact_power`
-    does, and takes what every configuration's power at these frames shares:
-    each frame's curve values and (count, cost) event scales. The first
-    :meth:`measured` takes each frame's :meth:`HiddenPowerOracle.noise` draw
-    once. Every step keeps the scalar operand order, and sines and
-    exponentials are taken with ``math`` per entry (:func:`powermodel.per_entry`).
-    The most recent configuration's counts are kept, by identity, for a
+    Construction rejects a frame outside the trace, before any noise draw, and
+    takes what every configuration shares at these frames
+    (:meth:`SceneTrace.terms`). Each frame's :meth:`HiddenPowerOracle.noise`
+    draw is taken once, on the first measurement or part. :meth:`primitives`,
+    :meth:`exact` and :meth:`measured` give one configuration at every frame;
+    :meth:`table` and :meth:`exact_all` every configuration at one frame. The
+    most recent configuration's counts are kept, by identity, for a
     prediction that follows its measurement.
     """
 
     def __init__(self, oracle: HiddenPowerOracle, trace: SceneTrace, frames) -> None:
         for frame in frames:
-            _check_frame(frame, trace)
+            if not 0 <= frame < trace.frame_count:
+                raise ValueError(f"frame {frame} outside the trace [0, {trace.frame_count})")
         self.oracle, self.trace, self.frames = oracle, trace, frames
-        roster = oracle.roster
-        n = len(roster.model_pass_indices)
-        base, amp, period, phase, jitter_amp, jitter_period, jitter_phase = trace._curve_params
-        # CurveSpec.value, term for term: 2*pi*frame/period + phase.
-        x = (2.0 * math.pi) * np.asarray(frames, dtype=float)[:, None, None]
-        ripple = amp * per_entry(math.sin, x / period + phase)
-        jitter = jitter_amp * per_entry(math.sin, x / jitter_period + jitter_phase)
-        self._values = base * ((1.0 + ripple) + jitter)
-        event_frames, table = trace._event_table(roster)
-        scales = table[np.searchsorted(event_frames, np.asarray(frames, dtype=int), side="right")]
-        self._counts, self._costs = scales[:, 0, :, None], scales[:, 1, :, None]
-        self._masks = np.reshape(roster.model_masks, (n, 3))
-        self._saturation = np.reshape(oracle.saturation.per_pass, (n, 3))
+        self._values, self._counts, self._costs = trace.terms(oracle.roster, frames)
         self._noise = None
         self._primitives_memo = None
 
+    def _noises(self) -> np.ndarray:
+        if self._noise is None:
+            self._noise = np.array([self.oracle.noise(frame) for frame in self.frames], dtype=float)
+        return self._noise
+
     def __getitem__(self, rows: slice) -> FramePowers:
-        """These powers at ``frames[rows]`` alone, sharing the curve values,
-        event scales and noise draws already taken, so that a part costs a
-        pass over its own rows."""
+        """These powers at ``frames[rows]`` alone, sharing the scene terms and
+        noise draws, so that a part costs a pass over its own rows."""
         part = copy.copy(self)
         part.frames = self.frames[rows]
         part._values, part._counts = self._values[rows], self._counts[rows]
-        part._costs = self._costs[rows]
-        part._noise = None if self._noise is None else self._noise[rows]
+        part._costs, part._noise = self._costs[rows], self._noises()[rows]
         part._primitives_memo = None
         return part
 
     def primitives(self, config: RenderingConfiguration) -> np.ndarray:
-        """``[k, i]`` is model pass i's (b, v, f) at frame k, 0.0 for every
-        kind the pass does not use."""
+        """``[k, i]`` is model pass i's (b, v, f) at frame k."""
         if self._primitives_memo is not None and self._primitives_memo[0] is config:
             return self._primitives_memo[1]
-        roster, trace = self.oracle.roster, self.trace
-        roster.validate_config(config)
-        levels = [config[ri] for ri in roster.model_pass_indices]
-        tables = (trace.level_scale_batches, trace.level_scale_vertices, trace.level_scale_fragments)
-        scales = [[table[mi][lvl] for table in tables] for mi, lvl in enumerate(levels)]
-        out = (self._values * np.reshape(scales, (-1, 3))) * self._counts
-        out[:, :, 2] *= roster.fragment_scale(config)
-        out = np.where(self._masks, out, 0.0)
+        out = self.trace.counts(self.oracle.roster, self._values, self._counts, config)
         self._primitives_memo = config, out
         return out
 
+    def table(self, row: int) -> np.ndarray:
+        """The count table of ``frames[row]``: ``[l, r, i]`` is model pass
+        i's (b, v, f) at level l with the resolution pass at level r."""
+        return self.trace.counts(self.oracle.roster, self._values[row], self._counts[row])
+
     def exact(self, config: RenderingConfiguration) -> np.ndarray:
         """:func:`exact_power` of ``config`` at each frame."""
-        primitives = self.primitives(config)
+        return self.oracle.exact(config, self.primitives(config), self._costs)
+
+    def exact_all(self, row: int) -> np.ndarray:
+        """:func:`exact_power` of every configuration at ``frames[row]``, in
+        enumeration order: each pass's load at each (level, resolution level)
+        over the true coefficients, spread over the lattice
+        (:func:`powermodel.lattice_loads`)."""
         oracle = self.oracle
-        # HiddenPowerOracle.true_coefficients before the cost scales.
-        levels = [config[ri] for ri in oracle.roster.model_pass_indices]
-        coefficients = np.reshape([row[l] for row, l in zip(oracle._coefficients, levels)], (-1, 3))
-        terms = ((coefficients * self._costs) * primitives) / self._saturation
-        return load_power(oracle.saturation, terms)
+        coefficients = oracle.coefficients.transpose(1, 0, 2)[:, None] * self._costs[row]
+        loads = pass_loads(oracle.saturation, coefficients, self.table(row))
+        return power(oracle.saturation, lattice_loads(oracle.roster, loads))
 
     def measured(self, config: RenderingConfiguration) -> np.ndarray:
         """:func:`measure_power` of ``config`` at each frame."""
-        if self._noise is None:
-            self._noise = np.array([self.oracle.noise(frame) for frame in self.frames], dtype=float)
-        return np.maximum(self.exact(config) + self._noise, 1e-9)
+        return np.maximum(self.exact(config) + self._noises(), 1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -821,19 +761,8 @@ def probe_min_power(
         raise ValueError("min-power probing requires an empty trace")
     if frames < 1 or frames > trace_empty.frame_count:
         raise ValueError("probe frame count must be in [1, trace length]")
-    cfg = oracle.roster.best_config()
-    total = 0.0
-    for f in range(frames):
-        total += measure_power(oracle, cfg, f, trace_empty)
-    return total / frames
-
-
-def _probe_measure(oracle: HiddenPowerOracle, primitives, frame: int, reps: int) -> float:
-    cfg = oracle.roster.best_config()
-    total = 0.0
-    for r in range(reps):
-        total += oracle.exact_power_from_primitives(cfg, primitives) + oracle.noise(frame + r)
-    return total / reps
+    readings = FramePowers(oracle, trace_empty, range(frames)).measured(oracle.roster.best_config())
+    return mean(readings.tolist())
 
 
 def probe_saturation(
@@ -846,20 +775,21 @@ def probe_saturation(
     Each used primitive of each pass is ramped alone, doubling the count until
     the power gain over one doubling falls below the plateau threshold (and the
     ramp has actually risen; a ramp that never rises runs to the cap and is
-    flagged). The saturating count reported for a ramp is the count at which
-    the normalized load reaches one e-folding, recovered by inverting the
-    power curve on mid-range readings. The saturated power is the maximum
-    reading over all ramps.
+    flagged). The exact power of a ramp's every doubling is taken in one call,
+    and its readings add each frame's noise until the ramp stops. The
+    saturating count reported for a ramp is the count at which the normalized
+    load reaches one e-folding, recovered by inverting the power curve on
+    mid-range readings. The saturated power is the maximum reading over all
+    ramps.
     """
     roster = oracle.roster
     masks = roster.model_masks
     n = len(roster.model_pass_indices)
-    zeros = tuple((0.0, 0.0, 0.0) for _ in range(n))
+    best = roster.best_config()
+    counts = (options.start_count * 2.0 ** np.arange(options.max_doublings + 1)).tolist()
 
-    frame = 10_000_000  # probe readings use their own frame-counter namespace
-    frames_used = 0
-    ramps: list[list[tuple[float, float]]] = []  # per ramp: (count, power)
-    ramp_slots: list[tuple[int, int]] = []
+    start = frame = 10_000_000  # probe readings use their own frame-counter namespace
+    ramps: dict[tuple[int, int], list[tuple[float, float]]] = {}  # (pass, kind): (count, power)s
     flags = [["unused", "unused", "unused"] for _ in range(n)]
     reps = options.frames_per_reading
 
@@ -867,51 +797,35 @@ def probe_saturation(
         for kind in range(3):
             if not masks[mi][kind]:
                 continue
+            ramp = np.zeros((len(counts), n, 3))
+            ramp[:, mi, kind] = counts
             readings: list[tuple[float, float]] = []
-            count = options.start_count
-            prims = [list(t) for t in zeros]
-
-            def measure_at(c: float) -> float:
-                nonlocal frame, frames_used
-                prims[mi][kind] = c
-                p = _probe_measure(
-                    oracle, tuple(tuple(t) for t in prims), frame, reps
-                )
-                frame += reps
-                frames_used += reps
-                return p
-
-            p = measure_at(count)
-            readings.append((count, p))
             flag = "cap"
-            for _ in range(options.max_doublings):
-                nxt = count * 2.0
-                p_next = measure_at(nxt)
-                readings.append((nxt, p_next))
-                rise = p_next - readings[0][1]
+            for count, exact in zip(counts, oracle.exact(best, ramp).tolist()):
+                p = mean(exact + oracle.noise(frame + r) for r in range(reps))
+                frame += reps
+                readings.append((count, p))
                 if (
-                    p_next - p < options.plateau_threshold * p_next
-                    and rise > options.min_rise_fraction * p_next
+                    len(readings) > 1
+                    and p - readings[-2][1] < options.plateau_threshold * p
+                    and p - readings[0][1] > options.min_rise_fraction * p
                 ):
                     flag = "ok"
-                    count = nxt
                     break
-                count, p = nxt, p_next
             flags[mi][kind] = flag
-            ramps.append(readings)
-            ramp_slots.append((mi, kind))
+            ramps[mi, kind] = readings
 
     if not ramps:
         raise ProbeError("no primitive kind is used by any pass; nothing to probe")
-    p_max_observed = max(p for readings in ramps for _, p in readings)
+    p_max_observed = max(p for readings in ramps.values() for _, p in readings)
     if p_max_observed <= p_min:
         raise ProbeError("probing never raised power above idle")
-    if all(flags[mi][kind] == "cap" for mi, kind in ramp_slots):
+    if all(flags[mi][kind] == "cap" for mi, kind in ramps):
         raise ProbeError("every ramp hit the doubling cap without saturating")
 
     span = p_max_observed - p_min
     constants = [[1.0, 1.0, 1.0] for _ in range(n)]
-    for (mi, kind), readings in zip(ramp_slots, ramps):
+    for (mi, kind), readings in ramps.items():
         # Invert the power curve on mid-range readings, where the estimate is
         # best conditioned; fall back to any invertible reading, then the cap.
         estimates = []
@@ -922,13 +836,7 @@ def probe_saturation(
                 estimates.append(count / -math.log(1.0 - norm))
             elif 0.0 < norm < 0.99:
                 fallback.append(count / -math.log(1.0 - norm))
-        if not estimates:
-            estimates = fallback or [readings[-1][0]]
-        # Left to right, as in powermodel.predict_power, not by sum().
-        total = 0.0
-        for estimate in estimates:
-            total += estimate
-        constants[mi][kind] = total / len(estimates)
+        constants[mi][kind] = mean(estimates or fallback or [readings[-1][0]])
 
     saturation = SaturationConstants(
         p_min=p_min,
@@ -938,6 +846,6 @@ def probe_saturation(
     return ProbeResult(
         saturation=saturation,
         flags=tuple(tuple(f) for f in flags),
-        frames_used=frames_used,
+        frames_used=frame - start,
         p_max_observed=p_max_observed,
     )

@@ -326,8 +326,8 @@ def lattice_errors(scenario: Scenario, frame: int) -> np.ndarray:
     :func:`quality.row_sums`. A map row's sum depends only on the levels of
     the passes its segment touches, so each map row's sums form a table
     over those levels that broadcasts over :func:`configspace.level_grid`
-    shapes, as :func:`simgpu.exact_power_all` broadcasts its per-pass
-    tables. The tables are added into one running total, first map row to
+    shapes, as :func:`powermodel.lattice_loads` spreads each pass's load
+    terms. The tables are added into one running total, first map row to
     last, and the total is divided by the map's size once. That is
     :func:`quality.map_mean`'s definition, so every configuration's error
     has the bits of the mean of its own row sums.

@@ -43,6 +43,7 @@ from rendergov.quality import (
 )
 from rendergov.scenario import load_scenario
 from rendergov.simgpu import (
+    FramePowers,
     empty_trace,
     exact_power,
     measure_power,
@@ -316,10 +317,12 @@ def test_criterion_07_state_machine(regime_scenario):
         config=regime_scenario.governor,
         power_model=init.power_model,
         error_model=init.error_model,
-        measure=lambda c, f: measure_power(regime_scenario.oracle, c, f, regime_scenario.trace),
-        primitives=lambda c, f: regime_scenario.trace.primitives_for(
-            regime_scenario.roster, c, f
-        ),
+        measure=lambda c, frames: [
+            measure_power(regime_scenario.oracle, c, f, regime_scenario.trace) for f in frames
+        ],
+        counts=FramePowers(
+            regime_scenario.oracle, regime_scenario.trace, range(regime_scenario.trace.frame_count)
+        ).table,
         scorer=partial(FrameScorer, regime_scenario.synthesizer),
         initial_config=regime_scenario.initial_config,
     )

@@ -40,7 +40,7 @@ from rendergov.powermodel import (
     predict_power,
 )
 from rendergov.quality import ErrorModel, ErrorRatioTable, estimate_error, quality_error
-from rendergov.simgpu import measure_power, render_frame
+from rendergov.simgpu import FramePowers, measure_power, render_frame
 from rendergov.truth import FrameScorer
 
 SAT = SaturationConstants(10.0, 100.0, ((100.0, 2e5, 4e5),))
@@ -294,13 +294,14 @@ def test_accuracy_check_rejects_empty_window():
 
 def _governed_records(scenario, frames=None, scorer=None):
     init = initialize(scenario)
+    oracle, trace = scenario.oracle, scenario.trace
     gov = Governor(
         roster=scenario.roster,
         config=scenario.governor,
         power_model=init.power_model,
         error_model=init.error_model,
-        measure=lambda c, f: measure_power(scenario.oracle, c, f, scenario.trace),
-        primitives=lambda c, f: scenario.trace.primitives_for(scenario.roster, c, f),
+        measure=lambda c, frames: [measure_power(oracle, c, f, trace) for f in frames],
+        counts=FramePowers(oracle, trace, range(trace.frame_count)).table,
         scorer=scorer or partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
     )
@@ -312,68 +313,75 @@ def _governed_records(scenario, frames=None, scorer=None):
 
 @pytest.mark.parametrize("name", ["mini_scenario", "regime_scenario"])
 def test_meter_is_read_only_for_window_samples(name, request, monkeypatch):
-    """The measure and primitives hooks serve exactly the frames whose sample
-    goes into the accuracy-check or fitting buffer; steady and filtering
-    frames call neither, and a selection asks primitives only for its
-    predictions."""
+    """The tick that fills an accuracy-check or fitting window reads the
+    meter once, for exactly that window's consecutive frames, and asks for
+    the counts of exactly those frames; steady and filtering ticks query
+    neither, and a selection asks for the counts of its own frame only. The
+    check and the fit get those readings, with s_eff's counts."""
     scenario = request.getfixturevalue(name)
-    predicting = []
-    predict_all = governor.predict_all
+    roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
+    at = FramePowers(oracle, trace, range(trace.frame_count))
+    ticking = []
+    measure_calls, count_calls, windows = {}, {}, {}
 
-    def counted_predict_all(*args):
-        predicting.append(True)
-        try:
-            return predict_all(*args)
-        finally:
-            predicting.pop()
-
-    monkeypatch.setattr(governor, "predict_all", counted_predict_all)
-    measure_calls, primitive_calls = [], []
-
-    def measure(config, frame):
-        watts = measure_power(scenario.oracle, config, frame, scenario.trace)
-        measure_calls.append((frame, config, watts))
+    def measure(config, frames):
+        watts = [measure_power(oracle, config, f, trace) for f in frames]
+        assert ticking[-1] not in measure_calls
+        measure_calls[ticking[-1]] = (list(frames), config, watts)
         return watts
 
-    def primitives(config, frame):
-        counts = scenario.trace.primitives_for(scenario.roster, config, frame)
-        if not predicting:
-            primitive_calls.append((frame, config, counts))
-        return counts
+    def counts(frame):
+        count_calls.setdefault(ticking[-1], []).append(frame)
+        return at.table(frame)
 
+    def recorded(name, fn):
+        def wrapper(*args):
+            windows[ticking[-1]] = (name, list(args[1 if name == "check" else 0]))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(governor, "accuracy_check", recorded("check", governor.accuracy_check))
+    monkeypatch.setattr(governor, "fit_coefficients", recorded("fit", governor.fit_coefficients))
     init = initialize(scenario)
     gov = Governor(
-        roster=scenario.roster,
+        roster=roster,
         config=scenario.governor,
         power_model=init.power_model,
         error_model=init.error_model,
         measure=measure,
-        primitives=primitives,
+        counts=counts,
         scorer=partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
     )
-    buffered = {}  # id -> every sample that has been in a buffer, kept alive
-    samples, phases = [], {}
-    for frame in range(scenario.trace.frame_count):
+    phases, selections, s_effs = {}, [], {}
+    for frame in range(trace.frame_count):
+        ticking.append(frame)
         tick = gov.tick(frame)
-        new = [
-            sample
-            for sample in gov.state.accuracy_buffer + gov.state.fitting_buffer
-            if id(sample) not in buffered
-        ]
-        assert len(new) <= 1
-        buffered.update((id(sample), sample) for sample in new)
-        samples += [(frame, tick.s_eff, sample) for sample in new]
+        s_effs[frame] = tick.s_eff
         phases.setdefault(tick.record.phase, set()).add(frame)
+        if tick.record.selection:
+            selections.append(frame)
 
-    sampled = [frame for frame, _, _ in samples]
-    assert [(f, c) for f, c, _ in measure_calls] == [(f, c) for f, c, _ in samples]
-    assert [(f, c) for f, c, _ in primitive_calls] == [(f, c) for f, c, _ in samples]
-    for (_, _, sample), (_, _, watts), (_, _, counts) in zip(
-        samples, measure_calls, primitive_calls
-    ):
-        assert sample == FrameSample(watts, counts)
-    assert set(sampled) == phases["check"] | phases["fitting"]
+    sizes = {
+        "check": scenario.governor.accuracy_check_window,
+        "fit": scenario.governor.fitting_window,
+    }
+    assert set(measure_calls) == set(windows)
+    sampled = []
+    for tick, (frames, config, watts) in measure_calls.items():
+        kind, window = windows[tick]
+        assert frames == list(range(tick + 1 - sizes[kind], tick + 1))
+        assert all(s_effs[f] == config for f in frames)
+        assert count_calls.pop(tick) == frames
+        assert window == [
+            FrameSample(w, trace.primitives_for(roster, config, f))
+            for f, w in zip(frames, watts)
+        ]
+        sampled += frames
+    # Every other count query is a selection's, of its own frame.
+    assert count_calls == {frame: [frame] for frame in selections if frame not in measure_calls}
+    assert sorted(sampled) == sorted(phases["check"] | phases["fitting"])
     for phase in ("steady", "selecting", "filtering"):
         assert phases[phase] and not phases[phase] & set(sampled)
     # The startup fit and every refit filled a whole fitting window.

@@ -8,6 +8,7 @@ import pickle
 import random
 import re
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rendergov import cli, harness, simgpu
+from rendergov import cli, harness, powermodel, simgpu
 from rendergov.configspace import (
     RenderingConfiguration,
     enumerate_configurations,
@@ -38,7 +39,7 @@ from rendergov.harness import (
 )
 from rendergov.powermodel import PowerCoefficients, predict_power
 from rendergov.quality import calibrate_ratios, map_mean, quality_error, row_sums
-from rendergov.simgpu import exact_power, measure_power, render_frame
+from rendergov.simgpu import FramePowers, exact_power, measure_power, render_frame
 from rendergov.truth import FrameScorer
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -594,8 +595,8 @@ def _governed_powers(scenario) -> list[tuple[float, float]]:
         config=scenario.governor,
         power_model=init.power_model,
         error_model=init.error_model,
-        measure=lambda c, f: measure_power(oracle, c, f, trace),
-        primitives=lambda c, f: trace.primitives_for(roster, c, f),
+        measure=lambda c, frames: [measure_power(oracle, c, f, trace) for f in frames],
+        counts=FramePowers(oracle, trace, range(trace.frame_count)).table,
         scorer=partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
     )
@@ -679,10 +680,51 @@ def test_run_powers_equal_scalar_powers(regime_scenario, demo_scenario):
                 )
                 for f, (s_eff, sat, coefficients) in zip(frames, governed)
             ]
-            powers = harness._run_powers(scenario, governed)
+            powers = harness._run_powers(FramePowers(oracle, trace, frames), governed)
             assert powers == expected
             assert {type(watts) for frame_powers in powers for watts in frame_powers} == {float}
-    assert harness._run_powers(scenario, []) == []
+    assert harness._run_powers(FramePowers(oracle, trace, range(0)), []) == []
+
+
+def test_run_paths_make_no_one_frame_power_calls(mini_scenario, monkeypatch, tmp_path):
+    """``run``, ``replay_trace`` and ``oracle_table`` take every watt and
+    count in array passes, never through the one-frame views, whichever
+    module binds them."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (simgpu, "exact_power"),
+        (simgpu, "measure_power"),
+        (powermodel, "predict_power"),
+    ):
+        original = getattr(module, name)
+        for loaded, mod in list(sys.modules.items()):
+            if loaded.partition(".")[0] == "rendergov":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted(name, original))
+    monkeypatch.setattr(
+        simgpu.SceneTrace,
+        "primitives_for",
+        counted("primitives_for", simgpu.SceneTrace.primitives_for),
+    )
+    # One CPU: the caller does all the work, where the counters see it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    scenario = mini_scenario
+    run(scenario, tmp_path)
+    replay_trace(scenario, scenario.roster.worst_config())
+    oracle_table(scenario, 120)
+    assert calls == []
+    # The counters do see a one-frame call.
+    scenario.trace.primitives_for(scenario.roster, scenario.roster.best_config(), 0)
+    assert calls == ["primitives_for"]
 
 
 @needs_two_cpus

@@ -15,7 +15,7 @@ from rendergov.powermodel import (
     predict_power,
     solve_unit_costs,
 )
-from rendergov.simgpu import exact_power, measure_power
+from rendergov.simgpu import FramePowers, exact_power, measure_power
 
 
 def test_reuse_predictions_close_to_per_config_direct_fits(mini_scenario):
@@ -71,7 +71,7 @@ def test_generic_fit_tracks_ground_truth_across_space(demo_scenario):
     )
     devs = []
     for frame in (50, 500, 1000):
-        preds = predict_all(model, lambda c: sc.trace.primitives_for(sc.roster, c, frame))
+        preds = predict_all(model, FramePowers(sc.oracle, sc.trace, [frame]).table(0))
         for cfg, p in zip(enumerate_configurations(sc.roster), preds):
             devs.append(abs(p - exact_power(sc.oracle, cfg, frame, sc.trace)))
     assert float(np.mean(devs)) <= 0.10 * sat.span

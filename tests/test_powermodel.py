@@ -14,6 +14,7 @@ from rendergov.configspace import (
     enumerate_configurations,
 )
 from rendergov.harness import initialize
+from rendergov.simgpu import FramePowers
 from rendergov.powermodel import (
     CostTable,
     FrameSample,
@@ -24,7 +25,7 @@ from rendergov.powermodel import (
     coefficients_for_config,
     fit_coefficients,
     linearize_sample,
-    load_terms,
+    pass_loads,
     predict_all,
     predict_power,
     solve_unit_costs,
@@ -91,7 +92,7 @@ def test_linearize_clamps_saturated_reading():
 def test_linearize_round_trip(prims, coeffs):
     coefficients = PowerCoefficients((tuple(coeffs),))
     primitives = (tuple(prims),)
-    alpha = sum(load_terms(ONE_PASS_SAT, coefficients, primitives))
+    alpha = sum(pass_loads(ONE_PASS_SAT, coefficients.per_pass, primitives).tolist())
     p = predict_power(ONE_PASS_SAT, coefficients, primitives)
     lin = linearize_sample(ONE_PASS_SAT, FrameSample(p, primitives))
     if not lin.clamped:
@@ -270,7 +271,8 @@ def test_coefficients_for_config_reproduces_fitted_within_residual():
     p_fit = predict_power(sat, coeffs, prims)
     p_rebuilt = predict_power(sat, rebuilt, prims)
     d_alpha = abs(
-        sum(load_terms(sat, rebuilt, prims)) - sum(load_terms(sat, coeffs, prims))
+        sum(pass_loads(sat, rebuilt.per_pass, prims).tolist())
+        - sum(pass_loads(sat, coeffs.per_pass, prims).tolist())
     )
     assert abs(p_rebuilt - p_fit) <= sat.span * (1.0 - math.exp(-d_alpha)) + 1e-9
     # batch cost is carried over untouched
@@ -321,8 +323,8 @@ def test_predict_all_produces_one_prediction_per_configuration(demo_scenario):
         UnitCosts(0.002, 0.01),
         roster.best_config(),
     )
-    zero = tuple((0.0, 0.0, 0.0) for _ in range(n))
-    preds = predict_all(model, lambda cfg: zero)
+    # Three levels per pass, three resolution levels.
+    preds = predict_all(model, np.zeros((3, 3, n, 3)))
     assert len(preds) == 729
     assert all(p == sat.p_min for p in preds)
 
@@ -338,8 +340,8 @@ def test_predict_all_empty_frame_is_p_min_everywhere():
         PowerCoefficients(((0.5, 0.6, 0.8), (0.4, 0.4, 0.7))),
         UnitCosts(0.002, 0.01), roster.best_config(),
     )
-    zero = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    preds = predict_all(model, lambda cfg: zero)
+    # Two levels per pass, no resolution pass.
+    preds = predict_all(model, np.zeros((2, 1, 2, 3)))
     assert all(p == TWO_PASS_SAT.p_min for p in preds)
 
 
@@ -377,10 +379,13 @@ def _synthetic_model(roster, rng, fitted_levels):
     )
 
 
-def _synthetic_primitives(roster, rng, saturation):
-    """A primitives hook in which pass i's counts depend only on its own level
-    and the resolution scale. Like every producer of counts, it reports 0.0
-    for the kinds a pass does not use, as the power formula requires."""
+def _synthetic_counts(roster, rng, saturation):
+    """One frame's count table, ``[l, r, i]`` pass i's (b, v, f) at level l
+    and resolution level r, and a primitives hook that computes a
+    configuration's counts on its own, with the same arithmetic. Pass i's
+    counts depend only on its own level and the resolution scale. Like every
+    producer of counts, it reports 0.0 for the kinds a pass does not use, as
+    the power formula requires."""
     uses = np.asarray(roster.model_masks, dtype=float)
     base = [
         rng.uniform(0.0, 0.8, size=3) * big * used
@@ -396,7 +401,16 @@ def _synthetic_primitives(roster, rng, saturation):
             out.append((float(b), float(v), float(f) * frag))
         return tuple(out)
 
-    return primitives_for
+    res = roster.resolution_index
+    frags = (1.0,) if res is None else roster.passes[res].fragment_scale_per_level
+    levels = max(p.level_count for p in roster.model_passes)
+    table = np.zeros((levels, len(frags), len(base), 3))
+    for mi, p in enumerate(roster.model_passes):
+        for level in range(p.level_count):
+            for r, frag in enumerate(frags):
+                b, v, f = base[mi] * shrink[mi][level]
+                table[level, r, mi] = (float(b), float(v), float(f) * frag)
+    return table, primitives_for
 
 
 def test_predict_all_equals_per_config_formula(demo_scenario):
@@ -406,7 +420,7 @@ def test_predict_all_equals_per_config_formula(demo_scenario):
     for frame in (40, 480, 1100):
         hook = lambda cfg: sc.trace.primitives_for(sc.roster, cfg, frame)  # noqa: E731
         want = _per_config_predictions(model, hook)
-        got = predict_all(model, hook)
+        got = predict_all(model, FramePowers(sc.oracle, sc.trace, [frame]).table(0))
         assert isinstance(got, np.ndarray) and got.shape == (729,)
         assert got.tolist() == want
         # The fitted configuration's raw coefficients are not its reuse ones.
@@ -437,37 +451,20 @@ def test_predict_all_equals_per_config_formula(demo_scenario):
     for roster, fitted_levels in ((no_resolution, (2, 1, 0)), (mixed, (0, 3, 1, 1, 0, 2))):
         for _ in range(5):
             model = _synthetic_model(roster, rng, fitted_levels)
-            hook = _synthetic_primitives(roster, rng, model.saturation)
-            assert predict_all(model, hook).tolist() == _per_config_predictions(model, hook)
-
-
-def test_predict_all_calls_the_primitives_hook_once_per_level_diagonal():
-    roster = PassRoster(
-        (PassDescriptor("res", 3, is_resolution=True, fragment_scale_per_level=(1.0, 0.8, 0.6)),)
-        + tuple(
-            PassDescriptor(f"p{i}", 3, uses_batches=True, uses_vertices=True, uses_fragments=True)
-            for i in range(7)
-        )
-    )
-    rng = np.random.default_rng(3)
-    model = _synthetic_model(roster, rng, (1,) * 8)
-    hook = _synthetic_primitives(roster, rng, model.saturation)
-    calls = []
-    preds = predict_all(model, lambda cfg: calls.append(cfg) or hook(cfg))
-    assert preds.shape == (3**8,)
-    assert len(calls) <= 3 * 3 + 1
+            table, hook = _synthetic_counts(roster, rng, model.saturation)
+            assert predict_all(model, table).tolist() == _per_config_predictions(model, hook)
 
 
 def test_two_pass_prediction_is_sum_of_per_pass_load_terms():
     prims = ((30.0, 5e4, 1e5), (20.0, 3e4, 9e4))
-    terms = load_terms(TWO_PASS_SAT, TRUE_COEFFS, prims)
+    terms = pass_loads(TWO_PASS_SAT, TRUE_COEFFS.per_pass, prims).tolist()
     p = predict_power(TWO_PASS_SAT, TRUE_COEFFS, prims)
     expected = 10.0 + 90.0 * (1.0 - math.exp(-sum(terms)))
     assert p == pytest.approx(expected, rel=1e-12)
     only_first = (prims[0], (0.0, 0.0, 0.0))
     only_second = ((0.0, 0.0, 0.0), prims[1])
-    a1 = sum(load_terms(TWO_PASS_SAT, TRUE_COEFFS, only_first))
-    a2 = sum(load_terms(TWO_PASS_SAT, TRUE_COEFFS, only_second))
+    a1 = sum(pass_loads(TWO_PASS_SAT, TRUE_COEFFS.per_pass, only_first).tolist())
+    a2 = sum(pass_loads(TWO_PASS_SAT, TRUE_COEFFS.per_pass, only_second).tolist())
     assert sum(terms) == pytest.approx(a1 + a2, rel=1e-12)
 
 

@@ -1,4 +1,6 @@
+import importlib
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -277,3 +279,86 @@ def test_unknown_option_key_is_rejected(section, where, key):
     with pytest.raises(ScenarioError) as info:
         scenario_from_dict(doc)
     assert str(info.value) == f"{where}: unknown keys [{key!r}]"
+
+
+# A misspelt key in each section the loader reads by hand, with the keys of
+# one kind of roster entry used on the other kind.
+UNKNOWN_SECTION_KEYS = [
+    (lambda doc: doc, "scenario", "error_sample_evry", 3),
+    (lambda doc: doc["roster"][0], "roster[0]", "uses", "f"),
+    (lambda doc: doc["roster"][1], "roster[1]", "fragment_scale", [1.0, 0.5, 0.25]),
+    (lambda doc: doc["roster"][2], "roster[2]", "level", 3),
+    (lambda doc: doc["cost_table"]["metals"], "cost_table.metals", "tex_v", 2.0),
+    (lambda doc: doc["oracle"], "oracle", "noise_sigm", 0.5),
+    (lambda doc: doc["oracle"]["passes"]["shadows"], "oracle.passes.shadows", "kb", 0.5),
+    (lambda doc: doc["trace"], "trace", "event", []),
+    (
+        lambda doc: doc["trace"]["passes"]["shadows"],
+        "trace.passes.shadows",
+        "level_scale_fragment",
+        [1.0, 0.5, 0.25],
+    ),
+    (lambda doc: doc["synthesizer"], "synthesizer", "sise", 64),
+    (lambda doc: doc["calibration"], "calibration", "frame", [1]),
+]
+
+
+@pytest.mark.parametrize(
+    "section, where, key, value",
+    UNKNOWN_SECTION_KEYS,
+    ids=[where for _, where, _, _ in UNKNOWN_SECTION_KEYS],
+)
+def test_unknown_key_is_rejected_in_every_section(section, where, key, value):
+    doc = _demo_doc()
+    section(doc)[key] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == f"{where}: unknown keys [{key!r}]"
+
+
+def test_benchmark_lattice_document_loads(monkeypatch):
+    """The benchmark's 8-pass document holds only keys the loader reads."""
+    monkeypatch.syspath_prepend(str(SCENARIO_DIR.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    scenario = scenario_from_dict(workloads.lattice_document(_demo_doc(), 5))
+    assert scenario.roster.config_count == 3**8
+
+
+@pytest.mark.parametrize("key", ["cost_distortion", "noise_sigma"])
+def test_oracle_option_type_error_names_its_path_once(key):
+    doc = _demo_doc()
+    doc["oracle"][key] = "x"
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == f"oracle.{key}: expected a number, got 'x'"
+
+
+# The README's scenario-schema bullets that document option defaults as
+# `key` (default) or "key" (default), and the dataclasses that hold them.
+README_DEFAULTS = {
+    "governor": (GovernorConfig,),
+    "probe": (ProbeOptions,),
+    "trace": (CurveSpec, TraceEvent),
+}
+
+
+def test_readme_schema_defaults_are_the_dataclass_defaults():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    schema = readme.split("## Scenario schema", 1)[1].split("\n## ", 1)[0]
+    bullets = {
+        match.group(1): match.group(0)
+        for match in re.finditer(r"^- `(\w+)`.*?(?=^- |\Z)", schema, re.M | re.S)
+    }
+    for section, classes in README_DEFAULTS.items():
+        defaults = {f.name: f.default for cls in classes for f in fields(cls)}
+        documented = re.findall(r"[`\"](\w+)[`\"]\s+\((?:default )?([-0-9.]+)", bullets[section])
+        assert documented, section
+        for key, value in documented:
+            assert float(value) == defaults[key], (section, key)
+        # Every number-valued option of these sections is documented.
+        options = {
+            name
+            for name, default in defaults.items()
+            if isinstance(default, (int, float)) and not isinstance(default, bool)
+        }
+        assert {key for key, _ in documented} == options, section

@@ -19,8 +19,9 @@ from rendergov.powermodel import (
     PowerCoefficients,
     SaturationConstants,
     UnitCosts,
+    config_counts,
     fit_coefficients,
-    load_terms,
+    pass_loads,
     predict_power,
     predict_powers,
 )
@@ -366,9 +367,9 @@ def test_oracle_rejects_negative_batch_cost(mini_scenario):
         dataclasses.replace(mini_scenario.oracle, k_b=(0.8, -0.1))
 
 
-# Per-call formulas of the power path, kept as the oracle for the memoized
-# one: a scan over the events, the true coefficients from the true costs plus
-# load_terms, and a fresh generator per noise draw.
+# Per-call formulas of the power path, kept as the oracle for the array one: a
+# scan over the events, the true coefficients from the true costs, the load
+# sum term by term, and a fresh generator per noise draw.
 
 
 def _scanned_event_scales(trace, roster, frame):
@@ -384,6 +385,15 @@ def _scanned_event_scales(trace, roster, frame):
     return counts, costs
 
 
+def _curve_value(curve, frame):
+    return curve.base * (
+        1.0
+        + curve.amp * math.sin(2.0 * math.pi * frame / curve.period + curve.phase)
+        + curve.jitter_amp
+        * math.sin(2.0 * math.pi * frame / curve.jitter_period + 1.7 * curve.phase)
+    )
+
+
 def _per_call_primitives(trace, roster, config, frame):
     count_scales, _ = _scanned_event_scales(trace, roster, frame)
     frag_scale = roster.fragment_scale(config)
@@ -392,9 +402,9 @@ def _per_call_primitives(trace, roster, config, frame):
         lvl = config[ri]
         cb, cv, cf = trace.curves[mi]
         scale = count_scales[mi]
-        b = cb.value(frame) * trace.level_scale_batches[mi][lvl] * scale
-        v = cv.value(frame) * trace.level_scale_vertices[mi][lvl] * scale
-        f = cf.value(frame) * trace.level_scale_fragments[mi][lvl] * scale * frag_scale
+        b = _curve_value(cb, frame) * trace.level_scale_batches[mi][lvl] * scale
+        v = _curve_value(cv, frame) * trace.level_scale_vertices[mi][lvl] * scale
+        f = _curve_value(cf, frame) * trace.level_scale_fragments[mi][lvl] * scale * frag_scale
         ub, uv, uf = roster.model_masks[mi]
         out.append((b if ub else 0.0, v if uv else 0.0, f if uf else 0.0))
     return tuple(out)
@@ -412,7 +422,11 @@ def _per_call_power_from_primitives(oracle, config, primitives, cost_scales):
         per_pass.append((kb, kv, kf))
     coeffs = PowerCoefficients(tuple(per_pass))
     assert oracle.true_coefficients(config, cost_scales) == coeffs
-    alpha = sum(load_terms(oracle.saturation, coeffs, primitives))
+    alpha = 0.0
+    for (kb, kv, kf), (big_b, big_v, big_f), (b, v, f) in zip(
+        coeffs.per_pass, oracle.saturation.per_pass, primitives
+    ):
+        alpha += kb * b / big_b + kv * v / big_v + kf * f / big_f
     return oracle.saturation.p_min + oracle.saturation.span * (1.0 - math.exp(-alpha))
 
 
@@ -517,7 +531,7 @@ def test_power_path_equals_per_call_formula(
                     for _ in range(4)
                 ]
                 _, costs = _scanned_event_scales(t, roster, frame)
-                assert t.cost_scales(roster, frame) == tuple(costs)
+                assert t.terms(roster, [frame])[2].ravel().tolist() == costs
                 for cfg in configs:
                     prims = _per_call_primitives(t, roster, cfg, frame)
                     assert t.primitives_for(roster, cfg, frame) == prims
@@ -525,9 +539,9 @@ def test_power_path_equals_per_call_formula(
                     assert exact_power(o, cfg, frame, t) == exact
                     noisy = max(exact + _per_call_noise(o, frame), 1e-9)
                     assert measure_power(o, cfg, frame, t) == noisy
-                    assert o.exact_power_from_primitives(
-                        cfg, prims
-                    ) == _per_call_power_from_primitives(o, cfg, prims, None)
+                    assert float(o.exact(cfg, prims)) == _per_call_power_from_primitives(
+                        o, cfg, prims, None
+                    )
                     checked += 1
     assert checked > 1000
 
@@ -538,7 +552,7 @@ def test_count_producers_zero_unused_kinds(mini_scenario):
     roster, trace, oracle = _partial_uses_case()
     unused = [(mi, kind) for mi, uses in enumerate(roster.model_masks)
               for kind in range(3) if not uses[kind]]
-    assert unused and all(trace.curves[mi][kind].value(0) > 0 for mi, kind in unused)
+    assert unused and all(_curve_value(trace.curves[mi][kind], 0) > 0 for mi, kind in unused)
 
     rng = random.Random(5)
     for frame in (0, 20, 91, 199):
@@ -562,8 +576,9 @@ def test_count_producers_zero_unused_kinds(mini_scenario):
 
 
 def test_scalar_power_adds_load_terms_left_to_right():
-    """Both scalar formulas add their load terms left to right, as the bulk
-    tables do. Terms of 1.0 then six of 1e-16 add to exactly 1.0 that way;
+    """The power formula adds its load terms left to right, for predictions
+    and the oracle alike. Terms of 1.0 then six of 1e-16 add to exactly 1.0
+    that way;
     a compensated sum, as the builtin sum() of floats is since Python 3.12,
     gives 1.0 + 3 ulp."""
     n = 7
@@ -574,7 +589,7 @@ def test_scalar_power_adds_load_terms_left_to_right():
     primitives = ((1.0, 0.0, 0.0),) * n
     watts = 10.0 + 90.0 * (1.0 - math.exp(-1.0))
     coefficients = PowerCoefficients(tuple((k, 0.0, 0.0) for k in k_b))
-    assert load_terms(saturation, coefficients, primitives) == list(k_b)
+    assert pass_loads(saturation, coefficients.per_pass, primitives).tolist() == list(k_b)
     assert predict_power(saturation, coefficients, primitives) == watts
     oracle = HiddenPowerOracle(
         roster=roster,
@@ -583,7 +598,7 @@ def test_scalar_power_adds_load_terms_left_to_right():
         unit_costs=UnitCosts(0.0, 0.0),
         public_costs=CostTable(ins_v=(0.0,) * n, ins_f=((0.0,),) * n, tex_f=((0.0,),) * n),
     )
-    assert oracle.exact_power_from_primitives(roster.best_config(), primitives) == watts
+    assert float(oracle.exact(roster.best_config(), primitives)) == watts
 
 
 def test_exact_power_all_equals_scalar_path(
@@ -591,7 +606,7 @@ def test_exact_power_all_equals_scalar_path(
 ):
     roster, trace, oracle = regime_scenario.roster, regime_scenario.trace, regime_scenario.oracle
     # regime_change's frame-30 event scales a pass's hidden cost.
-    assert trace.cost_scales(roster, 10) != trace.cost_scales(roster, 200)
+    assert _scanned_event_scales(trace, roster, 10) != _scanned_event_scales(trace, roster, 200)
     no_resolution = _partial_uses_case()
     assert no_resolution[0].resolution_index is None
     cases = [
@@ -666,6 +681,10 @@ def test_frame_powers_equal_scalar_path(mini_scenario, regime_scenario, demo_sce
             for config in configs:
                 primitives = [trace.primitives_for(roster, config, f) for f in frames]
                 assert at.primitives(config).tolist() == [list(map(list, p)) for p in primitives]
+                # The count table shape: every configuration at one frame.
+                assert config_counts(roster, at.table(0), config).tolist() == [
+                    list(p) for p in _per_call_primitives(trace, roster, config, frames[0])
+                ]
                 assert at.exact(config).tolist() == [
                     exact_power(oracle, config, f, trace) for f in frames
                 ]
@@ -803,7 +822,7 @@ def _per_sample_sweep(scenario, saturation_per_pass):
         prims = tuple(
             tuple(weights[i][j] * saturation_per_pass[i][j] for j in range(3)) for i in range(n)
         )
-        power = oracle.exact_power_from_primitives(roster.best_config(), prims)
+        power = _per_call_power_from_primitives(oracle, roster.best_config(), prims, None)
         power += _per_call_noise(oracle, 20_000_000 + k)
         samples.append(FrameSample(max(power, 1e-9), prims))
     return samples
