@@ -26,7 +26,6 @@ from .powermodel import (
     PowerModel,
     SaturationConstants,
     UnitCostResult,
-    config_counts,
     fit_coefficients,
     mean,
     predict_all,
@@ -289,11 +288,12 @@ class Governor:
     Engine access goes through three hooks so the governor never touches the
     hidden oracle directly:
 
-    - ``measure(config, frames) -> watts``, one reading per frame (the power
-      meter)
-    - ``counts(frame) -> count table`` (pipeline queries): ``[l, r, i]`` is
-      pass i's (b, v, f) at level l and resolution level r, as
-      :func:`powermodel.predict_all` takes it
+    - ``measure(config, frames) -> (watts, counts)``, one meter reading per
+      frame (the power meter) and, per frame, ``config``'s (b, v, f) for each
+      pass, the pipeline counts of the frames it renders
+    - ``counts(frame) -> count table`` (pipeline queries for selection):
+      ``[l, r, i]`` is pass i's (b, v, f) at level l and resolution level r,
+      as :func:`powermodel.predict_all` takes it
     - ``scorer(frame) -> score``  (background renders and SSIMs): ``score``
       maps a list of configurations to their ``1 - SSIM`` against the
       all-best render of ``frame``, as :class:`truth.FrameScorer` does. It
@@ -310,9 +310,9 @@ class Governor:
     Like the paper's governor, it reads the meter, and the counts of the
     configuration it renders, only for the frames of its accuracy-check and
     fitting windows. ``s_eff`` does not change inside a window, so the tick
-    that fills one reads its frames' meter in one ``measure`` call and asks
-    ``counts`` for each of them; no other tick queries either, except that
-    selection asks ``counts`` for its frame.
+    that fills one reads its frames' meter and counts in one ``measure``
+    call; no other tick reads the meter, and only selection asks ``counts``,
+    for its own frame.
     """
 
     def __init__(
@@ -457,11 +457,8 @@ class Governor:
 
     def _samples(self, frames: range) -> list[FrameSample]:
         """The meter readings and pipeline counts of ``s_eff`` at ``frames``."""
-        s_eff = self.state.s_eff
-        return [
-            FrameSample(watts, config_counts(self.roster, self._counts(frame), s_eff).tolist())
-            for frame, watts in zip(frames, self._measure(s_eff, frames))
-        ]
+        watts, counts = self._measure(self.state.s_eff, frames)
+        return [FrameSample(w, per_pass) for w, per_pass in zip(watts, counts)]
 
     def tick(self, frame: int) -> TickResult:
         st = self.state

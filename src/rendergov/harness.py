@@ -84,10 +84,6 @@ _BASE_COLUMNS = [
     "err_update_value",
     "true_error",
 ]
-# The cells run and replay fill in after the row is built.
-_PREDICTED = _BASE_COLUMNS.index("predicted_w")
-_MEASURED = _BASE_COLUMNS.index("measured_w")
-_TRUE_ERROR = _BASE_COLUMNS.index("true_error")
 
 
 def log_columns(scenario: Scenario) -> list[str]:
@@ -217,42 +213,56 @@ class RunResult:
     summary_path: Path | None
 
 
-def _write_csv(path: Path, scenario: Scenario, rows: list[list]) -> None:
-    columns = log_columns(scenario)
-    lines = [
-        f"# rendergov-log v{CSV_SCHEMA_VERSION} scenario={scenario.name} seed={scenario.seed}",
-        ",".join(columns),
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, scenario: Scenario, lines: list[str]) -> None:
+    comment = f"# rendergov-log v{CSV_SCHEMA_VERSION} scenario={scenario.name} seed={scenario.seed}"
+    path.write_text("\n".join([comment, ",".join(log_columns(scenario)), *lines]) + "\n")
 
 
-def _record_row(record: RunLogRecord) -> list:
-    """The record's CSV row, with the ``predicted_w``, ``measured_w`` and
-    ``true_error`` cells left empty."""
-    return [
-        record.frame,
-        record.phase,
-        str(record.s_eff),
-        record.budget_watts,
-        None,
-        None,
-        record.selection,
-        record.refit,
-        record.reuse,
-        record.infeasible,
-        record.degenerate,
-        record.fit_clamped,
-        record.fit_residual,
-        record.cost_residual,
-        record.bg_request,
-        record.err_update_pass,
-        record.err_update_value,
-        None,
-        *record.e_worst,
-        *record.staleness,
-    ]
+def _flag(value) -> str:
+    """:func:`_fmt` of an event flag: 1 or 0 for a bool, and ``str`` of any
+    other value, such as a fit's numpy ``degenerate`` flag."""
+    return "1" if value is True else "0" if value is False else str(value)
+
+
+def _optional(value: float | None) -> str:
+    """:func:`_fmt` of a float cell that may be None."""
+    return "" if value is None else repr(value)
+
+
+def _log_lines(records: list[RunLogRecord], powers) -> tuple[list[str], list[int]]:
+    """Each record's log line with an empty ``true_error`` cell, given each
+    record's ``(predicted_w, measured_w)`` in ``powers``, and where in each
+    line that cell starts (:func:`_fill_true_errors`).
+
+    The cells are the ones :func:`_fmt` writes, each column's by its own
+    expression. A run of records that share one ``e_worst`` tuple, or one
+    ``s_eff``, formats it once: by identity, as ``0.0`` and ``-0.0`` are
+    equal keys with different texts.
+    """
+    lines, cuts = [], []
+    e_worst = s_eff = None
+    for r, (predicted, measured) in zip(records, powers):
+        if r.e_worst is not e_worst:
+            e_worst, worst_text = r.e_worst, ",".join(map(repr, r.e_worst))
+        if r.s_eff is not s_eff:
+            s_eff, config_text = r.s_eff, str(r.s_eff)
+        head = (
+            f"{r.frame},{r.phase},{config_text},{r.budget_watts!r},{predicted!r},{measured!r},"
+            f"{_flag(r.selection)},{_flag(r.refit)},{_flag(r.reuse)},{_flag(r.infeasible)},"
+            f"{_flag(r.degenerate)},{r.fit_clamped},{_optional(r.fit_residual)},"
+            f"{_optional(r.cost_residual)},{r.bg_request},{r.err_update_pass},"
+            f"{_optional(r.err_update_value)},"
+        )
+        lines.append(f"{head},{worst_text},{','.join(map(str, r.staleness))}")
+        cuts.append(len(head))
+    return lines, cuts
+
+
+def _fill_true_errors(lines: list[str], cuts: list[int], every: int, errors: list[float]) -> None:
+    """Write the ``true_error`` cell of every ``every``-th of :func:`_log_lines`'
+    ``lines``, from the first, from ``errors`` in order."""
+    for k, err in zip(range(0, len(lines), every), errors):
+        lines[k] = f"{lines[k][: cuts[k]]}{err!r}{lines[k][cuts[k] :]}"
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -260,14 +270,14 @@ def _write_summary(path: Path, summary: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _result(scenario: Scenario, rows, summary, out_dir, log_name, summary_name) -> RunResult:
+def _result(scenario: Scenario, lines, summary, out_dir, log_name, summary_name) -> RunResult:
     """``summary``, with the log and summary written under ``out_dir`` if given."""
     if out_dir is None:
         return RunResult(summary, None, None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path, summary_path = out / log_name, out / summary_name
-    _write_csv(log_path, scenario, rows)
+    _write_csv(log_path, scenario, lines)
     _write_summary(summary_path, summary)
     return RunResult(summary, log_path, summary_path)
 
@@ -345,6 +355,15 @@ def _run_powers(at: FramePowers, governed: list[_Governed]) -> list[_FramePowers
     return list(zip(best.tolist(), worst.tolist(), measured.tolist(), predicted.tolist()))
 
 
+def _meter(at: FramePowers, config: RenderingConfiguration, frames: range):
+    """The governor's ``measure`` hook over ``at``, which starts at frame 0:
+    ``config``'s meter readings and per-pass counts at ``frames``, a run of
+    consecutive frames, from one part of ``at``, whose measurement computes
+    the counts."""
+    part = at[frames[0] : frames[-1] + 1]
+    return part.measured(config).tolist(), part.primitives(config).tolist()
+
+
 def _keep_freed_memory() -> None:
     """Have glibc keep freed blocks of up to 4 MB in the heap, where it
     otherwise hands SSIM temporaries back to the OS after each scoring call
@@ -400,7 +419,11 @@ class _Scorer:
     the first :meth:`submit`, and take the tasks in submission order while the
     caller goes on. Each worker and the caller is pinned to its own CPU,
     because the scheduler can leave a forked child on its parent's CPU; the
-    caller gets its CPU set back on exit. The caller's objects are frozen
+    caller gets its CPU set back on exit. :meth:`no_more_tasks` tells the
+    pool that no task follows, so that the workers exit as soon as they have
+    taken every task, while the caller goes on; exit then only waits for
+    them, after claiming every task, so that a worker skips those it has not
+    started, as it does a task the caller has scored. The caller's objects are frozen
     (``gc.freeze``) before the fork, so that no collection in a worker or in
     the caller walks them and a worker does not copy their pages; they are
     unfrozen on exit, as every run ends in the same process.
@@ -424,7 +447,7 @@ class _Scorer:
         # (jobs, the worker's future or None) of each task.
         self.tasks: list = []
         self.claims, self.lock = bytearray(tasks), contextlib.nullcontext()
-        self._to_worker = lambda *task: None
+        self._pool = self._manager = None
         self._exit = contextlib.ExitStack()
         _keep_freed_memory()
         pinnable = hasattr(os, "sched_getaffinity")
@@ -449,15 +472,14 @@ class _Scorer:
             self.claims, self.lock = context.RawArray("b", tasks), context.Lock()
             gc.freeze()
             stack.callback(gc.unfreeze)
-            pool = ProcessPoolExecutor(
+            self._pool = ProcessPoolExecutor(
                 n - 1,
                 mp_context=context,
                 initializer=_start_worker,
                 initargs=(scenario, self.claims, self.lock, worker_cpus),
             )
-            stack.callback(pool.shutdown, cancel_futures=True)
+            stack.callback(self._reap)
             os.sched_setaffinity(0, {cpus[(n - 1) % len(cpus)]})
-            self._to_worker = partial(pool.submit, _score_in_worker)
             self._exit = stack.pop_all()
 
     def __enter__(self) -> _Scorer:
@@ -467,10 +489,32 @@ class _Scorer:
         self._exit.close()
 
     def submit(self, jobs: _Jobs) -> int:
-        """Hand a task to the workers; its index, for :meth:`result`."""
+        """Hand a task to the workers; its index, for :meth:`result`. Raises
+        after :meth:`no_more_tasks` where workers were forked."""
         i = len(self.tasks)
-        self.tasks.append((jobs, self._to_worker(i, jobs)))
+        future = None if self._pool is None else self._pool.submit(_score_in_worker, i, jobs)
+        self.tasks.append((jobs, future))
         return i
+
+    def no_more_tasks(self) -> None:
+        """Tell the workers that no task follows the last :meth:`submit`:
+        each exits once the tasks are taken, and a task the caller has
+        claimed still reaches a worker and returns None at once."""
+        if self._pool is not None:
+            # Shutting down without waiting, the pool lets go of the thread
+            # that joins its workers: keep it, for _reap. There is none, and
+            # no worker, before the first submit.
+            self._manager = self._manager or self._pool._executor_manager_thread
+            self._pool.shutdown(wait=False)
+
+    def _reap(self) -> None:
+        """Claim every task, so that the workers skip the ones they have not
+        started, and wait for them to exit."""
+        with self.lock:
+            self.claims[:] = [1] * len(self.claims)
+        self.no_more_tasks()
+        if self._manager is not None:
+            self._manager.join()
 
     def result(self, i: int) -> list[list[float]]:
         """Task ``i``'s :func:`_score_jobs` result, scored here if no worker
@@ -505,6 +549,7 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration) -> dict:
     workers = 1 if config == scenario.roster.best_config() else None
     with _Scorer(scenario, len(chunks), workers) as scorer:
         tasks = [scorer.submit([(frame, [config]) for frame in chunk]) for chunk in chunks]
+        scorer.no_more_tasks()
         at = FramePowers(scenario.oracle, scenario.trace, range(scenario.trace.frame_count))
         exact, measured = at.exact(config).tolist(), at.measured(config).tolist()
         errors = [err for truths in scorer.results(tasks) for (err,) in truths]
@@ -544,23 +589,25 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     configuration's error is exactly 0.0, so its baseline is power only.
 
     One :class:`simgpu.FramePowers` of the whole trace serves the governor's
-    ``measure`` and ``counts`` hooks, each window's readings in one pass, and
-    then :func:`_run_powers`. No decision reads a baseline, a true error, or
-    the power of a frame outside the governor's accuracy-check and fitting
-    windows, so the loop itself only ticks the governor, builds each frame's
-    row and keeps its :data:`_Governed` tuple. At the end of each
-    :data:`_CHUNK` frames that hold a sampled frame it hands the scorer one
-    task, each sampled frame's ``(frame, [worst, s_eff])``, which forked
-    workers score beside the loop; a chunk with no sampled frame is not
-    handed over. After the loop the
-    caller takes every frame's powers in one pass over the whole trace
-    (:func:`_run_powers`) while the workers score, then scores the chunks no
-    worker has started. The governor's model changes only when a fit lands,
-    and ``s_eff`` only while it glides, so the loop computes ``s_eff``'s
-    coefficients only when either changes, and keeps the same objects until
-    then: each such run of frames is measured and predicted in one array
-    pass. The rows' ``predicted_w``, ``measured_w`` and ``true_error`` cells
-    are filled in after the loop.
+    ``measure`` and ``counts`` hooks, each window's readings and counts in
+    one pass (:func:`_meter`), and then :func:`_run_powers`. No decision
+    reads a baseline, a true error, or the power of a frame outside the
+    governor's accuracy-check and fitting windows, so the loop itself only
+    ticks the governor, keeps each frame's record and its :data:`_Governed`
+    tuple. At the end of each :data:`_CHUNK` frames that hold a sampled
+    frame it hands the scorer one task, each sampled frame's
+    ``(frame, [worst, s_eff])``, which forked workers score beside the loop;
+    a chunk with no sampled frame is not handed over. After the last one it
+    tells the scorer that no task follows, so that the workers exit once
+    they have taken every task. While the workers score, the caller takes
+    every frame's powers in one pass over the whole trace
+    (:func:`_run_powers`) and formats every log line but its ``true_error``
+    cell (:func:`_log_lines`), then scores the chunks no worker has started,
+    and splices the true errors in. The governor's model changes
+    only when a fit lands, and ``s_eff`` only while it glides, so the loop
+    computes ``s_eff``'s coefficients only when either changes, and keeps
+    the same objects until then: each such run of frames is measured and
+    predicted in one array pass.
     """
     roster = scenario.roster
     worst = roster.worst_config()
@@ -570,7 +617,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     degradations = list(single_degradations(roster).values())
     plan = background_plan(roster, scenario.governor, frame_count)
 
-    rows = []
+    records = []
     model = config = coefficients = None
     tasks = len(calibration) + len(plan) + len(_sampled_chunks(scenario))
     with _Scorer(scenario, tasks) as scorer:
@@ -599,7 +646,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
             error_model=ErrorModel.initial(
                 calibrate_ratios(calibrated.__getitem__, roster, calibration)
             ),
-            measure=lambda cfg, frames: at[frames[0] : frames[-1] + 1].measured(cfg).tolist(),
+            measure=lambda cfg, frames: _meter(at, cfg, frames),
             counts=lambda frame: at.table(frame),
             scorer=background,
             initial_config=scenario.initial_config,
@@ -616,23 +663,21 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
                 governed.append((config, model.saturation, coefficients))
                 if frame % every == 0:
                     jobs.append((frame, [worst, config]))
-                rows.append(_record_row(tick.record))
+                records.append(tick.record)
             if jobs:
                 chunks.append(scorer.submit(jobs))
+        scorer.no_more_tasks()
         powers = _run_powers(at, governed)
-        # The hooks hold the trace's arrays only through this name: free them
-        # before the caller scores, so that its SSIM temporaries reuse them.
+        # The hooks hold the trace's arrays only through this name, and the
+        # records are done with once formatted: free them before the caller
+        # scores, so that its SSIM temporaries reuse their memory.
         del at
+        lines, cuts = _log_lines(records, ((p, m) for _, _, m, p in powers))
+        del records
         truths = [truth for chunk in scorer.results(chunks) for truth in chunk]
 
-    for row, (_, _, measured, predicted) in zip(rows, powers):
-        row[_PREDICTED] = predicted
-        row[_MEASURED] = measured
-    errors, worst_errors = [], []
-    for frame, (worst_err, true_err) in zip(range(0, frame_count, every), truths):
-        rows[frame][_TRUE_ERROR] = true_err
-        errors.append(true_err)
-        worst_errors.append(worst_err)
+    worst_errors = [worst_err for worst_err, _ in truths]
+    errors = [true_err for _, true_err in truths]
 
     summary = {
         "scenario": scenario.name,
@@ -658,7 +703,8 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         "replay_worst_mean_power": mean(worst for _, worst, _, _ in powers),
         "replay_worst_mean_error": mean(worst_errors),
     }
-    return _result(scenario, rows, summary, out_dir, "run_log.csv", "summary.txt")
+    _fill_true_errors(lines, cuts, every, errors)
+    return _result(scenario, lines, summary, out_dir, "run_log.csv", "summary.txt")
 
 
 def replay(
@@ -672,22 +718,14 @@ def replay(
     budget = budget_watts(scenario.governor, init.power_model.saturation)
     stats = replay_trace(scenario, config)
     frames = range(scenario.trace.frame_count)
-    truths = dict(zip(frames[:: scenario.error_sample_every], stats["errors"]))
-    rows = []
-    for frame, exact, measured in zip(frames, stats["exact"], stats["measured"]):
-        record = RunLogRecord(
-            frame=frame,
-            phase="replay",
-            s_eff=config,
-            budget_watts=budget,
-            e_worst=tuple(0.0 for _ in scenario.roster.passes),
-            staleness=tuple(-1 for _ in scenario.roster.passes),
-        )
-        row = _record_row(record)
-        row[_PREDICTED] = exact
-        row[_MEASURED] = measured
-        row[_TRUE_ERROR] = truths.get(frame)
-        rows.append(row)
+    e_worst = tuple(0.0 for _ in scenario.roster.passes)
+    staleness = tuple(-1 for _ in scenario.roster.passes)
+    records = [
+        RunLogRecord(frame, "replay", config, budget, e_worst=e_worst, staleness=staleness)
+        for frame in frames
+    ]
+    lines, cuts = _log_lines(records, zip(stats["exact"], stats["measured"]))
+    _fill_true_errors(lines, cuts, scenario.error_sample_every, stats["errors"])
     summary = {
         "scenario": scenario.name,
         "seed": scenario.seed,
@@ -702,7 +740,7 @@ def replay(
     }
     tag = str(config).replace("-", "")
     return _result(
-        scenario, rows, summary, out_dir, f"replay_{tag}_log.csv", f"replay_{tag}_summary.txt"
+        scenario, lines, summary, out_dir, f"replay_{tag}_log.csv", f"replay_{tag}_summary.txt"
     )
 
 

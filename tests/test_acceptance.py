@@ -317,9 +317,13 @@ def test_criterion_07_state_machine(regime_scenario):
         config=regime_scenario.governor,
         power_model=init.power_model,
         error_model=init.error_model,
-        measure=lambda c, frames: [
-            measure_power(regime_scenario.oracle, c, f, regime_scenario.trace) for f in frames
-        ],
+        measure=lambda c, frames: (
+            [measure_power(regime_scenario.oracle, c, f, regime_scenario.trace) for f in frames],
+            [
+                regime_scenario.trace.primitives_for(regime_scenario.roster, c, f)
+                for f in frames
+            ],
+        ),
         counts=FramePowers(
             regime_scenario.oracle, regime_scenario.trace, range(regime_scenario.trace.frame_count)
         ).table,

@@ -300,7 +300,10 @@ def _governed_records(scenario, frames=None, scorer=None):
         config=scenario.governor,
         power_model=init.power_model,
         error_model=init.error_model,
-        measure=lambda c, frames: [measure_power(oracle, c, f, trace) for f in frames],
+        measure=lambda c, frames: (
+            [measure_power(oracle, c, f, trace) for f in frames],
+            [trace.primitives_for(scenario.roster, c, f) for f in frames],
+        ),
         counts=FramePowers(oracle, trace, range(trace.frame_count)).table,
         scorer=scorer or partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
@@ -314,10 +317,10 @@ def _governed_records(scenario, frames=None, scorer=None):
 @pytest.mark.parametrize("name", ["mini_scenario", "regime_scenario"])
 def test_meter_is_read_only_for_window_samples(name, request, monkeypatch):
     """The tick that fills an accuracy-check or fitting window reads the
-    meter once, for exactly that window's consecutive frames, and asks for
-    the counts of exactly those frames; steady and filtering ticks query
-    neither, and a selection asks for the counts of its own frame only. The
-    check and the fit get those readings, with s_eff's counts."""
+    meter, with s_eff's counts, once, for exactly that window's consecutive
+    frames; steady and filtering ticks read neither, and only a selection
+    asks for a count table, of its own frame. The check and the fit get
+    those readings, with s_eff's counts."""
     scenario = request.getfixturevalue(name)
     roster, oracle, trace = scenario.roster, scenario.oracle, scenario.trace
     at = FramePowers(oracle, trace, range(trace.frame_count))
@@ -328,7 +331,7 @@ def test_meter_is_read_only_for_window_samples(name, request, monkeypatch):
         watts = [measure_power(oracle, config, f, trace) for f in frames]
         assert ticking[-1] not in measure_calls
         measure_calls[ticking[-1]] = (list(frames), config, watts)
-        return watts
+        return watts, [trace.primitives_for(roster, config, f) for f in frames]
 
     def counts(frame):
         count_calls.setdefault(ticking[-1], []).append(frame)
@@ -373,14 +376,13 @@ def test_meter_is_read_only_for_window_samples(name, request, monkeypatch):
         kind, window = windows[tick]
         assert frames == list(range(tick + 1 - sizes[kind], tick + 1))
         assert all(s_effs[f] == config for f in frames)
-        assert count_calls.pop(tick) == frames
         assert window == [
             FrameSample(w, trace.primitives_for(roster, config, f))
             for f, w in zip(frames, watts)
         ]
         sampled += frames
-    # Every other count query is a selection's, of its own frame.
-    assert count_calls == {frame: [frame] for frame in selections if frame not in measure_calls}
+    # Every count query is a selection's, of its own frame.
+    assert selections and count_calls == {frame: [frame] for frame in selections}
     assert sorted(sampled) == sorted(phases["check"] | phases["fitting"])
     for phase in ("steady", "selecting", "filtering"):
         assert phases[phase] and not phases[phase] & set(sampled)

@@ -11,6 +11,7 @@ import signal
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
@@ -25,7 +26,7 @@ from rendergov.configspace import (
     enumerate_configurations,
     single_degradation_config,
 )
-from rendergov.governor import Governor, background_plan, pass_slot_config
+from rendergov.governor import Governor, RunLogRecord, background_plan, pass_slot_config
 from rendergov.harness import (
     _true_errors,
     initialize,
@@ -37,7 +38,7 @@ from rendergov.harness import (
     run,
     write_oracle_table,
 )
-from rendergov.powermodel import PowerCoefficients, predict_power
+from rendergov.powermodel import PowerCoefficients, config_counts, predict_power
 from rendergov.quality import calibrate_ratios, map_mean, quality_error, row_sums
 from rendergov.simgpu import FramePowers, exact_power, measure_power, render_frame
 from rendergov.truth import FrameScorer
@@ -66,6 +67,91 @@ def test_csv_columns_are_fixed_and_documented(mini_scenario, mini_run):
     assert header == log_columns(mini_scenario)
     assert header[:6] == ["frame", "phase", "s_eff", "budget_watts", "predicted_w", "measured_w"]
     assert "e_worst_shading" in header and "stale_postfx" in header
+
+
+def test_log_lines_equal_cell_by_cell_format():
+    """The log's line builder writes what ``_fmt`` writes cell by cell, for
+    the values the columns hold: None, "", bools (a fit's numpy
+    ``degenerate`` too), -1, NaN (a failed unit-cost solve's residual), inf,
+    small and large floats, and ``e_worst`` tuples that compare equal but
+    differ in the sign of a zero."""
+    base = RunLogRecord(
+        frame=0,
+        phase="steady",
+        s_eff=RenderingConfiguration((1, 0, 2)),
+        budget_watts=33.99999995306784,
+        e_worst=(0.0, 0.25, 1e-05),
+        staleness=(-1, 0, 16),
+    )
+    nan, inf = float("nan"), float("inf")
+    records = [
+        base,
+        dataclasses.replace(
+            base,
+            phase="selecting",
+            selection=True,
+            infeasible=True,
+            bg_request="ref",
+            e_worst=(-0.0, 0.25, 1e-05),
+        ),
+        dataclasses.replace(
+            base,
+            refit=True,
+            reuse=True,
+            degenerate=np.False_,
+            fit_clamped=3,
+            fit_residual=1e16,
+            cost_residual=nan,
+            err_update_pass=2,
+            err_update_value=1e-05,
+            e_worst=(0.0, 0.25, 1e-05),
+        ),
+        dataclasses.replace(
+            base,
+            reuse=True,
+            degenerate=True,
+            fit_residual=-0.0,
+            cost_residual=inf,
+            bg_request="pass:1",
+            err_update_value=-inf,
+            staleness=(12, 0, -1),
+        ),
+        dataclasses.replace(base, s_eff=RenderingConfiguration((0, 0, 0)), budget_watts=1e16),
+    ]
+    records = [dataclasses.replace(r, frame=k) for k, r in enumerate(records)]
+    powers = [(28.1, 28.2), (1e16, inf), (1e-05, 0.1 + 0.2), (-0.0, 1e-09), (nan, 5.0)]
+    errors = [0.0, 1e-05, 0.123456789]  # frames 0, 2 and 4
+    rows = [
+        [
+            r.frame,
+            r.phase,
+            str(r.s_eff),
+            r.budget_watts,
+            predicted,
+            measured,
+            r.selection,
+            r.refit,
+            r.reuse,
+            r.infeasible,
+            r.degenerate,
+            r.fit_clamped,
+            r.fit_residual,
+            r.cost_residual,
+            r.bg_request,
+            r.err_update_pass,
+            r.err_update_value,
+            errors[r.frame // 2] if r.frame % 2 == 0 else None,
+            *r.e_worst,
+            *r.staleness,
+        ]
+        for r, (predicted, measured) in zip(records, powers)
+    ]
+    assert len(rows[0]) == len(harness._BASE_COLUMNS) + 2 * 3
+    lines, cuts = harness._log_lines(records, powers)
+    harness._fill_true_errors(lines, cuts, 2, errors)
+    assert lines == [",".join(harness._fmt(v) for v in row) for row in rows]
+    assert lines[1].endswith(",-0.0,0.25,1e-05,-1,0,16")
+    assert lines[2].split(",")[10] == "False"
 
 
 def test_summary_recomputable_from_csv(mini_run):
@@ -595,7 +681,10 @@ def _governed_powers(scenario) -> list[tuple[float, float]]:
         config=scenario.governor,
         power_model=init.power_model,
         error_model=init.error_model,
-        measure=lambda c, frames: [measure_power(oracle, c, f, trace) for f in frames],
+        measure=lambda c, frames: (
+            [measure_power(oracle, c, f, trace) for f in frames],
+            [trace.primitives_for(roster, c, f) for f in frames],
+        ),
         counts=FramePowers(oracle, trace, range(trace.frame_count)).table,
         scorer=partial(FrameScorer, scenario.synthesizer),
         initial_config=scenario.initial_config,
@@ -686,6 +775,27 @@ def test_run_powers_equal_scalar_powers(regime_scenario, demo_scenario):
     assert harness._run_powers(FramePowers(oracle, trace, range(0)), []) == []
 
 
+def test_window_counts_equal_count_table_entries(mini_scenario, lattice_scenario):
+    """The governor's ``measure`` hook in ``run`` reads a window's meter and
+    counts in one pass; at each frame of the window its counts equal, bit
+    for bit, the configuration's entries of that frame's count table, which
+    selection reads, and its readings are the whole trace's."""
+    for scenario in (mini_scenario, lattice_scenario):
+        roster, frame_count = scenario.roster, scenario.trace.frame_count
+        at = FramePowers(scenario.oracle, scenario.trace, range(frame_count))
+        rng = random.Random(5)
+        configs = [roster.best_config(), roster.worst_config()] + [
+            RenderingConfiguration(tuple(rng.randrange(p.level_count) for p in roster.passes))
+            for _ in range(3)
+        ]
+        windows = [range(0, 10), range(137, 167), range(frame_count - 30, frame_count)]
+        for config, frames in itertools.product(configs, windows):
+            watts, counts = harness._meter(at, config, frames)
+            expected = np.array([config_counts(roster, at.table(f), config) for f in frames])
+            assert np.asarray(counts).tobytes() == expected.tobytes(), (scenario.name, config)
+            assert watts == at.measured(config)[frames[0] : frames[-1] + 1].tolist()
+
+
 def test_run_paths_make_no_one_frame_power_calls(mini_scenario, monkeypatch, tmp_path):
     """``run``, ``replay_trace`` and ``oracle_table`` take every watt and
     count in array passes, never through the one-frame views, whichever
@@ -750,6 +860,37 @@ def test_run_worker_error_reaches_caller(mini_scenario, monkeypatch):
     assert os.sched_getaffinity(0) == allowed
     assert multiprocessing.active_children() == []
     assert gc.get_freeze_count() == 0
+
+
+def test_run_frees_trace_powers_and_records_before_scoring_chunks(mini_scenario, monkeypatch):
+    """``run`` lets go of its whole-trace ``FramePowers``, which the
+    governor's hooks use, and of the governor's records once their lines are
+    formatted, before the caller scores the chunks, so that its SSIM
+    temporaries can reuse that memory."""
+    tracked, alive = [], []
+
+    class Tracked(FramePowers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tracked.append(weakref.ref(self))
+
+    log_lines, results = harness._log_lines, harness._Scorer.results
+
+    def tracking_lines(records, powers):
+        tracked.extend(weakref.ref(record) for record in records)
+        return log_lines(records, powers)
+
+    def checking(self, tasks):
+        alive.append([type(ref()) for ref in tracked if ref() is not None])
+        return results(self, tasks)
+
+    monkeypatch.setattr(harness, "FramePowers", Tracked)
+    monkeypatch.setattr(harness, "_log_lines", tracking_lines)
+    monkeypatch.setattr(harness._Scorer, "results", checking)
+    run(mini_scenario)
+    # The calibration's results, while the loop's FramePowers serves the
+    # hooks, then the chunks', when only the last tick's record is left.
+    assert alive == [[Tracked], [RunLogRecord]]
 
 
 @pytest.mark.parametrize("forked", [False, pytest.param(True, marks=needs_two_cpus)])
@@ -846,7 +987,7 @@ def test_run_background_scored_ahead_equals_serial(
         assert [f.result() for _, f in futures[:holds]] == [_RELEASED] * holds
         plan = background_plan(scenario.roster, scenario.governor, scenario.trace.frame_count)
         # The hold tasks, then one task per calibration frame, then one per
-        # reference. The scorer's exit cancels the tasks no worker has taken.
+        # reference. A task the caller claimed reaches a worker and returns None.
         first = holds + len(scenario.calibration_frames)
         background = [
             None if f.cancelled() else f.result() for _, f in futures[first : first + len(plan)]
@@ -913,6 +1054,102 @@ def test_caller_takes_every_chunk_no_worker_started(mini_scenario, monkeypatch, 
         release.touch()
         assert scorer.result(held) == _RELEASED
     assert truths == serial
+    assert multiprocessing.active_children() == []
+
+
+def _hold_worker_start(monkeypatch, release: Path) -> None:
+    """Have each forked scoring worker wait, before it takes any task, until
+    ``release`` exists, for at most 20 s."""
+    start_worker = harness._start_worker
+
+    def waiting(*args):
+        deadline = time.monotonic() + 20
+        while not release.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        start_worker(*args)
+
+    monkeypatch.setattr(harness, "_start_worker", waiting)
+
+
+def _wait_for_no_children() -> bool:
+    deadline = time.monotonic() + 20
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_told_no_more_tasks_exits_while_the_caller_scores(
+    mini_scenario, monkeypatch, tmp_path
+):
+    """After ``no_more_tasks`` the tasks the caller claimed while the worker
+    was busy still reach it and return None, and it exits inside the
+    context, without the caller's exit waiting for it."""
+    jobs = _truth_jobs(mini_scenario, 5)
+    serial = [_true_errors(mini_scenario, frame, configs) for frame, configs in jobs]
+    release = tmp_path / "release"
+    _hold_workers(monkeypatch, release)
+    with harness._Scorer(mini_scenario, len(jobs) + 1, workers=2) as scorer:
+        held = scorer.submit([(_HOLD, [])])
+        chunks = [scorer.submit([job]) for job in jobs]
+        scorer.no_more_tasks()
+        deadline = time.monotonic() + 20
+        while not release.with_suffix(".held").exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        truths = [truths for (truths,) in scorer.results(chunks)]
+        release.touch()
+        assert scorer.result(held) == _RELEASED
+        assert _wait_for_no_children()
+        assert [future.result() for _, future in scorer.tasks[1:]] == [None] * len(jobs)
+    assert truths == serial
+
+
+@needs_fork
+def test_caller_claims_every_task_after_no_more_tasks(mini_scenario, monkeypatch, tmp_path):
+    jobs = _truth_jobs(mini_scenario, 5)
+    serial = [_true_errors(mini_scenario, frame, configs) for frame, configs in jobs]
+    release = tmp_path / "release"
+    _hold_worker_start(monkeypatch, release)
+    with harness._Scorer(mini_scenario, len(jobs), workers=2) as scorer:
+        chunks = [scorer.submit([job]) for job in jobs]
+        scorer.no_more_tasks()
+        truths = [truths for (truths,) in scorer.results(chunks)]
+        release.touch()
+    assert truths == serial
+    assert [future.result() for _, future in scorer.tasks] == [None] * len(jobs)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_error_after_no_more_tasks_stops_the_worker(mini_scenario):
+    class Stop(Exception):
+        pass
+
+    jobs = _truth_jobs(mini_scenario, 40)
+    allowed = os.sched_getaffinity(0)
+    with pytest.raises(Stop):
+        with harness._Scorer(mini_scenario, len(jobs), workers=2) as scorer:
+            for job in jobs:
+                scorer.submit([job])
+            scorer.no_more_tasks()
+            raise Stop
+    # The tasks no worker had started when the caller left were claimed, so
+    # the worker skipped them.
+    assert None in [future.result() for _, future in scorer.tasks]
+    assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == allowed
+    assert threading.active_count() == 1
+
+
+@needs_fork
+def test_submit_after_no_more_tasks_raises(mini_scenario):
+    jobs = _truth_jobs(mini_scenario, 2)
+    with harness._Scorer(mini_scenario, len(jobs), workers=2) as scorer:
+        first = scorer.submit([jobs[0]])
+        scorer.no_more_tasks()
+        with pytest.raises(RuntimeError):
+            scorer.submit([jobs[1]])
+        assert scorer.result(first) == [_true_errors(mini_scenario, *jobs[0])]
     assert multiprocessing.active_children() == []
 
 
