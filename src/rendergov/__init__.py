@@ -20,14 +20,13 @@ from .governor import (
 )
 from .powermodel import (
     CostTable,
-    FrameSample,
     PowerCoefficients,
     PowerModel,
     SaturationConstants,
     UnitCosts,
     coefficients_for_config,
     fit_coefficients,
-    linearize_sample,
+    linearize,
     predict_all,
     predict_power,
     solve_unit_costs,

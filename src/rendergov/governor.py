@@ -21,11 +21,11 @@ from .configspace import (
     single_degradation_config,
 )
 from .powermodel import (
-    FrameSample,
     PowerCoefficients,
     PowerModel,
     SaturationConstants,
     UnitCostResult,
+    check_window,
     fit_coefficients,
     mean,
     predict_all,
@@ -188,20 +188,19 @@ def temporal_filter(
 
 def accuracy_check(
     model: PowerModel,
-    window,
+    watts,
+    counts,
     threshold: float,
     config: RenderingConfiguration,
 ) -> bool:
     """True when the mean absolute prediction error at ``config`` over the
-    window exceeds the threshold fraction of (P_M - P_m)."""
-    window = list(window)
-    if not window:
+    window of meter readings ``watts[k]`` and per-pass (b, v, f) counts
+    ``counts[k, i]`` exceeds the threshold fraction of (P_M - P_m)."""
+    watts, counts = check_window(model.saturation, watts, counts)
+    if not len(watts):
         raise ValueError("empty accuracy-check window")
-    predicted = predict_powers(
-        model.saturation, model.coefficients_for(config), [s.per_pass for s in window]
-    )
-    errors = (abs(s.measured_power - watts) for s, watts in zip(window, predicted.tolist()))
-    return mean(errors) > threshold * model.saturation.span
+    predicted = predict_powers(model.saturation, model.coefficients_for(config), counts)
+    return mean(np.abs(watts - predicted).tolist()) > threshold * model.saturation.span
 
 
 def background_slots(roster: PassRoster) -> list[int | None]:
@@ -288,9 +287,10 @@ class Governor:
     Engine access goes through three hooks so the governor never touches the
     hidden oracle directly:
 
-    - ``measure(config, frames) -> (watts, counts)``, one meter reading per
-      frame (the power meter) and, per frame, ``config``'s (b, v, f) for each
-      pass, the pipeline counts of the frames it renders
+    - ``measure(config, frames) -> (watts, counts)``, the power meter's
+      ``(frames,)`` readings and the pipeline's ``(frames, passes, 3)``
+      counts: ``counts[k, i]`` is ``config``'s (b, v, f) for pass i at the
+      k-th frame it renders
     - ``counts(frame) -> count table`` (pipeline queries for selection):
       ``[l, r, i]`` is pass i's (b, v, f) at level l and resolution level r,
       as :func:`powermodel.predict_all` takes it
@@ -377,21 +377,14 @@ class Governor:
                 flags["err_update_pass"] = pass_index
                 flags["err_update_value"] = self.error_model.e_worst[pass_index]
 
-    def _issue_fit(self, frame: int, window, fitted_config: RenderingConfiguration) -> None:
-        fit_res = fit_coefficients(window, self.power_model.saturation)
+    def _issue_fit(self, frame: int, watts, counts, fitted_config: RenderingConfiguration) -> None:
+        fit_res = fit_coefficients(self.power_model.saturation, watts, counts)
         # Slots this window could not identify keep what the previous snapshot
         # believed about this configuration instead of silently becoming zero.
         prior = self.power_model.coefficients_for(fitted_config)
-        merged = tuple(
-            tuple(
-                new if ident else old
-                for new, old, ident in zip(new_triple, old_triple, ident_triple)
-            )
-            for new_triple, old_triple, ident_triple in zip(
-                fit_res.coefficients.per_pass, prior.per_pass, fit_res.identified
-            )
+        coefficients = PowerCoefficients(
+            np.where(fit_res.identified, fit_res.coefficients.per_pass, prior.per_pass).tolist()
         )
-        coefficients = PowerCoefficients(merged)
         try:
             cost_res = solve_unit_costs(
                 fit_res.coefficients,
@@ -455,11 +448,6 @@ class Governor:
 
     # -- the frame loop body ---------------------------------------------------
 
-    def _samples(self, frames: range) -> list[FrameSample]:
-        """The meter readings and pipeline counts of ``s_eff`` at ``frames``."""
-        watts, counts = self._measure(self.state.s_eff, frames)
-        return [FrameSample(w, per_pass) for w, per_pass in zip(watts, counts)]
-
     def tick(self, frame: int) -> TickResult:
         st = self.state
         cfg = self.config
@@ -497,11 +485,13 @@ class Governor:
             st.window += 1
             if st.window == size:
                 st.window = 0
-                window = self._samples(range(frame + 1 - size, frame + 1))
+                watts, counts = self._measure(st.s_eff, range(frame + 1 - size, frame + 1))
                 if st.phase == PHASE_FITTING:
-                    self._issue_fit(frame, window, st.s_eff)
+                    self._issue_fit(frame, watts, counts, st.s_eff)
                     st.phase = PHASE_STEADY
-                elif accuracy_check(self.power_model, window, cfg.accuracy_threshold, st.s_eff):
+                elif accuracy_check(
+                    self.power_model, watts, counts, cfg.accuracy_threshold, st.s_eff
+                ):
                     flags["refit"] = True
                     self.refit_count += 1
                     st.phase = PHASE_FITTING

@@ -33,7 +33,6 @@ from .governor import (
     pass_slot_config,
 )
 from .powermodel import (
-    FrameSample,
     PowerCoefficients,
     PowerModel,
     SaturationConstants,
@@ -149,7 +148,7 @@ def _probe(scenario: Scenario) -> Initialization:
 
     if not scenario.governor.initial_fit:
         sweep = _generic_sweep_samples(scenario, probe.saturation.per_pass)
-        fit = fit_coefficients(sweep, probe.saturation)
+        fit = fit_coefficients(probe.saturation, *sweep)
         costs = solve_unit_costs(
             fit.coefficients,
             scenario.cost_table,
@@ -185,7 +184,8 @@ def _generic_sweep_samples(scenario: Scenario, saturation_per_pass):
     pass does not use; the level ramps so measured power walks from near P_m
     toward P_M. The ramp tops out below deep saturation, where the log
     transform would amplify measurement noise. Every sample's exact power is
-    taken in one call.
+    taken in one call. Returns the ``(samples,)`` meter readings and the
+    ``(samples, passes, 3)`` counts.
     """
     oracle, roster = scenario.oracle, scenario.roster
     uses = np.asarray(roster.model_masks, dtype=float)
@@ -200,10 +200,8 @@ def _generic_sweep_samples(scenario: Scenario, saturation_per_pass):
         weights *= total_load / weights.sum()
         counts[k] = weights * np.asarray(saturation_per_pass)
     exact = oracle.exact(roster.best_config(), counts).tolist()
-    return [
-        FrameSample(max(power + oracle.noise(20_000_000 + k), 1e-9), per_pass)
-        for k, (power, per_pass) in enumerate(zip(exact, counts.tolist()))
-    ]
+    watts = [max(power + oracle.noise(20_000_000 + k), 1e-9) for k, power in enumerate(exact)]
+    return np.array(watts), counts
 
 
 @dataclass(frozen=True)
@@ -361,7 +359,7 @@ def _meter(at: FramePowers, config: RenderingConfiguration, frames: range):
     consecutive frames, from one part of ``at``, whose measurement computes
     the counts."""
     part = at[frames[0] : frames[-1] + 1]
-    return part.measured(config).tolist(), part.primitives(config).tolist()
+    return part.measured(config), part.primitives(config)
 
 
 def _keep_freed_memory() -> None:

@@ -44,27 +44,6 @@ Primitives = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
-class FrameSample:
-    """Measured power plus per-pass primitive counts for one frame.
-
-    ``per_pass`` holds one (batches, vertices, fragments) triple per
-    non-resolution pass, in roster order.
-    """
-
-    measured_power: float
-    per_pass: tuple[Primitives, ...]
-
-    def __post_init__(self) -> None:
-        if self.measured_power <= 0.0:
-            raise ValueError("measured power must be positive")
-        pp = tuple(tuple(float(c) for c in triple) for triple in self.per_pass)
-        for triple in pp:
-            if len(triple) != 3 or any(c < 0 for c in triple):
-                raise ValueError("primitive counts must be nonnegative (b, v, f) triples")
-        object.__setattr__(self, "per_pass", pp)
-
-
-@dataclass(frozen=True)
 class SaturationConstants:
     """Idle/saturated power and per-pass saturating primitive counts."""
 
@@ -157,13 +136,6 @@ class UnitCosts:
 
 
 @dataclass(frozen=True)
-class LinearizedSample:
-    row: tuple[float, ...]
-    target: float
-    clamped: bool
-
-
-@dataclass(frozen=True)
 class FitResult:
     coefficients: PowerCoefficients
     residual_norm: float
@@ -205,8 +177,8 @@ class PowerModel:
 
 def per_entry(fn, values: np.ndarray) -> np.ndarray:
     """``fn`` of each entry of ``values``, taken on Python floats: for
-    ``math.exp`` and ``math.sin``, whose vectorized numpy counterparts can
-    differ from them in the last bit, and by CPU."""
+    ``math.exp``, ``math.log`` and ``math.sin``, whose vectorized numpy
+    counterparts can differ from them in the last bit, and by CPU."""
     return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
 
 
@@ -273,32 +245,41 @@ def predict_power(
     return float(predict_powers(saturation, coefficients, np.asarray(primitives, dtype=float)))
 
 
-def linearize_sample(
-    saturation: SaturationConstants,
-    sample: FrameSample,
-) -> LinearizedSample:
-    """Turn one sample into a regression row and a log-domain target.
+def check_window(saturation: SaturationConstants, watts, counts) -> tuple[np.ndarray, np.ndarray]:
+    """A window's meter readings ``watts[k]`` and per-pass (b, v, f) counts
+    ``counts[k, i]`` as float arrays, checked: one positive reading and one
+    nonnegative triple per pass for each frame."""
+    watts = np.asarray(watts, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    if watts.ndim != 1 or counts.shape != (len(watts), len(saturation.per_pass), 3):
+        raise ValueError("window and saturation constants disagree on shape or pass count")
+    if (watts <= 0.0).any():
+        raise ValueError("measured power must be positive")
+    if (counts < 0.0).any():
+        raise ValueError("primitive counts must be nonnegative")
+    return watts, counts
 
-    The row holds normalized primitives (b/B, v/V, f/F) per pass, so a kind a
-    pass does not use, whose count must be 0.0, gets a zero entry; the target
-    is -ln(1 - (P - P_m) / (P_M - P_m)), with the measured power clamped a
-    small margin inside (P_m, P_M) first so the transform stays finite.
+
+def linearize(
+    saturation: SaturationConstants, watts, counts
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A window's regression rows, log-domain targets and clamp flags, from
+    its readings ``watts[k]`` and per-pass (b, v, f) counts ``counts[k, i]``.
+
+    Row k holds frame k's normalized counts (b/B, v/V, f/F), pass by pass, so
+    a kind a pass does not use, whose count must be 0.0, gets a zero entry.
+    The target is -ln(1 - (P - P_m) / (P_M - P_m)), with the reading clamped a
+    small margin inside (P_m, P_M) first so the transform stays finite; the
+    log is taken with ``math.log`` (:func:`per_entry`).
     """
-    n = len(saturation.per_pass)
-    if len(sample.per_pass) != n:
-        raise ValueError("sample and saturation constants disagree on pass count")
+    watts, counts = check_window(saturation, watts, counts)
     eps = CLAMP_FRACTION * saturation.span
-    p = sample.measured_power
-    clamped = not (saturation.p_min + eps <= p <= saturation.p_max - eps)
-    p = min(max(p, saturation.p_min + eps), saturation.p_max - eps)
-    target = -math.log(1.0 - (p - saturation.p_min) / saturation.span)
-
-    row: list[float] = []
-    for i in range(n):
-        big_b, big_v, big_f = saturation.per_pass[i]
-        b, v, f = sample.per_pass[i]
-        row.extend((b / big_b, v / big_v, f / big_f))
-    return LinearizedSample(tuple(row), target, clamped)
+    low, high = saturation.p_min + eps, saturation.p_max - eps
+    clamped = (watts < low) | (watts > high)
+    p = np.minimum(np.maximum(watts, low), high)
+    targets = -per_entry(math.log, 1.0 - (p - saturation.p_min) / saturation.span)
+    rows = counts / np.reshape(saturation.per_pass, (-1, 3))
+    return rows.reshape(len(watts), -1), targets, clamped
 
 
 def _nonnegative_lstsq(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -321,34 +302,22 @@ def _nonnegative_lstsq(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]
     return x, residual
 
 
-def fit_coefficients(
-    samples,
-    saturation: SaturationConstants,
-) -> FitResult:
-    """Fit per-pass (k_b, k_v, k_f) from a window of frame samples.
+def fit_coefficients(saturation: SaturationConstants, watts, counts) -> FitResult:
+    """Fit per-pass (k_b, k_v, k_f) from a window of meter readings
+    ``watts[k]`` and per-pass (b, v, f) counts ``counts[k, i]``.
 
-    Requires at least three samples per non-resolution pass. Columns the
+    Requires at least three frames per non-resolution pass. Columns the
     window never exercised (below the minimum-signal floor) are excluded and
     reported unidentified; that includes every kind a pass does not use,
     whose counts must be 0.0. A rank-deficient remainder is solved least-norm
     and flagged degenerate.
     """
-    samples = list(samples)
     n_passes = len(saturation.per_pass)
-    if len(samples) < 3 * n_passes:
+    if len(watts) < 3 * n_passes:
         raise ValueError(
-            f"need at least {3 * n_passes} samples to fit {n_passes} passes, got {len(samples)}"
+            f"need at least {3 * n_passes} samples to fit {n_passes} passes, got {len(watts)}"
         )
-    rows = []
-    targets = []
-    clamp_count = 0
-    for s in samples:
-        lin = linearize_sample(saturation, s)
-        rows.append(lin.row)
-        targets.append(lin.target)
-        clamp_count += lin.clamped
-    a = np.asarray(rows, dtype=float)
-    y = np.asarray(targets, dtype=float)
+    a, y, clamped = linearize(saturation, watts, counts)
 
     observed = np.abs(a).max(axis=0) >= MIN_COLUMN_SIGNAL
 
@@ -363,19 +332,12 @@ def fit_coefficients(
         degenerate = True
         residual = float(np.linalg.norm(y))
 
-    per_pass = tuple(
-        (x[3 * i], x[3 * i + 1], x[3 * i + 2]) for i in range(n_passes)
-    )
-    identified = tuple(
-        (bool(observed[3 * i]), bool(observed[3 * i + 1]), bool(observed[3 * i + 2]))
-        for i in range(n_passes)
-    )
     return FitResult(
-        coefficients=PowerCoefficients(per_pass),
+        coefficients=PowerCoefficients(x.reshape(n_passes, 3).tolist()),
         residual_norm=residual,
         degenerate=degenerate,
-        identified=identified,
-        clamp_count=clamp_count,
+        identified=tuple(map(tuple, observed.reshape(n_passes, 3).tolist())),
+        clamp_count=int(clamped.sum()),
     )
 
 

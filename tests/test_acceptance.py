@@ -26,7 +26,6 @@ from rendergov.governor import (
 )
 from rendergov.harness import initialize, oracle_table, run
 from rendergov.powermodel import (
-    FrameSample,
     coefficients_for_config,
     fit_coefficients,
     predict_power,
@@ -79,14 +78,9 @@ def test_criterion_01_fit_recovery(demo):
     oracle0 = dataclasses.replace(demo.oracle, noise_sigma=0.0)
     sat = oracle0.saturation
 
-    samples = [
-        FrameSample(
-            measure_power(oracle0, S_B, f, demo.trace),
-            demo.trace.primitives_for(demo.roster, S_B, f),
-        )
-        for f in range(30)
-    ]
-    fit = fit_coefficients(samples, sat)
+    watts = [measure_power(oracle0, S_B, f, demo.trace) for f in range(30)]
+    counts = [demo.trace.primitives_for(demo.roster, S_B, f) for f in range(30)]
+    fit = fit_coefficients(sat, watts, counts)
     truth = oracle0.true_coefficients(S_B)
     max_rel = 0.0
     for got, want, ident in zip(fit.coefficients.per_pass, truth.per_pass, fit.identified):
@@ -96,14 +90,8 @@ def test_criterion_01_fit_recovery(demo):
     assert max_rel <= 1e-6
 
     oracle1 = dataclasses.replace(demo.oracle, noise_sigma=0.01)
-    noisy = [
-        FrameSample(
-            measure_power(oracle1, S_B, f, demo.trace),
-            demo.trace.primitives_for(demo.roster, S_B, f),
-        )
-        for f in range(30)
-    ]
-    fit_noisy = fit_coefficients(noisy, sat)
+    noisy = [measure_power(oracle1, S_B, f, demo.trace) for f in range(30)]
+    fit_noisy = fit_coefficients(sat, noisy, counts)
     held_out = []
     for f in range(30, 130):
         prims = demo.trace.primitives_for(demo.roster, S_B, f)
@@ -126,14 +114,9 @@ def test_criterion_02_coefficient_reuse(demo):
     trace = dataclasses.replace(demo.trace, frame_count=500, events=())
     sat = oracle.saturation
 
-    samples = [
-        FrameSample(
-            measure_power(oracle, S_B, f, trace),
-            trace.primitives_for(demo.roster, S_B, f),
-        )
-        for f in range(30)
-    ]
-    fit = fit_coefficients(samples, sat)
+    watts = [measure_power(oracle, S_B, f, trace) for f in range(30)]
+    counts = [trace.primitives_for(demo.roster, S_B, f) for f in range(30)]
+    fit = fit_coefficients(sat, watts, counts)
     costs = solve_unit_costs(fit.coefficients, demo.cost_table, S_B, demo.roster, fit.identified)
     coeffs_a = coefficients_for_config(
         costs.unit_costs, demo.cost_table, S_A, fit.coefficients, demo.roster

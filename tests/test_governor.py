@@ -32,11 +32,11 @@ from rendergov.governor import (
 from rendergov.harness import initialize
 from rendergov.powermodel import (
     CostTable,
-    FrameSample,
     PowerCoefficients,
     PowerModel,
     SaturationConstants,
     UnitCosts,
+    fit_coefficients,
     predict_power,
 )
 from rendergov.quality import ErrorModel, ErrorRatioTable, estimate_error, quality_error
@@ -259,37 +259,78 @@ def _one_pass_model():
     )
 
 
+def _check_window(model, offset=0.0):
+    """Ten frames' counts and their exact predictions plus ``offset``."""
+    counts = np.array([((10.0 + i, 1e4 * i, 2e4),) for i in range(10)])
+    watts = [predict_power(SAT, model.coefficients, prims) + offset for prims in counts]
+    return np.array(watts), counts
+
+
 def test_accuracy_check_exact_predictions_do_not_refit():
     model = _one_pass_model()
-    window = []
-    for i in range(10):
-        prims = ((10.0 + i, 1e4 * i, 2e4),)
-        window.append(FrameSample(predict_power(SAT, model.coefficients, prims), prims))
-    assert accuracy_check(model, window, 0.10, model.fitted_config) is False
+    watts, counts = _check_window(model)
+    assert accuracy_check(model, watts, counts, 0.10, model.fitted_config) is False
 
 
 def test_accuracy_check_constant_offset_triggers_refit():
     model = _one_pass_model()
-    window = []
-    for i in range(10):
-        prims = ((10.0 + i, 1e4 * i, 2e4),)
-        p = predict_power(SAT, model.coefficients, prims)
-        window.append(FrameSample(p + 0.2 * SAT.span, prims))
-    assert accuracy_check(model, window, 0.10, model.fitted_config) is True
+    watts, counts = _check_window(model, 0.2 * SAT.span)
+    assert accuracy_check(model, watts, counts, 0.10, model.fitted_config) is True
 
 
 def test_accuracy_check_boundary_is_strict():
     model = _one_pass_model()
     prims = ((10.0, 1e4, 2e4),)
     p = predict_power(SAT, model.coefficients, prims)
-    window = [FrameSample(p + 0.10 * SAT.span, prims)] * 10
-    assert accuracy_check(model, window, 0.10, model.fitted_config) is False
+    watts, counts = np.full(10, p + 0.10 * SAT.span), np.array([prims] * 10)
+    assert accuracy_check(model, watts, counts, 0.10, model.fitted_config) is False
 
 
 def test_accuracy_check_rejects_empty_window():
     model = _one_pass_model()
     with pytest.raises(ValueError):
-        accuracy_check(model, [], 0.1, model.fitted_config)
+        accuracy_check(model, np.empty(0), np.empty((0, 1, 3)), 0.1, model.fitted_config)
+
+
+def _rejected_window(kind, model):
+    watts, counts = _check_window(model)
+    if kind == "pass count":
+        return watts, np.concatenate([counts, counts], axis=1)
+    if kind == "frame count":
+        return watts[:-1], counts
+    if kind == "zero reading":
+        watts[3] = 0.0
+    elif kind == "negative reading":
+        watts[3] = -1.0
+    elif kind == "negative count":
+        counts[5, 0, 1] = -1e-9
+    elif kind == "empty":
+        return watts[:0], counts[:0]
+    return watts, counts
+
+
+@pytest.mark.parametrize(
+    "kind, fit_error, check_error",
+    [
+        ("pass count", "disagree on shape", "disagree on shape"),
+        ("frame count", "disagree on shape", "disagree on shape"),
+        ("zero reading", "must be positive", "must be positive"),
+        ("negative reading", "must be positive", "must be positive"),
+        ("negative count", "must be nonnegative", "must be nonnegative"),
+        ("empty", "need at least 3 samples", "empty accuracy-check window"),
+    ],
+)
+def test_fit_and_check_reject_a_malformed_window(kind, fit_error, check_error):
+    model = _one_pass_model()
+    watts, counts = _rejected_window(kind, model)
+    with pytest.raises(ValueError, match=fit_error):
+        fit_coefficients(SAT, watts, counts)
+    with pytest.raises(ValueError, match=check_error):
+        accuracy_check(model, watts, counts, 0.1, model.fitted_config)
+    # The same window, well formed, passes both.
+    watts, counts = _check_window(model)
+    fit_coefficients(SAT, watts, counts)
+    accuracy_check(model, watts, counts, 0.1, model.fitted_config)
 
 
 def _governed_records(scenario, frames=None, scorer=None):
@@ -338,8 +379,9 @@ def test_meter_is_read_only_for_window_samples(name, request, monkeypatch):
         return at.table(frame)
 
     def recorded(name, fn):
+        # accuracy_check(model, watts, counts, ...), fit_coefficients(saturation, watts, counts)
         def wrapper(*args):
-            windows[ticking[-1]] = (name, list(args[1 if name == "check" else 0]))
+            windows[ticking[-1]] = (name, args[1], args[2])
             return fn(*args)
 
         return wrapper
@@ -373,13 +415,12 @@ def test_meter_is_read_only_for_window_samples(name, request, monkeypatch):
     assert set(measure_calls) == set(windows)
     sampled = []
     for tick, (frames, config, watts) in measure_calls.items():
-        kind, window = windows[tick]
+        kind, window_watts, window_counts = windows[tick]
         assert frames == list(range(tick + 1 - sizes[kind], tick + 1))
         assert all(s_effs[f] == config for f in frames)
-        assert window == [
-            FrameSample(w, trace.primitives_for(roster, config, f))
-            for f, w in zip(frames, watts)
-        ]
+        assert np.asarray(window_watts, float).tobytes() == np.array(watts).tobytes()
+        expected = np.array([trace.primitives_for(roster, config, f) for f in frames])
+        assert np.asarray(window_counts, float).tobytes() == expected.tobytes()
         sampled += frames
     # Every count query is a selection's, of its own frame.
     assert selections and count_calls == {frame: [frame] for frame in selections}

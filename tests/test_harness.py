@@ -793,7 +793,7 @@ def test_window_counts_equal_count_table_entries(mini_scenario, lattice_scenario
             watts, counts = harness._meter(at, config, frames)
             expected = np.array([config_counts(roster, at.table(f), config) for f in frames])
             assert np.asarray(counts).tobytes() == expected.tobytes(), (scenario.name, config)
-            assert watts == at.measured(config)[frames[0] : frames[-1] + 1].tolist()
+            assert watts.tobytes() == at.measured(config)[frames[0] : frames[-1] + 1].tobytes()
 
 
 def test_run_paths_make_no_one_frame_power_calls(mini_scenario, monkeypatch, tmp_path):

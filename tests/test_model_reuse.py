@@ -8,7 +8,6 @@ import numpy as np
 from rendergov.configspace import RenderingConfiguration, enumerate_configurations
 from rendergov.harness import _generic_sweep_samples, initialize
 from rendergov.powermodel import (
-    FrameSample,
     coefficients_for_config,
     fit_coefficients,
     predict_all,
@@ -27,21 +26,17 @@ def test_reuse_predictions_close_to_per_config_direct_fits(mini_scenario):
     eval_frames = range(60, 90)
 
     def window(config):
-        return [
-            FrameSample(
-                measure_power(oracle, config, f, sc.trace),
-                sc.trace.primitives_for(sc.roster, config, f),
-            )
-            for f in range(30)
-        ]
+        watts = [measure_power(oracle, config, f, sc.trace) for f in range(30)]
+        counts = [sc.trace.primitives_for(sc.roster, config, f) for f in range(30)]
+        return watts, counts
 
     anchor = RenderingConfiguration((0, 1, 0))  # mid config: all passes live
-    fit = fit_coefficients(window(anchor), sat)
+    fit = fit_coefficients(sat, *window(anchor))
     costs = solve_unit_costs(fit.coefficients, sc.cost_table, anchor, sc.roster, fit.identified)
 
     devs = []
     for config in enumerate_configurations(sc.roster):
-        direct = fit_coefficients(window(config), sat)
+        direct = fit_coefficients(sat, *window(config))
         reused = coefficients_for_config(
             costs.unit_costs, sc.cost_table, config, fit.coefficients, sc.roster
         )
@@ -58,7 +53,7 @@ def test_generic_fit_tracks_ground_truth_across_space(demo_scenario):
     init = initialize(sc)
     sat = init.power_model.saturation
     sweep = _generic_sweep_samples(sc, sat.per_pass)
-    fit = fit_coefficients(sweep, sat)
+    fit = fit_coefficients(sat, *sweep)
     costs = solve_unit_costs(
         fit.coefficients, sc.cost_table, sc.roster.best_config(), sc.roster, fit.identified
     )

@@ -16,15 +16,15 @@ from rendergov.configspace import (
 from rendergov.harness import initialize
 from rendergov.simgpu import FramePowers
 from rendergov.powermodel import (
+    CLAMP_FRACTION,
     CostTable,
-    FrameSample,
     PowerCoefficients,
     PowerModel,
     SaturationConstants,
     UnitCosts,
     coefficients_for_config,
     fit_coefficients,
-    linearize_sample,
+    linearize,
     pass_loads,
     predict_all,
     predict_power,
@@ -32,6 +32,9 @@ from rendergov.powermodel import (
 )
 
 ONE_PASS_SAT = SaturationConstants(10.0, 100.0, ((1.0, 1.0, 1.0),))
+TWO_PASS_SAT = SaturationConstants(
+    10.0, 100.0, ((100.0, 2e5, 4e5), (50.0, 1e5, 3e5))
+)
 
 
 def test_predict_zero_load_is_exactly_p_min():
@@ -66,22 +69,22 @@ def test_predict_bounds_and_monotonicity(prims, coeffs):
 
 
 def test_linearize_at_p_min_gives_near_zero_target():
-    lin = linearize_sample(ONE_PASS_SAT, FrameSample(10.0, ((0.0, 0.0, 0.0),)))
-    assert lin.clamped
-    assert 0.0 < lin.target < 0.01
+    rows, (target,), (clamped,) = linearize(ONE_PASS_SAT, [10.0], [((0.0, 0.0, 0.0),)])
+    assert clamped
+    assert 0.0 < target < 0.01
 
 
 def test_linearize_inverse_of_hand_example():
-    lin = linearize_sample(ONE_PASS_SAT, FrameSample(59.5647, ((0.2, 0.1, 0.3),)))
-    assert not lin.clamped
-    assert lin.target == pytest.approx(0.8, abs=1e-3)
-    assert lin.row == (0.2, 0.1, 0.3)
+    (row,), (target,), (clamped,) = linearize(ONE_PASS_SAT, [59.5647], [((0.2, 0.1, 0.3),)])
+    assert not clamped
+    assert target == pytest.approx(0.8, abs=1e-3)
+    assert tuple(row.tolist()) == (0.2, 0.1, 0.3)
 
 
 def test_linearize_clamps_saturated_reading():
-    lin = linearize_sample(ONE_PASS_SAT, FrameSample(120.0, ((1.0, 1.0, 1.0),)))
-    assert lin.clamped
-    assert lin.target == pytest.approx(-math.log(1e-3), rel=1e-12)
+    rows, (target,), (clamped,) = linearize(ONE_PASS_SAT, [120.0], [((1.0, 1.0, 1.0),)])
+    assert clamped
+    assert target == pytest.approx(-math.log(1e-3), rel=1e-12)
 
 
 @given(
@@ -94,14 +97,63 @@ def test_linearize_round_trip(prims, coeffs):
     primitives = (tuple(prims),)
     alpha = sum(pass_loads(ONE_PASS_SAT, coefficients.per_pass, primitives).tolist())
     p = predict_power(ONE_PASS_SAT, coefficients, primitives)
-    lin = linearize_sample(ONE_PASS_SAT, FrameSample(p, primitives))
-    if not lin.clamped:
-        assert lin.target == pytest.approx(alpha, rel=1e-12, abs=1e-12)
+    rows, (target,), (clamped,) = linearize(ONE_PASS_SAT, [p], [primitives])
+    if not clamped:
+        assert target == pytest.approx(alpha, rel=1e-12, abs=1e-12)
+
+
+def _linearize_frame(saturation, p, per_pass):
+    """One frame's row, target and clamp flag by the scalar formula that
+    :func:`linearize` takes over whole windows: the reference its bits must
+    match."""
+    eps = CLAMP_FRACTION * saturation.span
+    clamped = not (saturation.p_min + eps <= p <= saturation.p_max - eps)
+    p = min(max(p, saturation.p_min + eps), saturation.p_max - eps)
+    target = -math.log(1.0 - (p - saturation.p_min) / saturation.span)
+    row = []
+    for (big_b, big_v, big_f), (b, v, f) in zip(saturation.per_pass, per_pass):
+        row.extend((b / big_b, v / big_v, f / big_f))
+    return row, target, clamped
+
+
+@pytest.mark.parametrize(
+    "saturation",
+    [
+        TWO_PASS_SAT,
+        SaturationConstants(
+            13.37, 97.1, ((123.4, 5.6e5, 7.8e5), (3.3, 1.1e4, 2.2e5), (0.7, 9e3, 1.3e6))
+        ),
+    ],
+)
+def test_linearize_equals_per_frame_formula_bit_for_bit(saturation):
+    """Rows, targets and clamp flags equal the per-frame scalar formula's,
+    readings below, at, just inside and above both clamp bounds included."""
+    rng = np.random.default_rng(28)
+    eps = CLAMP_FRACTION * saturation.span
+    low, high = saturation.p_min + eps, saturation.p_max - eps
+    bounds = [
+        saturation.p_min, low, math.nextafter(low, -math.inf), math.nextafter(low, math.inf),
+        saturation.p_max, high, math.nextafter(high, -math.inf), math.nextafter(high, math.inf),
+        1e-9, 0.5 * saturation.p_min, 2.0 * saturation.p_max,
+    ]
+    watts = np.concatenate(
+        [bounds, rng.uniform(saturation.p_min - 5.0, saturation.p_max + 5.0, 40)]
+    )
+    counts = rng.uniform(0.0, 1.5, (len(watts), len(saturation.per_pass), 3))
+    counts *= saturation.per_pass
+    counts[::3, -1] = 0.0
+    rows, targets, clamped = linearize(saturation, watts, counts)
+    expected = [
+        _linearize_frame(saturation, p, c) for p, c in zip(watts.tolist(), counts.tolist())
+    ]
+    assert rows.tobytes() == np.array([row for row, _, _ in expected]).tobytes()
+    assert targets.tobytes() == np.array([t for _, t, _ in expected]).tobytes()
+    assert clamped.tolist() == [c for _, _, c in expected]
+    assert clamped[1:8].tolist() == [False, True, False, True, False, False, True]
 
 
 def _synthetic_samples(rng, saturation, coefficients, n, noise=0.0):
-    samples = []
-    n_passes = len(saturation.per_pass)
+    watts, counts = [], []
     for _ in range(n):
         prims = tuple(
             tuple(rng.uniform(0.0, 0.6) * big for big in triple)
@@ -109,20 +161,18 @@ def _synthetic_samples(rng, saturation, coefficients, n, noise=0.0):
         )
         p = predict_power(saturation, coefficients, prims)
         p += rng.normal(0.0, noise * saturation.span) if noise else 0.0
-        samples.append(FrameSample(max(p, 1e-9), prims))
-    return samples
+        watts.append(max(p, 1e-9))
+        counts.append(prims)
+    return np.array(watts), np.array(counts)
 
 
-TWO_PASS_SAT = SaturationConstants(
-    10.0, 100.0, ((100.0, 2e5, 4e5), (50.0, 1e5, 3e5))
-)
 TRUE_COEFFS = PowerCoefficients(((0.7, 0.6, 0.9), (0.5, 0.55, 1.2)))
 
 
 def test_fit_recovers_noiseless_coefficients_exactly():
     rng = np.random.default_rng(42)
     samples = _synthetic_samples(rng, TWO_PASS_SAT, TRUE_COEFFS, 30)
-    fit = fit_coefficients(samples, TWO_PASS_SAT)
+    fit = fit_coefficients(TWO_PASS_SAT, *samples)
     assert not fit.degenerate
     for got, want in zip(fit.coefficients.per_pass, TRUE_COEFFS.per_pass):
         for g, w in zip(got, want):
@@ -132,19 +182,18 @@ def test_fit_recovers_noiseless_coefficients_exactly():
 def test_fit_flags_identical_samples_as_degenerate():
     prims = ((30.0, 5e4, 1e5), (20.0, 3e4, 9e4))
     p = predict_power(TWO_PASS_SAT, TRUE_COEFFS, prims)
-    samples = [FrameSample(p, prims)] * 12
-    fit = fit_coefficients(samples, TWO_PASS_SAT)
+    fit = fit_coefficients(TWO_PASS_SAT, [p] * 12, [prims] * 12)
     assert fit.degenerate
 
 
 def test_fit_under_gaussian_noise_predicts_held_out_frames():
     rng = np.random.default_rng(31337)
     samples = _synthetic_samples(rng, TWO_PASS_SAT, TRUE_COEFFS, 30, noise=0.01)
-    fit = fit_coefficients(samples, TWO_PASS_SAT)
+    fit = fit_coefficients(TWO_PASS_SAT, *samples)
     held_out = _synthetic_samples(rng, TWO_PASS_SAT, TRUE_COEFFS, 100)
     errs = [
-        abs(predict_power(TWO_PASS_SAT, fit.coefficients, s.per_pass) - s.measured_power)
-        for s in held_out
+        abs(predict_power(TWO_PASS_SAT, fit.coefficients, per_pass) - measured)
+        for measured, per_pass in zip(*held_out)
     ]
     assert np.mean(errs) <= 0.02 * TWO_PASS_SAT.span
 
@@ -153,19 +202,20 @@ def test_fit_requires_enough_samples():
     rng = np.random.default_rng(1)
     samples = _synthetic_samples(rng, TWO_PASS_SAT, TRUE_COEFFS, 5)
     with pytest.raises(ValueError):
-        fit_coefficients(samples, TWO_PASS_SAT)
+        fit_coefficients(TWO_PASS_SAT, *samples)
 
 
 def test_fit_marks_silent_pass_unidentified():
     rng = np.random.default_rng(2)
-    samples = []
+    watts, counts = [], []
     for _ in range(12):
         prims = (
             tuple(rng.uniform(0.0, 0.6) * b for b in TWO_PASS_SAT.per_pass[0]),
             (0.0, 0.0, 0.0),
         )
-        samples.append(FrameSample(predict_power(TWO_PASS_SAT, TRUE_COEFFS, prims), prims))
-    fit = fit_coefficients(samples, TWO_PASS_SAT)
+        watts.append(predict_power(TWO_PASS_SAT, TRUE_COEFFS, prims))
+        counts.append(prims)
+    fit = fit_coefficients(TWO_PASS_SAT, watts, counts)
     assert fit.identified[0] == (True, True, True)
     assert fit.identified[1] == (False, False, False)
     assert fit.coefficients.per_pass[1] == (0.0, 0.0, 0.0)
@@ -470,8 +520,8 @@ def test_two_pass_prediction_is_sum_of_per_pass_load_terms():
 
 def test_fit_rejects_fewer_than_three_samples_per_pass():
     rng = np.random.default_rng(9)
-    samples = _synthetic_samples(rng, TWO_PASS_SAT, TRUE_COEFFS, 3 * 2)
-    fit_coefficients(samples, TWO_PASS_SAT)
-    for window in ([], samples[:-1]):
+    watts, counts = _synthetic_samples(rng, TWO_PASS_SAT, TRUE_COEFFS, 3 * 2)
+    fit_coefficients(TWO_PASS_SAT, watts, counts)
+    for frames in (slice(0), slice(-1)):
         with pytest.raises(ValueError, match="need at least 6 samples"):
-            fit_coefficients(window, TWO_PASS_SAT)
+            fit_coefficients(TWO_PASS_SAT, watts[frames], counts[frames])

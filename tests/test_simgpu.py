@@ -15,7 +15,6 @@ from rendergov.configspace import (
 )
 from rendergov.powermodel import (
     CostTable,
-    FrameSample,
     PowerCoefficients,
     SaturationConstants,
     UnitCosts,
@@ -80,14 +79,9 @@ def test_closed_loop_fit_reproduces_oracle_exactly(mini_scenario):
     oracle = dataclasses.replace(sc.oracle, noise_sigma=0.0)
     sat = oracle.saturation  # true constants
     cfg = RenderingConfiguration((0, 1, 0))
-    samples = [
-        FrameSample(
-            measure_power(oracle, cfg, f, sc.trace),
-            sc.trace.primitives_for(sc.roster, cfg, f),
-        )
-        for f in range(30)
-    ]
-    fit = fit_coefficients(samples, sat)
+    watts = [measure_power(oracle, cfg, f, sc.trace) for f in range(30)]
+    counts = [sc.trace.primitives_for(sc.roster, cfg, f) for f in range(30)]
+    fit = fit_coefficients(sat, watts, counts)
     for f in range(30, 60):
         prims = sc.trace.primitives_for(sc.roster, cfg, f)
         predicted = predict_power(sat, fit.coefficients, prims)
@@ -563,9 +557,9 @@ def test_count_producers_zero_unused_kinds(mini_scenario):
 
     # The sweep reads only the scenario's seed, roster and oracle.
     scenario = dataclasses.replace(mini_scenario, seed=oracle.seed, roster=roster, oracle=oracle)
-    sweep = _generic_sweep_samples(scenario, oracle.saturation.per_pass)
-    assert all(s.per_pass[mi][kind] == 0.0 for s in sweep for mi, kind in unused)
-    fit = fit_coefficients(sweep, oracle.saturation)
+    watts, counts = _generic_sweep_samples(scenario, oracle.saturation.per_pass)
+    assert all((counts[:, mi, kind] == 0.0).all() for mi, kind in unused)
+    fit = fit_coefficients(oracle.saturation, watts, counts)
     assert fit.identified == roster.model_masks
 
     probe = probe_saturation(oracle, probe_min_power(oracle, empty_trace(roster, 30), 30))
@@ -814,7 +808,7 @@ def _per_sample_sweep(scenario, saturation_per_pass):
     oracle, roster = scenario.oracle, scenario.roster
     uses = np.asarray(roster.model_masks, dtype=float)
     n = len(saturation_per_pass)
-    samples = []
+    watts, counts = [], []
     for k in range(120):
         rng = np.random.default_rng([scenario.seed, 424243, k])
         weights = rng.uniform(0.1, 1.0, size=(n, 3)) * uses
@@ -824,8 +818,9 @@ def _per_sample_sweep(scenario, saturation_per_pass):
         )
         power = _per_call_power_from_primitives(oracle, roster.best_config(), prims, None)
         power += _per_call_noise(oracle, 20_000_000 + k)
-        samples.append(FrameSample(max(power, 1e-9), prims))
-    return samples
+        watts.append(max(power, 1e-9))
+        counts.append(prims)
+    return np.array(watts), np.array(counts)
 
 
 def test_generic_sweep_equals_per_sample_default_rng(demo_scenario, mini_scenario):
@@ -834,7 +829,10 @@ def test_generic_sweep_equals_per_sample_default_rng(demo_scenario, mini_scenari
             oracle = dataclasses.replace(scenario.oracle, seed=seed)
             sc = dataclasses.replace(scenario, seed=seed, oracle=oracle)
             per_pass = oracle.saturation.per_pass
-            assert _generic_sweep_samples(sc, per_pass) == _per_sample_sweep(sc, per_pass)
+            watts, counts = _generic_sweep_samples(sc, per_pass)
+            expected_watts, expected_counts = _per_sample_sweep(sc, per_pass)
+            assert watts.tobytes() == expected_watts.tobytes()
+            assert counts.tobytes() == expected_counts.tobytes()
 
 
 def test_negative_seed_is_rejected_by_the_oracle(mini_scenario):
