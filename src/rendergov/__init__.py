@@ -20,7 +20,6 @@ from .governor import (
 )
 from .powermodel import (
     CostTable,
-    PowerCoefficients,
     PowerModel,
     SaturationConstants,
     UnitCosts,

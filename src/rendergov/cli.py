@@ -135,8 +135,8 @@ def main(argv=None) -> int:
         elif args.command == "probe":
             # Probing only: the command reports no error ratios.
             init = _probe(scenario)
-            print(f"p_min = {init.p_min_probed}")
-            print(f"p_max = {init.probe.p_max_observed}")
+            print(f"p_min = {init.probe.saturation.p_min}")
+            print(f"p_max = {init.probe.saturation.p_max}")
             print(f"probe_frames_used = {init.probe_frames_used}")
             names = [
                 scenario.roster.passes[i].name for i in scenario.roster.model_pass_indices

@@ -21,7 +21,6 @@ from .configspace import (
     single_degradation_config,
 )
 from .powermodel import (
-    PowerCoefficients,
     PowerModel,
     SaturationConstants,
     UnitCostResult,
@@ -382,9 +381,7 @@ class Governor:
         # Slots this window could not identify keep what the previous snapshot
         # believed about this configuration instead of silently becoming zero.
         prior = self.power_model.coefficients_for(fitted_config)
-        coefficients = PowerCoefficients(
-            np.where(fit_res.identified, fit_res.coefficients.per_pass, prior.per_pass).tolist()
-        )
+        coefficients = np.where(fit_res.identified, fit_res.coefficients, prior)
         try:
             cost_res = solve_unit_costs(
                 fit_res.coefficients,
@@ -396,14 +393,13 @@ class Governor:
             unit_costs = cost_res.unit_costs
         except ValueError:
             # Nothing identified; keep the previous unit costs.
-            cost_res = UnitCostResult(self.power_model.unit_costs, float("nan"), True)
+            cost_res = UnitCostResult(self.power_model.unit_costs, float("nan"))
             unit_costs = self.power_model.unit_costs
         model = replace(
             self.power_model,
             coefficients=coefficients,
             unit_costs=unit_costs,
             fitted_config=fitted_config,
-            identified=fit_res.identified,
         )
         self.fit_count += 1
         self._schedule(frame + self.config.fit_latency_frames, "fit", (model, fit_res, cost_res))
@@ -506,18 +502,9 @@ class Governor:
             phase=phase_label,
             s_eff=st.s_eff,
             budget_watts=self.budget,
-            selection=flags.get("selection", False),
-            refit=flags.get("refit", False),
-            reuse=flags.get("reuse", False),
-            infeasible=flags.get("infeasible", False),
-            degenerate=flags.get("degenerate", False),
-            fit_clamped=flags.get("fit_clamped", 0),
-            fit_residual=flags.get("fit_residual"),
-            cost_residual=flags.get("cost_residual"),
             bg_request=bg_request,
-            err_update_pass=flags.get("err_update_pass", -1),
-            err_update_value=flags.get("err_update_value"),
             e_worst=self.error_model.e_worst,
             staleness=self.error_model.staleness(frame),
+            **flags,
         )
         return TickResult(st.s_eff, record)

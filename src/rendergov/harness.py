@@ -33,7 +33,6 @@ from .governor import (
     pass_slot_config,
 )
 from .powermodel import (
-    PowerCoefficients,
     PowerModel,
     SaturationConstants,
     UnitCosts,
@@ -102,7 +101,6 @@ def _fmt(value) -> str:
 
 @dataclass(frozen=True)
 class Initialization:
-    p_min_probed: float
     probe: ProbeResult
     power_model: PowerModel
     # None from :func:`_probe` alone, which does not calibrate.
@@ -140,7 +138,7 @@ def _probe(scenario: Scenario) -> Initialization:
     model = PowerModel(
         roster=roster,
         saturation=probe.saturation,
-        coefficients=PowerCoefficients.zeros(n_model),
+        coefficients=np.zeros((n_model, 3)),
         unit_costs=UnitCosts(0.0, 0.0),
         cost_table=scenario.cost_table,
         fitted_config=scenario.initial_config,
@@ -161,11 +159,9 @@ def _probe(scenario: Scenario) -> Initialization:
             coefficients=fit.coefficients,
             unit_costs=costs.unit_costs,
             fitted_config=roster.best_config(),
-            identified=fit.identified,
         )
 
     return Initialization(
-        p_min_probed=p_min,
         probe=probe,
         power_model=model,
         error_model=None,
@@ -309,7 +305,7 @@ _worker: tuple | None = None
 _Jobs = list[tuple[int, list[RenderingConfiguration]]]
 # One governed frame of a run: its s_eff, and the saturation constants and
 # s_eff's coefficients of the power model the governor held after its tick.
-_Governed = tuple[RenderingConfiguration, SaturationConstants, PowerCoefficients]
+_Governed = tuple[RenderingConfiguration, SaturationConstants, np.ndarray]
 # Per governed frame: the best and worst configurations' measured power, and
 # s_eff's measured and predicted power.
 _FramePowers = tuple[float, float, float, float]
@@ -685,8 +681,8 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         "budget_percent": scenario.governor.budget_percent,
         "budget_watts": budget_watts(scenario.governor, init.power_model.saturation),
         "error_budget": scenario.governor.error_budget,
-        "p_min_probed": init.p_min_probed,
-        "p_max_probed": init.probe.p_max_observed,
+        "p_min_probed": init.probe.saturation.p_min,
+        "p_max_probed": init.probe.saturation.p_max,
         "probe_frames_used": init.probe_frames_used,
         "governed_mean_power": mean(measured for _, _, measured, _ in powers),
         "governed_mean_error": mean(errors),
@@ -730,8 +726,8 @@ def replay(
         "replay_config": str(config),
         "frames": len(frames),
         "budget_watts": budget,
-        "p_min_probed": init.p_min_probed,
-        "p_max_probed": init.probe.p_max_observed,
+        "p_min_probed": init.probe.saturation.p_min,
+        "p_max_probed": init.probe.saturation.p_max,
         "mean_power": stats["mean_power"],
         "mean_error": stats["mean_error"],
         "error_samples": len(stats["errors"]),

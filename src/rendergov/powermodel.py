@@ -66,24 +66,6 @@ class SaturationConstants:
 
 
 @dataclass(frozen=True)
-class PowerCoefficients:
-    """Per-pass (k_b, k_v, k_f) weights; all nonnegative."""
-
-    per_pass: tuple[Primitives, ...]
-
-    def __post_init__(self) -> None:
-        pp = tuple(tuple(float(c) for c in triple) for triple in self.per_pass)
-        for triple in pp:
-            if len(triple) != 3 or any(c < 0 for c in triple):
-                raise ValueError("coefficients must be nonnegative (k_b, k_v, k_f) triples")
-        object.__setattr__(self, "per_pass", pp)
-
-    @staticmethod
-    def zeros(n_passes: int) -> "PowerCoefficients":
-        return PowerCoefficients(tuple((0.0, 0.0, 0.0) for _ in range(n_passes)))
-
-
-@dataclass(frozen=True)
 class CostTable:
     """Static shader costs per non-resolution pass.
 
@@ -137,13 +119,14 @@ class UnitCosts:
 
 @dataclass(frozen=True)
 class FitResult:
-    coefficients: PowerCoefficients
+    # ``[i]`` is pass i's fitted (k_b, k_v, k_f), all nonnegative.
+    coefficients: np.ndarray
     residual_norm: float
     degenerate: bool
-    # Per (pass, kind) flag: False where the sample window carried no signal
-    # for that coefficient (all-zero design column), so the zero it got is a
+    # ``[i, kind]`` is False where the sample window carried no signal for
+    # that coefficient (all-zero design column), so the zero it got is a
     # placeholder, not an estimate.
-    identified: tuple[tuple[bool, bool, bool], ...]
+    identified: np.ndarray
     clamp_count: int
 
 
@@ -151,22 +134,23 @@ class FitResult:
 class UnitCostResult:
     unit_costs: UnitCosts
     residual_norm: float
-    psi_indeterminate: bool
 
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Immutable snapshot of everything needed to predict any configuration."""
+    """Immutable snapshot of everything needed to predict any configuration.
+
+    ``coefficients[i]`` is model pass i's (k_b, k_v, k_f) at the fitted
+    configuration."""
 
     roster: PassRoster
     saturation: SaturationConstants
-    coefficients: PowerCoefficients
+    coefficients: np.ndarray
     unit_costs: UnitCosts
     cost_table: CostTable
     fitted_config: RenderingConfiguration
-    identified: tuple[tuple[bool, bool, bool], ...] | None = None
 
-    def coefficients_for(self, config: RenderingConfiguration) -> PowerCoefficients:
+    def coefficients_for(self, config: RenderingConfiguration) -> np.ndarray:
         """Raw fitted coefficients for the fitted configuration, reuse for the rest."""
         if config == self.fitted_config:
             return self.coefficients
@@ -219,26 +203,27 @@ def power(saturation: SaturationConstants, loads: np.ndarray) -> np.ndarray:
 
 def predict_powers(
     saturation: SaturationConstants,
-    coefficients: PowerCoefficients,
+    coefficients: np.ndarray,
     counts,
 ) -> np.ndarray:
     """Predicted watts at each row of per-pass (b, v, f) counts
-    ``counts[..., i]``, 0.0 for every kind a pass does not use.
+    ``counts[..., i]``, 0.0 for every kind a pass does not use, from
+    ``(passes, 3)`` coefficients.
 
     The result lies in [P_m, P_M): the asymptote is open in exact arithmetic,
     but rounding can land on P_M at extreme loads, so the bound is enforced
     explicitly.
     """
     n = len(saturation.per_pass)
-    if len(coefficients.per_pass) != n or np.shape(counts)[-2:] != (n, 3):
+    if np.shape(coefficients) != (n, 3) or np.shape(counts)[-2:] != (n, 3):
         raise ValueError("saturation, coefficients, and primitives disagree on pass count")
-    watts = power(saturation, pass_loads(saturation, coefficients.per_pass, counts))
+    watts = power(saturation, pass_loads(saturation, coefficients, counts))
     return np.minimum(watts, math.nextafter(saturation.p_max, -math.inf))
 
 
 def predict_power(
     saturation: SaturationConstants,
-    coefficients: PowerCoefficients,
+    coefficients: np.ndarray,
     primitives,
 ) -> float:
     """:func:`predict_powers` of one frame's per-pass (b, v, f) counts."""
@@ -333,10 +318,10 @@ def fit_coefficients(saturation: SaturationConstants, watts, counts) -> FitResul
         residual = float(np.linalg.norm(y))
 
     return FitResult(
-        coefficients=PowerCoefficients(x.reshape(n_passes, 3).tolist()),
+        coefficients=x.reshape(n_passes, 3),
         residual_norm=residual,
         degenerate=degenerate,
-        identified=tuple(map(tuple, observed.reshape(n_passes, 3).tolist())),
+        identified=observed.reshape(n_passes, 3),
         clamp_count=int(clamped.sum()),
     )
 
@@ -347,48 +332,43 @@ def _model_levels(roster: PassRoster, config: RenderingConfiguration) -> tuple[i
 
 
 def solve_unit_costs(
-    coefficients: PowerCoefficients,
+    coefficients: np.ndarray,
     cost_table: CostTable,
     fitted_config: RenderingConfiguration,
     roster: PassRoster,
-    identified=None,
+    identified=True,
 ) -> UnitCostResult:
-    """Recover (chi, psi) from fitted coefficients and the cost table.
+    """Recover (chi, psi) from ``(passes, 3)`` fitted coefficients and the
+    cost table.
 
     Solves the overdetermined system k_v[i] = chi * Ins_v[i] and
     k_f[i] = chi * Ins_f[i][l] + psi * Tex_f[i][l] at the fitted levels, in the
-    least-squares sense with nonnegativity. Equations for coefficients the fit
-    could not identify contribute nothing and are dropped.
+    least-squares sense with nonnegativity, pass by pass. Equations for
+    coefficients a pass does not use, or the fit could not identify
+    (``identified[i, kind]`` False), contribute nothing and are dropped.
     """
     levels = _model_levels(roster, fitted_config)
-    masks = roster.model_masks
     if cost_table.n_passes != len(levels):
         raise ValueError("cost table does not cover the roster's model passes")
-    rows = []
-    targets = []
+    # [i, 0] is pass i's k_v equation and [i, 1] its k_f equation.
+    equations = np.zeros((len(levels), 2, 2))
+    equations[:, 0, 0] = cost_table.ins_v
     for i, lvl in enumerate(levels):
-        ub, uv, uf = masks[i]
-        ident_b, ident_v, ident_f = identified[i] if identified is not None else (True,) * 3
-        kb, kv, kf = coefficients.per_pass[i]
-        if uv and ident_v:
-            rows.append((cost_table.ins_v[i], 0.0))
-            targets.append(kv)
-        if uf and ident_f:
-            rows.append((cost_table.ins_f[i][lvl], cost_table.tex_f[i][lvl]))
-            targets.append(kf)
-    if not rows:
+        equations[i, 1] = cost_table.ins_f[i][lvl], cost_table.tex_f[i][lvl]
+    keep = (np.reshape(roster.model_masks, (-1, 3)).astype(bool) & identified)[:, 1:]
+    if not keep.any():
         raise ValueError("no usable equations: fit identified no vertex/fragment coefficients")
-    a = np.asarray(rows, dtype=float)
-    y = np.asarray(targets, dtype=float)
+    a = equations[keep]
+    y = coefficients[:, 1:][keep]
 
-    psi_indeterminate = bool(np.abs(a[:, 1]).max() == 0.0)
-    if psi_indeterminate:
+    if np.abs(a[:, 1]).max() == 0.0:
+        # No equation sees a texel: psi is indeterminate, and stays 0.
         sol, residual = _nonnegative_lstsq(a[:, :1], y)
         chi, psi = float(sol[0]), 0.0
     else:
         sol, residual = _nonnegative_lstsq(a, y)
         chi, psi = float(sol[0]), float(sol[1])
-    return UnitCostResult(UnitCosts(chi, psi), residual, psi_indeterminate)
+    return UnitCostResult(UnitCosts(chi, psi), residual)
 
 
 def level_coefficients(unit_costs: UnitCosts, cost_table: CostTable, k_b) -> np.ndarray:
@@ -418,13 +398,14 @@ def coefficients_for_config(
     unit_costs: UnitCosts,
     cost_table: CostTable,
     config: RenderingConfiguration,
-    fitted: PowerCoefficients,
+    fitted: np.ndarray,
     roster: PassRoster,
-) -> PowerCoefficients:
-    """Coefficients for an arbitrary configuration from one fitted set: its
-    row of :func:`level_coefficients`, with the fitted batch costs."""
-    table = level_coefficients(unit_costs, cost_table, [k[0] for k in fitted.per_pass])
-    return PowerCoefficients(level_rows(roster, table, config).tolist())
+) -> np.ndarray:
+    """Coefficients for an arbitrary configuration from one fitted ``(passes,
+    3)`` set: its rows of :func:`level_coefficients`, with the fitted batch
+    costs."""
+    table = level_coefficients(unit_costs, cost_table, fitted[:, 0])
+    return level_rows(roster, table, config)
 
 
 def config_counts(
@@ -466,9 +447,7 @@ def predict_all(model: PowerModel, counts: np.ndarray) -> np.ndarray:
     equals :func:`predict_power` of its configuration bit for bit.
     """
     roster, sat = model.roster, model.saturation
-    reuse = level_coefficients(
-        model.unit_costs, model.cost_table, [k[0] for k in model.coefficients.per_pass]
-    )
+    reuse = level_coefficients(model.unit_costs, model.cost_table, model.coefficients[:, 0])
     loads = pass_loads(sat, reuse.transpose(1, 0, 2)[:, None], counts)
     out = np.minimum(power(sat, lattice_loads(roster, loads)), math.nextafter(sat.p_max, -math.inf))
     fitted = model.fitted_config

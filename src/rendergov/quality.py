@@ -205,7 +205,6 @@ class ErrorRatioTable:
     """
 
     ratios: tuple[tuple[float, ...], ...]
-    inert: tuple[bool, ...] = ()
 
     def __post_init__(self) -> None:
         ratios = tuple(tuple(float(r) for r in row) for row in self.ratios)
@@ -213,10 +212,6 @@ class ErrorRatioTable:
             if any(r < 0 for r in row):
                 raise ValueError(f"pass {i}: ratios must be nonnegative")
         object.__setattr__(self, "ratios", ratios)
-        inert = self.inert or tuple(False for _ in ratios)
-        if len(inert) != len(ratios):
-            raise ValueError("inert flags must match the pass count")
-        object.__setattr__(self, "inert", tuple(bool(b) for b in inert))
 
 
 @dataclass(frozen=True)
@@ -264,7 +259,7 @@ def calibrate_ratios(
     once, for every single-pass degradation. For each pass and level the
     ratio is the mean over calibration frames of e(level) / e(worst level);
     frames where the worst level itself produces no error are skipped, and a
-    pass with no usable frame at all is marked inert with zero ratios.
+    pass with no usable frame at all, or with one level, gets all-zero ratios.
     """
     calibration_frames = list(calibration_frames)
     if not calibration_frames:
@@ -276,12 +271,10 @@ def calibrate_ratios(
     errors = [dict(zip(degradations, scorer(frame)(configs))) for frame in calibration_frames]
 
     ratios: list[tuple[float, ...]] = []
-    inert: list[bool] = []
     for i, p in enumerate(roster.passes):
         lmax = p.level_count - 1
         if lmax == 0:
             ratios.append((0.0,))
-            inert.append(True)
             continue
         per_level_sums = [0.0] * (lmax + 1)
         usable = 0
@@ -294,15 +287,13 @@ def calibrate_ratios(
                 per_level_sums[lvl] += frame_errors[i, lvl] / worst
         if usable == 0:
             ratios.append(tuple(0.0 for _ in range(lmax + 1)))
-            inert.append(True)
             continue
         row = [0.0] * (lmax + 1)
         for lvl in range(1, lmax):
             row[lvl] = per_level_sums[lvl] / usable
         row[lmax] = 1.0
         ratios.append(tuple(row))
-        inert.append(False)
-    return ErrorRatioTable(tuple(ratios), tuple(inert))
+    return ErrorRatioTable(tuple(ratios))
 
 
 def update_worst_errors(

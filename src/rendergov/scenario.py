@@ -384,6 +384,8 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     for name_ in ("min_power_frames", "frames_per_reading"):
         if getattr(probe, name_) < 1:
             raise ScenarioError(f"probe.{name_} must be >= 1")
+    if probe.max_doublings < 0:
+        raise ScenarioError("probe.max_doublings must be >= 0")
     if not 0.0 < probe.start_count < math.inf:
         raise ScenarioError("probe.start_count must be a positive finite number")
 

@@ -23,7 +23,6 @@ from scipy.ndimage import uniform_filter
 from .configspace import PassRoster, RenderingConfiguration
 from .powermodel import (
     CostTable,
-    PowerCoefficients,
     SaturationConstants,
     UnitCosts,
     lattice_loads,
@@ -402,13 +401,13 @@ class HiddenPowerOracle:
 
     def true_coefficients(
         self, config: RenderingConfiguration, cost_scales=None
-    ) -> PowerCoefficients:
-        """Per-pass (k_b, k_v, k_f) at the configuration's levels, each times
-        the pass's cost scale: ``config``'s rows of :attr:`coefficients`."""
+    ) -> np.ndarray:
+        """``[i]`` is pass i's (k_b, k_v, k_f) at the configuration's levels,
+        times the pass's cost scale: ``config``'s rows of :attr:`coefficients`."""
         rows = level_rows(self.roster, self.coefficients, config)
         if cost_scales is not None:
             rows = rows * np.reshape(cost_scales, (-1, 1))
-        return PowerCoefficients(rows.tolist())
+        return rows
 
     def exact(self, config: RenderingConfiguration, counts, cost_scales=1.0) -> np.ndarray:
         """The power formula, unclamped, at each row of per-pass (b, v, f)
@@ -748,7 +747,6 @@ class ProbeResult:
     # "ok" | "cap" | "unused" per (model pass, primitive kind)
     flags: tuple[tuple[str, str, str], ...]
     frames_used: int
-    p_max_observed: float
 
 
 def probe_min_power(
@@ -847,5 +845,4 @@ def probe_saturation(
         saturation=saturation,
         flags=tuple(tuple(f) for f in flags),
         frames_used=frame - start,
-        p_max_observed=p_max_observed,
     )

@@ -83,7 +83,7 @@ def test_criterion_01_fit_recovery(demo):
     fit = fit_coefficients(sat, watts, counts)
     truth = oracle0.true_coefficients(S_B)
     max_rel = 0.0
-    for got, want, ident in zip(fit.coefficients.per_pass, truth.per_pass, fit.identified):
+    for got, want, ident in zip(fit.coefficients, truth, fit.identified):
         for g, w, ok in zip(got, want, ident):
             if ok and w > 0:
                 max_rel = max(max_rel, abs(g - w) / w)
@@ -349,7 +349,7 @@ def test_criterion_09_probing(demo):
     oracle = dataclasses.replace(demo.oracle, noise_sigma=0.0)
     p_min = probe_min_power(oracle, empty_trace(demo.roster, 30), 30)
     probe = probe_saturation(oracle, p_min, demo.probe)
-    p_max_err = abs(probe.p_max_observed - oracle.saturation.p_max) / oracle.saturation.p_max
+    p_max_err = abs(probe.saturation.p_max - oracle.saturation.p_max) / oracle.saturation.p_max
     assert p_max_err <= 0.01
     worst_ratio = 1.0
     for flags, got, true in zip(probe.flags, probe.saturation.per_pass, oracle.saturation.per_pass):

@@ -32,7 +32,6 @@ from rendergov.governor import (
 from rendergov.harness import initialize
 from rendergov.powermodel import (
     CostTable,
-    PowerCoefficients,
     PowerModel,
     SaturationConstants,
     UnitCosts,
@@ -248,7 +247,7 @@ def _one_pass_model():
         (PassDescriptor("p0", 2, uses_batches=True, uses_vertices=True, uses_fragments=True),)
     )
     table = CostTable(ins_v=(300.0,), ins_f=((400.0, 100.0),), tex_f=((10.0, 2.0),))
-    coeffs = PowerCoefficients(((0.5, 0.6, 0.9),))
+    coeffs = np.array([(0.5, 0.6, 0.9)])
     return PowerModel(
         roster=roster,
         saturation=SAT,

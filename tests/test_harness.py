@@ -38,7 +38,7 @@ from rendergov.harness import (
     run,
     write_oracle_table,
 )
-from rendergov.powermodel import PowerCoefficients, config_counts, predict_power
+from rendergov.powermodel import config_counts, predict_power
 from rendergov.quality import calibrate_ratios, map_mean, quality_error, row_sums
 from rendergov.simgpu import FramePowers, exact_power, measure_power, render_frame
 from rendergov.truth import FrameScorer
@@ -389,7 +389,7 @@ def test_reveal_oracle_exposes_hidden_parameters(mini_scenario):
 def test_initialization_is_deterministic(mini_scenario):
     a = initialize(mini_scenario)
     b = initialize(mini_scenario)
-    assert a.p_min_probed == b.p_min_probed
+    assert a.probe == b.probe
     assert a.probe.saturation == b.probe.saturation
     assert a.error_model.ratios == b.error_model.ratios
 
@@ -595,10 +595,10 @@ def test_run_task_sends_coefficients_not_power_models(demo_scenario, monkeypatch
     run(dataclasses.replace(demo_scenario, trace=trace))
     # Tasks carry SSIM jobs only: the caller takes the powers, so no part of
     # a power model crosses to a worker. The whole PowerModel pickles to
-    # 1,927 bytes on demo.
+    # 1,719 bytes on demo, numpy arrays included.
     model_size = len(pickle.dumps(initialize(demo_scenario).power_model))
     assert tasks and max(map(len, tasks)) < min(1_100, model_size)
-    for name in (b"PowerModel", b"PowerCoefficients", b"SaturationConstants"):
+    for name in (b"PowerModel", b"numpy", b"SaturationConstants"):
         assert not any(name in task for task in tasks), name
 
 
@@ -743,8 +743,8 @@ def test_run_powers_equal_scalar_powers(regime_scenario, demo_scenario):
         trace = dataclasses.replace(scenario.trace, frame_count=203)
         scenario = dataclasses.replace(scenario, trace=trace)
         config = RenderingConfiguration(tuple(p.level_count // 2 for p in roster.passes))
-        fitted = PowerCoefficients(oracle.true_coefficients(config).per_pass)
-        refit = PowerCoefficients(tuple((b, 1.1 * v, 0.9 * f) for b, v, f in fitted.per_pass))
+        fitted = oracle.true_coefficients(config)
+        refit = fitted * (1.0, 1.1, 0.9)
         saturation = oracle.saturation
         moved = dataclasses.replace(saturation, p_max=1.01 * saturation.p_max)
         frames = range(203)

@@ -62,7 +62,6 @@ def test_generic_fit_tracks_ground_truth_across_space(demo_scenario):
         coefficients=fit.coefficients,
         unit_costs=costs.unit_costs,
         fitted_config=sc.roster.best_config(),
-        identified=fit.identified,
     )
     devs = []
     for frame in (50, 500, 1000):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rendergov.configspace import (
     PassDescriptor,
@@ -18,12 +19,12 @@ from rendergov.simgpu import FramePowers
 from rendergov.powermodel import (
     CLAMP_FRACTION,
     CostTable,
-    PowerCoefficients,
     PowerModel,
     SaturationConstants,
     UnitCosts,
     coefficients_for_config,
     fit_coefficients,
+    level_coefficients,
     linearize,
     pass_loads,
     predict_all,
@@ -38,19 +39,19 @@ TWO_PASS_SAT = SaturationConstants(
 
 
 def test_predict_zero_load_is_exactly_p_min():
-    coeffs = PowerCoefficients(((0.5, 1.0, 2.0),))
+    coeffs = np.array([(0.5, 1.0, 2.0)])
     assert predict_power(ONE_PASS_SAT, coeffs, ((0.0, 0.0, 0.0),)) == 10.0
 
 
 def test_predict_matches_hand_computed_example():
-    coeffs = PowerCoefficients(((0.5, 1.0, 2.0),))
+    coeffs = np.array([(0.5, 1.0, 2.0)])
     p = predict_power(ONE_PASS_SAT, coeffs, ((0.2, 0.1, 0.3),))
     assert p == pytest.approx(59.5604, abs=1e-4)
     assert p == pytest.approx(10.0 + 90.0 * (1.0 - math.exp(-0.8)), rel=1e-12)
 
 
 def test_predict_saturates_strictly_below_p_max():
-    coeffs = PowerCoefficients(((0.5, 1.0, 2.0),))
+    coeffs = np.array([(0.5, 1.0, 2.0)])
     p = predict_power(ONE_PASS_SAT, coeffs, ((1e12, 1e12, 1e12),))
     assert 99.999 < p < 100.0
 
@@ -61,7 +62,7 @@ def test_predict_saturates_strictly_below_p_max():
 )
 @seed(20180427)
 def test_predict_bounds_and_monotonicity(prims, coeffs):
-    coefficients = PowerCoefficients((tuple(coeffs),))
+    coefficients = np.array([coeffs])
     p = predict_power(ONE_PASS_SAT, coefficients, (tuple(prims),))
     assert 10.0 <= p < 100.0
     bumped = tuple(v + 1.0 for v in prims)
@@ -93,9 +94,9 @@ def test_linearize_clamps_saturated_reading():
 )
 @seed(11)
 def test_linearize_round_trip(prims, coeffs):
-    coefficients = PowerCoefficients((tuple(coeffs),))
+    coefficients = np.array([coeffs])
     primitives = (tuple(prims),)
-    alpha = sum(pass_loads(ONE_PASS_SAT, coefficients.per_pass, primitives).tolist())
+    alpha = sum(pass_loads(ONE_PASS_SAT, coefficients, primitives).tolist())
     p = predict_power(ONE_PASS_SAT, coefficients, primitives)
     rows, (target,), (clamped,) = linearize(ONE_PASS_SAT, [p], [primitives])
     if not clamped:
@@ -166,7 +167,7 @@ def _synthetic_samples(rng, saturation, coefficients, n, noise=0.0):
     return np.array(watts), np.array(counts)
 
 
-TRUE_COEFFS = PowerCoefficients(((0.7, 0.6, 0.9), (0.5, 0.55, 1.2)))
+TRUE_COEFFS = np.array([(0.7, 0.6, 0.9), (0.5, 0.55, 1.2)])
 
 
 def test_fit_recovers_noiseless_coefficients_exactly():
@@ -174,7 +175,7 @@ def test_fit_recovers_noiseless_coefficients_exactly():
     samples = _synthetic_samples(rng, TWO_PASS_SAT, TRUE_COEFFS, 30)
     fit = fit_coefficients(TWO_PASS_SAT, *samples)
     assert not fit.degenerate
-    for got, want in zip(fit.coefficients.per_pass, TRUE_COEFFS.per_pass):
+    for got, want in zip(fit.coefficients, TRUE_COEFFS):
         for g, w in zip(got, want):
             assert abs(g - w) / w <= 1e-6
 
@@ -216,9 +217,62 @@ def test_fit_marks_silent_pass_unidentified():
         watts.append(predict_power(TWO_PASS_SAT, TRUE_COEFFS, prims))
         counts.append(prims)
     fit = fit_coefficients(TWO_PASS_SAT, watts, counts)
-    assert fit.identified[0] == (True, True, True)
-    assert fit.identified[1] == (False, False, False)
-    assert fit.coefficients.per_pass[1] == (0.0, 0.0, 0.0)
+    assert np.array_equal(fit.identified, [(True, True, True), (False, False, False)])
+    assert np.array_equal(fit.coefficients[1], (0.0, 0.0, 0.0))
+
+
+@st.composite
+def _windows(draw):
+    """Saturation constants and a well-formed window for them: at least
+    three frames per pass, positive readings and nonnegative counts, not
+    necessarily consistent with any coefficients."""
+    n = draw(st.integers(1, 3))
+    frames = draw(st.integers(3 * n, 3 * n + 12))
+    p_min = draw(st.floats(0.1, 50.0))
+    p_max = p_min + draw(st.floats(1.0, 200.0))
+    per_pass = draw(hnp.arrays(float, (n, 3), elements=st.floats(1e-3, 1e6)))
+    watts = draw(hnp.arrays(float, frames, elements=st.floats(1e-6, 2.0 * p_max)))
+    counts = draw(hnp.arrays(float, (frames, n, 3), elements=st.floats(0.0, 1e6)))
+    return SaturationConstants(p_min, p_max, per_pass.tolist()), watts, counts
+
+
+@given(_windows())
+@seed(29)
+def test_fit_coefficients_are_nonnegative(window):
+    saturation, watts, counts = window
+    fit = fit_coefficients(saturation, watts, counts)
+    assert fit.coefficients.shape == fit.identified.shape == (len(saturation.per_pass), 3)
+    assert (fit.coefficients >= 0.0).all()
+    assert (fit.coefficients[~fit.identified] == 0.0).all()
+
+
+@st.composite
+def _cost_inputs(draw):
+    """Valid unit costs, a cost table (costs nonincreasing with the level)
+    and one batch cost per pass."""
+    n = draw(st.integers(1, 4))
+    costs = st.floats(0.0, 1e4)
+    levels = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    ins_f, tex_f = (
+        tuple(
+            tuple(sorted(draw(st.lists(costs, min_size=k, max_size=k)), reverse=True))
+            for k in levels
+        )
+        for _ in range(2)
+    )
+    table = CostTable(tuple(draw(st.lists(costs, min_size=n, max_size=n))), ins_f, tex_f)
+    unit_costs = UnitCosts(draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, 1e3)))
+    k_b = draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+    return unit_costs, table, k_b
+
+
+@given(_cost_inputs())
+@seed(29)
+def test_level_coefficients_are_nonnegative(inputs):
+    unit_costs, table, k_b = inputs
+    coefficients = level_coefficients(unit_costs, table, k_b)
+    assert coefficients.shape == (table.n_passes, max(map(len, table.ins_f)), 3)
+    assert (coefficients >= 0.0).all()
 
 
 def _simple_roster(level_counts, aa_like=False):
@@ -245,26 +299,24 @@ def test_solve_unit_costs_recovers_exact_chi_psi():
     )
     chi, psi = 0.002, 0.01
     fitted = RenderingConfiguration((1, 2))
-    coeffs = PowerCoefficients(
-        (
+    coeffs = np.array(
+        [
             (0.5, chi * 300.0, chi * 200.0 + psi * 6.0),
             (0.4, chi * 250.0, chi * 90.0 + psi * 3.0),
-        )
+        ]
     )
     res = solve_unit_costs(coeffs, table, fitted, roster)
     assert res.unit_costs.chi == pytest.approx(chi, abs=1e-9)
     assert res.unit_costs.psi == pytest.approx(psi, abs=1e-9)
-    assert not res.psi_indeterminate
 
 
 def test_solve_unit_costs_single_fragment_equation_flags_psi():
     roster = PassRoster((PassDescriptor("fx", 2, uses_fragments=True),))
     table = CostTable(ins_v=(0.0,), ins_f=((100.0, 0.0),), tex_f=((0.0, 0.0),))
-    coeffs = PowerCoefficients(((0.0, 0.0, 0.2),))
+    coeffs = np.array([(0.0, 0.0, 0.2)])
     res = solve_unit_costs(coeffs, table, RenderingConfiguration((0,)), roster)
     assert res.unit_costs.chi == pytest.approx(0.002, abs=1e-12)
     assert res.unit_costs.psi == 0.0
-    assert res.psi_indeterminate
 
 
 def test_solve_unit_costs_inconsistent_system_matches_grid_search():
@@ -275,7 +327,7 @@ def test_solve_unit_costs_inconsistent_system_matches_grid_search():
         tex_f=((10.0, 2.0), (14.0, 3.0)),
     )
     # Deliberately inconsistent coefficient targets.
-    coeffs = PowerCoefficients(((0.0, 0.9, 1.1), (0.0, 0.3, 0.6)))
+    coeffs = np.array([(0.0, 0.9, 1.1), (0.0, 0.3, 0.6)])
     fitted = RenderingConfiguration((0, 0))
     res = solve_unit_costs(coeffs, table, fitted, roster)
 
@@ -308,11 +360,11 @@ def test_coefficients_for_config_reproduces_fitted_within_residual():
     rng = np.random.default_rng(5)
     fitted_config = RenderingConfiguration((1, 1))
     # Slightly perturbed so the system is inconsistent but close.
-    coeffs = PowerCoefficients(
-        (
+    coeffs = np.array(
+        [
             (0.5, 0.002 * 300.0 * 1.03, (0.002 * 200.0 + 0.01 * 6.0) * 0.97),
             (0.4, 0.002 * 250.0 * 0.98, (0.002 * 240.0 + 0.01 * 9.0) * 1.02),
-        )
+        ]
     )
     res = solve_unit_costs(coeffs, table, fitted_config, roster)
     rebuilt = coefficients_for_config(res.unit_costs, table, fitted_config, coeffs, roster)
@@ -321,32 +373,32 @@ def test_coefficients_for_config_reproduces_fitted_within_residual():
     p_fit = predict_power(sat, coeffs, prims)
     p_rebuilt = predict_power(sat, rebuilt, prims)
     d_alpha = abs(
-        sum(pass_loads(sat, rebuilt.per_pass, prims).tolist())
-        - sum(pass_loads(sat, coeffs.per_pass, prims).tolist())
+        sum(pass_loads(sat, rebuilt, prims).tolist())
+        - sum(pass_loads(sat, coeffs, prims).tolist())
     )
     assert abs(p_rebuilt - p_fit) <= sat.span * (1.0 - math.exp(-d_alpha)) + 1e-9
     # batch cost is carried over untouched
-    assert rebuilt.per_pass[0][0] == coeffs.per_pass[0][0]
+    assert rebuilt[0, 0] == coeffs[0, 0]
 
 
 def test_coefficients_for_config_zero_cost_level_gives_zero_kf():
     roster = _simple_roster([2])
     table = CostTable(ins_v=(300.0,), ins_f=((400.0, 0.0),), tex_f=((10.0, 0.0),))
-    fitted = PowerCoefficients(((0.5, 0.6, 0.85),))
+    fitted = np.array([(0.5, 0.6, 0.85)])
     uc = UnitCosts(0.002, 0.01)
     out = coefficients_for_config(uc, table, RenderingConfiguration((1,)), fitted, roster)
-    assert out.per_pass[0][2] == 0.0
+    assert out[0, 2] == 0.0
 
 
 def test_coefficients_for_config_monotone_in_texels():
     roster = _simple_roster([2])
-    fitted = PowerCoefficients(((0.5, 0.6, 0.85),))
+    fitted = np.array([(0.5, 0.6, 0.85)])
     cfg = RenderingConfiguration((0,))
     uc = UnitCosts(0.002, 0.01)
     low = CostTable(ins_v=(300.0,), ins_f=((400.0, 100.0),), tex_f=((10.0, 2.0),))
     high = CostTable(ins_v=(300.0,), ins_f=((400.0, 100.0),), tex_f=((25.0, 2.0),))
-    kf_low = coefficients_for_config(uc, low, cfg, fitted, roster).per_pass[0][2]
-    kf_high = coefficients_for_config(uc, high, cfg, fitted, roster).per_pass[0][2]
+    kf_low = coefficients_for_config(uc, low, cfg, fitted, roster)[0, 2]
+    kf_high = coefficients_for_config(uc, high, cfg, fitted, roster)[0, 2]
     assert kf_high > kf_low
 
 
@@ -369,7 +421,7 @@ def test_predict_all_produces_one_prediction_per_configuration(demo_scenario):
         roster,
         demo_scenario.cost_table,
         sat,
-        PowerCoefficients.zeros(n),
+        np.zeros((n, 3)),
         UnitCosts(0.002, 0.01),
         roster.best_config(),
     )
@@ -387,7 +439,7 @@ def test_predict_all_empty_frame_is_p_min_everywhere():
     )
     model = _model_for(
         roster, table, TWO_PASS_SAT,
-        PowerCoefficients(((0.5, 0.6, 0.8), (0.4, 0.4, 0.7))),
+        np.array([(0.5, 0.6, 0.8), (0.4, 0.4, 0.7)]),
         UnitCosts(0.002, 0.01), roster.best_config(),
     )
     # Two levels per pass, no resolution pass.
@@ -420,9 +472,7 @@ def _synthetic_model(roster, rng, fitted_levels):
         ins_f=tuple(nonincreasing(p.level_count, 600.0) for p in model_passes),
         tex_f=tuple(nonincreasing(p.level_count, 20.0) for p in model_passes),
     )
-    coeffs = PowerCoefficients(
-        tuple(tuple(rng.uniform(0.1, 1.5, size=3)) for _ in model_passes)
-    )
+    coeffs = np.array([rng.uniform(0.1, 1.5, size=3) for _ in model_passes])
     return _model_for(
         roster, table, sat, coeffs, UnitCosts(0.002, 0.01),
         RenderingConfiguration(fitted_levels),
@@ -507,14 +557,14 @@ def test_predict_all_equals_per_config_formula(demo_scenario):
 
 def test_two_pass_prediction_is_sum_of_per_pass_load_terms():
     prims = ((30.0, 5e4, 1e5), (20.0, 3e4, 9e4))
-    terms = pass_loads(TWO_PASS_SAT, TRUE_COEFFS.per_pass, prims).tolist()
+    terms = pass_loads(TWO_PASS_SAT, TRUE_COEFFS, prims).tolist()
     p = predict_power(TWO_PASS_SAT, TRUE_COEFFS, prims)
     expected = 10.0 + 90.0 * (1.0 - math.exp(-sum(terms)))
     assert p == pytest.approx(expected, rel=1e-12)
     only_first = (prims[0], (0.0, 0.0, 0.0))
     only_second = ((0.0, 0.0, 0.0), prims[1])
-    a1 = sum(pass_loads(TWO_PASS_SAT, TRUE_COEFFS.per_pass, only_first).tolist())
-    a2 = sum(pass_loads(TWO_PASS_SAT, TRUE_COEFFS.per_pass, only_second).tolist())
+    a1 = sum(pass_loads(TWO_PASS_SAT, TRUE_COEFFS, only_first).tolist())
+    a2 = sum(pass_loads(TWO_PASS_SAT, TRUE_COEFFS, only_second).tolist())
     assert sum(terms) == pytest.approx(a1 + a2, rel=1e-12)
 
 

@@ -129,6 +129,7 @@ def test_initial_fit_mode_is_checked():
         ("start_count", 0),
         ("start_count", -1),
         ("start_count", float("inf")),
+        ("max_doublings", -1),
     ],
 )
 def test_invalid_probe_options_rejected_at_load(option, value):
@@ -141,9 +142,13 @@ def test_invalid_probe_options_rejected_at_load(option, value):
 
 def test_smallest_valid_probe_options_load():
     doc = _demo_doc()
-    doc["probe"] = {"frames_per_reading": 1, "min_power_frames": 1, "start_count": 0.5}
+    doc["probe"] = {
+        "frames_per_reading": 1, "min_power_frames": 1, "start_count": 0.5, "max_doublings": 0
+    }
     probe = scenario_from_dict(doc).probe
-    assert (probe.frames_per_reading, probe.min_power_frames, probe.start_count) == (1, 1, 0.5)
+    assert (
+        probe.frames_per_reading, probe.min_power_frames, probe.start_count, probe.max_doublings
+    ) == (1, 1, 0.5, 0)
 
 
 # Per dataclass the loader reads options of: its object in the demo document,

@@ -15,7 +15,6 @@ from rendergov.configspace import (
 )
 from rendergov.powermodel import (
     CostTable,
-    PowerCoefficients,
     SaturationConstants,
     UnitCosts,
     config_counts,
@@ -246,7 +245,7 @@ def test_probe_saturation_recovers_constants_within_doubling(demo_scenario):
     oracle = dataclasses.replace(demo_scenario.oracle, noise_sigma=0.0)
     p_min = probe_min_power(oracle, empty_trace(demo_scenario.roster, 30), 30)
     probe = probe_saturation(oracle, p_min, demo_scenario.probe)
-    assert abs(probe.p_max_observed - oracle.saturation.p_max) <= 0.01 * oracle.saturation.p_max
+    assert abs(probe.saturation.p_max - oracle.saturation.p_max) <= 0.01 * oracle.saturation.p_max
     for i, (flags, got, true) in enumerate(
         zip(probe.flags, probe.saturation.per_pass, oracle.saturation.per_pass)
     ):
@@ -414,11 +413,11 @@ def _per_call_power_from_primitives(oracle, config, primitives, cost_scales):
         kv = chi * true.ins_v[i] * scale
         kf = (chi * true.ins_f[i][lvl] + psi * true.tex_f[i][lvl]) * scale
         per_pass.append((kb, kv, kf))
-    coeffs = PowerCoefficients(tuple(per_pass))
-    assert oracle.true_coefficients(config, cost_scales) == coeffs
+    coeffs = np.array(per_pass)
+    assert oracle.true_coefficients(config, cost_scales).tobytes() == coeffs.tobytes()
     alpha = 0.0
     for (kb, kv, kf), (big_b, big_v, big_f), (b, v, f) in zip(
-        coeffs.per_pass, oracle.saturation.per_pass, primitives
+        per_pass, oracle.saturation.per_pass, primitives
     ):
         alpha += kb * b / big_b + kv * v / big_v + kf * f / big_f
     return oracle.saturation.p_min + oracle.saturation.span * (1.0 - math.exp(-alpha))
@@ -560,7 +559,7 @@ def test_count_producers_zero_unused_kinds(mini_scenario):
     watts, counts = _generic_sweep_samples(scenario, oracle.saturation.per_pass)
     assert all((counts[:, mi, kind] == 0.0).all() for mi, kind in unused)
     fit = fit_coefficients(oracle.saturation, watts, counts)
-    assert fit.identified == roster.model_masks
+    assert np.array_equal(fit.identified, roster.model_masks)
 
     probe = probe_saturation(oracle, probe_min_power(oracle, empty_trace(roster, 30), 30))
     assert [
@@ -582,8 +581,8 @@ def test_scalar_power_adds_load_terms_left_to_right():
     assert math.fsum(k_b) != 1.0
     primitives = ((1.0, 0.0, 0.0),) * n
     watts = 10.0 + 90.0 * (1.0 - math.exp(-1.0))
-    coefficients = PowerCoefficients(tuple((k, 0.0, 0.0) for k in k_b))
-    assert pass_loads(saturation, coefficients.per_pass, primitives).tolist() == list(k_b)
+    coefficients = np.array([(k, 0.0, 0.0) for k in k_b])
+    assert pass_loads(saturation, coefficients, primitives).tolist() == list(k_b)
     assert predict_power(saturation, coefficients, primitives) == watts
     oracle = HiddenPowerOracle(
         roster=roster,
@@ -686,10 +685,7 @@ def test_frame_powers_equal_scalar_path(mini_scenario, regime_scenario, demo_sce
                 assert measured == [measure_power(oracle, config, f, trace) for f in frames]
                 clamped += measured.count(1e-9)
                 for scale in (1.0, 1e4):
-                    true = oracle.true_coefficients(config).per_pass
-                    coefficients = PowerCoefficients(
-                        tuple(tuple(k * scale for k in ks) for ks in true)
-                    )
+                    coefficients = oracle.true_coefficients(config) * scale
                     predicted = predict_powers(
                         oracle.saturation, coefficients, at.primitives(config)
                     ).tolist()
