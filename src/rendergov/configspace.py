@@ -7,6 +7,7 @@ rendering configuration assigns one level to every pass in roster order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,9 +44,7 @@ class PassDescriptor:
                     f"pass {self.name!r}: fragment_scale_per_level needs one entry per level"
                 )
             if any(not (0.0 < s <= 1.0) for s in scales):
-                raise ValueError(
-                    f"pass {self.name!r}: fragment scales must lie in (0, 1]"
-                )
+                raise ValueError(f"pass {self.name!r}: fragment scales must lie in (0, 1]")
             object.__setattr__(self, "fragment_scale_per_level", scales)
         elif self.fragment_scale_per_level:
             raise ValueError(
@@ -100,10 +99,7 @@ class PassRoster:
     # fields, and dataclasses.replace starts without them.
     @cached_property
     def resolution_index(self) -> int | None:
-        for i, p in enumerate(self.passes):
-            if p.is_resolution:
-                return i
-        return None
+        return next((i for i, p in enumerate(self.passes) if p.is_resolution), None)
 
     @cached_property
     def model_pass_indices(self) -> tuple[int, ...]:
@@ -123,10 +119,7 @@ class PassRoster:
 
     @property
     def config_count(self) -> int:
-        n = 1
-        for p in self.passes:
-            n *= p.level_count
-        return n
+        return math.prod(p.level_count for p in self.passes)
 
     def validate_config(self, config: RenderingConfiguration) -> None:
         if len(config) != self.size:

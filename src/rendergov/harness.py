@@ -14,10 +14,13 @@ import dataclasses
 import gc
 import itertools
 import json
+import mmap
 import multiprocessing
 import os
+import pickle
+import selectors
 import threading
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -296,11 +299,6 @@ def _true_errors(
 # than 16, and 8 gained less.
 _CHUNK = 16
 
-# What a forked scoring worker serves: the scenario, and the tasks' claim flags
-# and their lock. Its initializer sets them, so a task carries only its claim
-# flag's index and its jobs.
-_worker: tuple | None = None
-
 # A scoring task's jobs: score each configuration against the frame.
 _Jobs = list[tuple[int, list[RenderingConfiguration]]]
 # One governed frame of a run: its s_eff, and the saturation constants and
@@ -325,16 +323,11 @@ def _score_jobs(scenario: Scenario, jobs: _Jobs) -> list[list[float]]:
 
 def _run_powers(at: FramePowers, governed: list[_Governed]) -> list[_FramePowers]:
     """The :data:`_FramePowers` of each frame of a run, from frame 0, given
-    each frame's :data:`_Governed` tuple and the run's :class:`simgpu.FramePowers`,
-    which has taken every frame's curve values and noise draw once.
-
-    One array pass over the frames measures the best and worst
-    configurations. Each run of frames whose s_eff, saturation constants and
-    coefficients are the same objects, as :func:`run` keeps them until a fit
-    lands or s_eff changes, is then measured and predicted
-    (:func:`powermodel.predict_powers`) in one pass over its own rows, and its
-    prediction reuses the counts its measurement computed.
-    """
+    each frame's :data:`_Governed` tuple and the run's :class:`simgpu.FramePowers`:
+    the best and worst configurations in one array pass, then each run of
+    frames whose three objects are the same, as :func:`run` keeps them,
+    measured and predicted (:func:`powermodel.predict_powers`) in one pass
+    over its own rows, the prediction reusing the measurement's counts."""
     roster = at.oracle.roster
     best, worst = at.measured(roster.best_config()), at.measured(roster.worst_config())
     measured, predicted = np.empty(len(governed)), np.empty(len(governed))
@@ -359,13 +352,11 @@ def _meter(at: FramePowers, config: RenderingConfiguration, frames: range):
 
 
 def _keep_freed_memory() -> None:
-    """Have glibc keep freed blocks of up to 4 MB in the heap, where it
-    otherwise hands SSIM temporaries back to the OS after each scoring call
-    and faults them in again on the next, about 170 minor page faults per
-    demo call. glibc raises these thresholds by itself once a process frees
-    a larger block, as ratio calibration does, but neither the caller of a
-    forked :func:`run` nor :func:`replay` calibrates. Nothing happens where
-    the C library has no ``mallopt``."""
+    """Have glibc keep freed blocks of up to 4 MB in the heap instead of
+    handing SSIM temporaries back to the OS after each scoring call (about
+    170 minor page faults per demo call). glibc does so by itself only once a
+    process frees a larger block, as calibration does, and neither a forked
+    run's caller nor a replay calibrates. Nothing happens without ``mallopt``."""
     mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -373,26 +364,41 @@ def _keep_freed_memory() -> None:
         mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
-def _start_worker(scenario: Scenario, claims, lock, cpus) -> None:
-    global _worker
-    _worker = scenario, claims, lock
-    os.sched_setaffinity(0, {cpus.get()})
+def _start_worker(cpu: int) -> None:
+    """A forked scoring worker's first step: pin it to its own CPU."""
+    os.sched_setaffinity(0, {cpu})
 
 
-def _claim(claims, lock, i: int) -> bool:
-    """Set task ``i``'s claim flag; False if it was set already."""
+def _take(tasks: int, lock) -> bytes:
+    """The next task's pickle from the task pipe, which holds each task's
+    4-byte length and then its bytes; empty once the pipe has ended.
+    ``lock`` keeps one task's bytes to one worker."""
     with lock:
-        if claims[i]:
-            return False
-        claims[i] = 1
-        return True
+        data, size = b"", 4
+        while len(data) < size and (part := os.read(tasks, size - len(data))):
+            data += part
+            size += int.from_bytes(data, "big") if len(data) == 4 else 0
+        return data[4:]
 
 
-def _score_in_worker(i, jobs: _Jobs) -> list[list[float]] | None:
-    """Task ``i``'s :func:`_score_jobs` result, or None if the caller has
-    claimed it."""
-    scenario, claims, lock = _worker
-    return _score_jobs(scenario, jobs) if _claim(claims, lock, i) else None
+def _serve(scenario, claims, claim_lock, take_lock, tasks: int, results, cpu: int, unused):
+    """A forked scoring worker: until the task pipe ends, it takes each task,
+    scores it if it sets its claim flag first, and sends ``(index, scores,
+    None)`` on ``results``; an error ends it, sent as ``(None, error,
+    traceback text)``. ``unused`` are the caller's pipe ends."""
+    for end in unused:
+        end.close()
+    try:
+        _start_worker(cpu)
+        while task := _take(tasks, take_lock):
+            i, jobs = pickle.loads(task)
+            with claim_lock:
+                mine = not claims[i]
+                claims[i] = 1
+            if mine:
+                results.send((i, _score_jobs(scenario, jobs), None))
+    except Exception as error:
+        results.send((None, error, traceback.format_exc()))
 
 
 def _lookup(configs, errors):
@@ -409,24 +415,27 @@ class _Scorer:
     manager.
 
     With n = min(CPUs this process may run on, ``tasks``) > 1 (``workers``
-    replaces the CPU count), n - 1 workers are forked from one process pool on
-    the first :meth:`submit`, and take the tasks in submission order while the
-    caller goes on. Each worker and the caller is pinned to its own CPU,
-    because the scheduler can leave a forked child on its parent's CPU; the
-    caller gets its CPU set back on exit. :meth:`no_more_tasks` tells the
-    pool that no task follows, so that the workers exit as soon as they have
-    taken every task, while the caller goes on; exit then only waits for
-    them, after claiming every task, so that a worker skips those it has not
-    started, as it does a task the caller has scored. The caller's objects are frozen
-    (``gc.freeze``) before the fork, so that no collection in a worker or in
-    the caller walks them and a worker does not copy their pages; they are
-    unfrozen on exit, as every run ends in the same process.
+    replaces the CPU count), n - 1 workers (:func:`_serve`) are forked when
+    it is made, after the caller's objects are frozen (``gc.freeze``), so
+    that no collection walks them and a worker does not copy their pages.
+    Each worker and the caller is pinned to its own CPU, because the
+    scheduler can leave a forked child on its parent's CPU. Exit gives the
+    caller its CPU set and objects back.
+
+    No thread runs in the caller, and no write on either side waits on a
+    read that the other side makes only later. The workers read the tasks,
+    in submission order, from one pipe that :meth:`submit` fills as far as
+    it takes them at once, and send their results on pipes of their own,
+    which the caller reads whenever it waits (:meth:`_pump`). A normal exit
+    waits for the workers; an error kills them.
 
     One claim rule decides who scores a task. Each task has a claim flag that
     the workers share: a worker claims a task before it scores it and skips
     one the caller has claimed, and the caller, when it needs a task's result
     (:meth:`result`), claims and scores the task if no worker has started
-    it, and otherwise waits for the worker's result.
+    it, and otherwise waits for the worker's result. A worker's error is
+    raised in the caller, with its traceback as the cause; a worker's death
+    fails the run.
 
     No process is started when n <= 1, when CPU affinity or ``fork`` is not
     available, when the caller is daemonic (it may not have children) or when
@@ -438,10 +447,12 @@ class _Scorer:
 
     def __init__(self, scenario: Scenario, tasks: int, workers: int | None = None):
         self.scenario = scenario
-        # (jobs, the worker's future or None) of each task.
-        self.tasks: list = []
-        self.claims, self.lock = bytearray(tasks), contextlib.nullcontext()
-        self._pool = self._manager = None
+        # Each task's jobs, and the scores the workers sent, by task index.
+        self.tasks, self.scored = [], {}
+        self.claims, self.lock = bytearray(tasks), threading.Lock()
+        # The workers, those not seen to end, and their result pipes' open ends.
+        self.workers, self._running, self._results = [], [], []
+        self._tasks, self._backlog, self._last = None, bytearray(), False
         self._exit = contextlib.ExitStack()
         _keep_freed_memory()
         pinnable = hasattr(os, "sched_getaffinity")
@@ -459,64 +470,119 @@ class _Scorer:
         cpus = sorted(allowed)
         with contextlib.ExitStack() as stack:
             stack.callback(os.sched_setaffinity, 0, allowed)
-            worker_cpus = context.SimpleQueue()
-            stack.callback(worker_cpus.close)
-            for i in range(n - 1):
-                worker_cpus.put(cpus[i % len(cpus)])
-            self.claims, self.lock = context.RawArray("b", tasks), context.Lock()
+            self.claims, self.lock = mmap.mmap(-1, tasks), context.Lock()
+            reader, self._tasks = context.Pipe(duplex=False)
+            for end in (self.claims, reader, self._tasks):
+                stack.callback(end.close)
+            os.set_blocking(self._tasks.fileno(), False)
             gc.freeze()
             stack.callback(gc.unfreeze)
-            self._pool = ProcessPoolExecutor(
-                n - 1,
-                mp_context=context,
-                initializer=_start_worker,
-                initargs=(scenario, self.claims, self.lock, worker_cpus),
-            )
-            stack.callback(self._reap)
+            locks = self.lock, context.Lock()
+            for k in range(n - 1):
+                mine, theirs = context.Pipe(duplex=False)
+                stack.callback(mine.close)
+                self._results.append(mine)
+                args = (scenario, self.claims, *locks, reader.fileno(), theirs,
+                        cpus[k % len(cpus)], (self._tasks, *self._results))
+                worker = context.Process(target=_serve, args=args, daemon=True)
+                worker.start()
+                for step in (worker.close, worker.join, worker.kill):
+                    stack.callback(step)
+                theirs.close()
+                self.workers.append(worker)
+            self._running = list(self.workers)
             os.sched_setaffinity(0, {cpus[(n - 1) % len(cpus)]})
             self._exit = stack.pop_all()
 
     def __enter__(self) -> _Scorer:
         return self
 
-    def __exit__(self, *exc) -> None:
-        self._exit.close()
+    def __exit__(self, exc_type, *_) -> None:
+        with self._exit:
+            if exc_type is None:
+                self.no_more_tasks()
+                while self._running or self._results:
+                    self._pump()
 
     def submit(self, jobs: _Jobs) -> int:
         """Hand a task to the workers; its index, for :meth:`result`. Raises
-        after :meth:`no_more_tasks` where workers were forked."""
+        after :meth:`no_more_tasks`."""
+        if self._last:
+            raise RuntimeError("no task may follow no_more_tasks")
         i = len(self.tasks)
-        future = None if self._pool is None else self._pool.submit(_score_in_worker, i, jobs)
-        self.tasks.append((jobs, future))
+        self.tasks.append(jobs)
+        if self.workers:
+            task = pickle.dumps((i, jobs))
+            self._backlog += len(task).to_bytes(4, "big") + task
+            self._send()
         return i
 
     def no_more_tasks(self) -> None:
         """Tell the workers that no task follows the last :meth:`submit`:
         each exits once the tasks are taken, and a task the caller has
-        claimed still reaches a worker and returns None at once."""
-        if self._pool is not None:
-            # Shutting down without waiting, the pool lets go of the thread
-            # that joins its workers: keep it, for _reap. There is none, and
-            # no worker, before the first submit.
-            self._manager = self._manager or self._pool._executor_manager_thread
-            self._pool.shutdown(wait=False)
+        claimed still reaches a worker, which skips it."""
+        self._last = True
+        self._send()
 
-    def _reap(self) -> None:
-        """Claim every task, so that the workers skip the ones they have not
-        started, and wait for them to exit."""
-        with self.lock:
-            self.claims[:] = [1] * len(self.claims)
-        self.no_more_tasks()
-        if self._manager is not None:
-            self._manager.join()
+    def _send(self) -> None:
+        """Write what the task pipe takes of the backlog without waiting, and
+        end the pipe once it holds the last task."""
+        with contextlib.suppress(BlockingIOError):
+            while self._backlog:
+                del self._backlog[: os.write(self._tasks.fileno(), self._backlog)]
+        if self._tasks and self._last and not self._backlog:
+            self._tasks.close()
+
+    def _pump(self, timeout: float | None = None) -> None:
+        """Write what the task pipe takes of the backlog, wait up to ``timeout``
+        seconds (None: no limit) for a result, a worker's end or room in the
+        task pipe, and take in what is ready; raises a worker's error or death."""
+        self._send()
+        if timeout is None and not self._results and not self._running:
+            raise ChildProcessError("no scoring worker is left to send a result")
+        with selectors.PollSelector() as selector:
+            # Results first, so that a worker's last ones are read before its end.
+            for end in self._results:
+                selector.register(end, selectors.EVENT_READ)
+            for worker in self._running:
+                selector.register(worker.sentinel, selectors.EVENT_READ, worker)
+            if self._backlog:
+                selector.register(self._tasks, selectors.EVENT_WRITE)
+            for key, _ in selector.select(timeout):
+                end, worker = key.fileobj, key.data
+                if end in self._results:
+                    try:
+                        i, scores, trace = end.recv()
+                    except (EOFError, OSError):  # the worker has ended
+                        self._results.remove(end)
+                        continue
+                    if trace is not None:
+                        raise scores from ChildProcessError(trace)
+                    self.scored[i] = scores
+                elif worker is not None:
+                    worker.join()
+                    self._running.remove(worker)
+                    if worker.exitcode:
+                        raise ChildProcessError(f"scoring worker exit code {worker.exitcode}")
+
+    def _claim(self, i: int) -> bool:
+        """Set task ``i``'s claim flag; False if a worker set it first. A
+        worker that died may hold the lock, so a long wait looks for one."""
+        while not self.lock.acquire(timeout=0.1):
+            self._pump(0)
+        mine = not self.claims[i]
+        self.claims[i] = 1
+        self.lock.release()
+        return mine
 
     def result(self, i: int) -> list[list[float]]:
         """Task ``i``'s :func:`_score_jobs` result, scored here if no worker
         has started it. Ask once per task."""
-        jobs, future = self.tasks[i]
-        if _claim(self.claims, self.lock, i):
-            return _score_jobs(self.scenario, jobs)
-        return future.result()
+        if self._claim(i):
+            return _score_jobs(self.scenario, self.tasks[i])
+        while i not in self.scored:
+            self._pump()
+        return self.scored[i]
 
     def results(self, tasks) -> list[list[list[float]]]:
         """:meth:`result` of each of ``tasks``, in order. Workers take tasks in
@@ -532,11 +598,9 @@ def replay_trace(scenario: Scenario, config: RenderingConfiguration) -> dict:
     Returns every frame's ``exact`` and ``measured`` power, the true
     ``errors`` of the sampled frames (every ``error_sample_every``-th, from
     frame 0), and the means of ``measured`` and ``errors``. The sampled
-    frames of each :data:`_CHUNK`-frame chunk are one task of a
-    :class:`_Scorer`, as :func:`run` hands them, and are scored while the
-    caller takes every frame's power in one array pass
-    (:class:`simgpu.FramePowers`). The all-best configuration scores 0.0
-    without rendering, so its replay starts no process.
+    frames are scored as :func:`run` scores them, while the caller takes the
+    powers in one array pass. The all-best configuration scores 0.0 without
+    rendering, so its replay starts no process.
     """
     scenario.roster.validate_config(config)
     chunks = _sampled_chunks(scenario)
@@ -560,48 +624,25 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     """Initialization plus the governed frame loop, with min/max-quality
     replays as in-run baselines.
 
-    The :class:`_Scorer` starts first, and its first tasks are one per
-    calibration frame: score every single-pass degradation against that
-    frame. Where it forks, its workers calibrate while the caller probes and
-    fits (:func:`_probe`); the caller then collects those tasks, scoring any
-    no worker has started, and hands their scores to
-    :func:`quality.calibrate_ratios`. Either way the governor starts from
-    :func:`initialize`'s models.
+    The :class:`_Scorer`'s first tasks are one per calibration frame, which
+    its workers score while the caller probes and fits (:func:`_probe`), so
+    that the governor starts from :func:`initialize`'s models; next, one per
+    planned reference of the background cycle
+    (:func:`governor.background_plan`), whose scores the governor's
+    ``scorer`` hook takes at the ``ref`` slot.
 
-    The governor's background cycle is known before the loop starts
-    (:func:`governor.background_plan`), so next, before any chunk, the scorer
-    gets one task per reference frame of the cycle: score that cycle's pass
-    slots against it. At a ``ref`` slot the governor's ``scorer`` hook takes
-    that task's result, scoring the task in the tick if no worker has started
-    it, and its pass slots look their scores up. A reference that is not
-    planned has no pass slot inside the trace, so the hook renders nothing
-    for it.
-
-    The baselines ride along with the governed loop: every frame also
-    measures the best and worst configurations, and every sampled frame
-    scores the worst one against the same reference as ``s_eff``. The best
-    configuration's error is exactly 0.0, so its baseline is power only.
-
-    One :class:`simgpu.FramePowers` of the whole trace serves the governor's
-    ``measure`` and ``counts`` hooks, each window's readings and counts in
-    one pass (:func:`_meter`), and then :func:`_run_powers`. No decision
-    reads a baseline, a true error, or the power of a frame outside the
-    governor's accuracy-check and fitting windows, so the loop itself only
-    ticks the governor, keeps each frame's record and its :data:`_Governed`
-    tuple. At the end of each :data:`_CHUNK` frames that hold a sampled
-    frame it hands the scorer one task, each sampled frame's
-    ``(frame, [worst, s_eff])``, which forked workers score beside the loop;
-    a chunk with no sampled frame is not handed over. After the last one it
-    tells the scorer that no task follows, so that the workers exit once
-    they have taken every task. While the workers score, the caller takes
-    every frame's powers in one pass over the whole trace
-    (:func:`_run_powers`) and formats every log line but its ``true_error``
-    cell (:func:`_log_lines`), then scores the chunks no worker has started,
-    and splices the true errors in. The governor's model changes
-    only when a fit lands, and ``s_eff`` only while it glides, so the loop
-    computes ``s_eff``'s coefficients only when either changes, and keeps
-    the same objects until then: each such run of frames is measured and
-    predicted in one array pass.
+    One :class:`simgpu.FramePowers` of the whole trace, which draws every
+    frame's meter noise before the loop, serves the governor's ``measure``
+    and ``counts`` hooks (:func:`_meter`). No decision reads a baseline, a
+    true error, or the power of a frame outside the governor's windows, so
+    the loop only ticks the governor and keeps each frame's record and
+    :data:`_Governed` tuple. At the end of each :data:`_CHUNK` frames that
+    hold a sampled frame, it hands the scorer each sampled frame's
+    ``(frame, [worst, s_eff])``; the best configuration's error is exactly
+    0.0. While the workers score, the caller takes every frame's powers in
+    array passes (:func:`_run_powers`) and formats every log line but its
+    ``true_error`` cell (:func:`_log_lines`), then scores the chunks no
+    worker has started and splices the true errors in.
     """
     roster = scenario.roster
     worst = roster.worst_config()
@@ -629,6 +670,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
 
         init = _probe(scenario)
         at = FramePowers(scenario.oracle, scenario.trace, range(frame_count))
+        at.noises()
         calibrated = {
             frame: _lookup(degradations, errors)
             for frame, (errors,) in zip(calibration, scorer.results(calibrating))

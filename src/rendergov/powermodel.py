@@ -117,7 +117,8 @@ class UnitCosts:
             raise ValueError("unit costs must be nonnegative")
 
 
-@dataclass(frozen=True)
+# Frozen models that hold arrays compare by identity and make them read-only.
+@dataclass(frozen=True, eq=False)
 class FitResult:
     # ``[i]`` is pass i's fitted (k_b, k_v, k_f), all nonnegative.
     coefficients: np.ndarray
@@ -129,6 +130,9 @@ class FitResult:
     identified: np.ndarray
     clamp_count: int
 
+    def __post_init__(self) -> None:
+        self.coefficients.flags.writeable = self.identified.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class UnitCostResult:
@@ -136,7 +140,7 @@ class UnitCostResult:
     residual_norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerModel:
     """Immutable snapshot of everything needed to predict any configuration.
 
@@ -149,6 +153,9 @@ class PowerModel:
     unit_costs: UnitCosts
     cost_table: CostTable
     fitted_config: RenderingConfiguration
+
+    def __post_init__(self) -> None:
+        self.coefficients.flags.writeable = False
 
     def coefficients_for(self, config: RenderingConfiguration) -> np.ndarray:
         """Raw fitted coefficients for the fitted configuration, reuse for the rest."""

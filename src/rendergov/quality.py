@@ -270,28 +270,14 @@ def calibrate_ratios(
     # Per calibration frame: (pass, level) -> error.
     errors = [dict(zip(degradations, scorer(frame)(configs))) for frame in calibration_frames]
 
-    ratios: list[tuple[float, ...]] = []
+    ratios = []
     for i, p in enumerate(roster.passes):
         lmax = p.level_count - 1
-        if lmax == 0:
-            ratios.append((0.0,))
-            continue
-        per_level_sums = [0.0] * (lmax + 1)
-        usable = 0
-        for frame_errors in errors:
-            worst = frame_errors[i, lmax]
-            if worst < INERT_ERROR_FLOOR:
-                continue
-            usable += 1
-            for lvl in range(1, lmax):
-                per_level_sums[lvl] += frame_errors[i, lvl] / worst
-        if usable == 0:
-            ratios.append(tuple(0.0 for _ in range(lmax + 1)))
-            continue
+        usable = [e for e in errors if lmax and e[i, lmax] >= INERT_ERROR_FLOOR]
         row = [0.0] * (lmax + 1)
-        for lvl in range(1, lmax):
-            row[lvl] = per_level_sums[lvl] / usable
-        row[lmax] = 1.0
+        # At the worst level each frame's ratio is 1.0, so the mean is 1.0.
+        for lvl in range(1, lmax + 1 if usable else 0):
+            row[lvl] = sum((e[i, lvl] / e[i, lmax] for e in usable), 0.0) / len(usable)
         ratios.append(tuple(row))
     return ErrorRatioTable(tuple(ratios))
 

@@ -79,6 +79,21 @@ def _options(cls, raw: dict, where: str, reads: tuple[str, ...] = ()) -> dict:
     }
 
 
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    return raw
+
+
+def _built(where: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, with the ValueError it raises reported at
+    ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def _numbers(value, where: str) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ScenarioError(f"{where}: expected a list of numbers")
@@ -109,9 +124,7 @@ def _build_roster(raw, where: str = "roster") -> PassRoster:
     passes = []
     for i, entry in enumerate(raw):
         here = f"{where}[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{here}: expected an object")
-        name = _require(entry, "name", here)
+        name = _require(_object(entry, here), "name", here)
         levels = _int(_require(entry, "levels", here), f"{here}.levels")
         resolution = entry.get("resolution", False)
         own = "fragment_scale" if resolution else "uses"
@@ -133,20 +146,13 @@ def _build_roster(raw, where: str = "roster") -> PassRoster:
                 uses_fragments="f" in uses,
             )
         passes.append(desc)
-    try:
-        return PassRoster(tuple(passes))
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    return _built(where, PassRoster, tuple(passes))
 
 
 def _per_pass_section(raw, roster: PassRoster, where: str, model_only: bool) -> list[dict]:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object keyed by pass name")
-    names = (
-        [roster.passes[i].name for i in roster.model_pass_indices]
-        if model_only
-        else [p.name for p in roster.passes]
-    )
+    names = [p.name for p in (roster.model_passes if model_only else roster.passes)]
     missing = [n for n in names if n not in raw]
     extra = [n for n in raw if n not in names]
     if missing:
@@ -170,18 +176,14 @@ def _build_cost_table(raw, roster: PassRoster, where: str = "cost_table") -> Cos
             if len(row) != levels:
                 raise ScenarioError(f"{here}.{key}: expected {levels} per-level entries")
             dest.append(row)
-    try:
-        return CostTable(tuple(ins_v), tuple(ins_f), tuple(tex_f))
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    return _built(where, CostTable, tuple(ins_v), tuple(ins_f), tuple(tex_f))
 
 
 def _build_oracle(
     raw, roster: PassRoster, cost_table: CostTable, seed: int, where: str = "oracle"
 ) -> HiddenPowerOracle:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    _known(raw, where, ("p_min", "p_max", "chi", "psi", "cost_distortion", "noise_sigma", "passes"))
+    keys = ("p_min", "p_max", "chi", "psi", "cost_distortion", "noise_sigma", "passes")
+    _known(_object(raw, where), where, keys)
     p_min = _number(_require(raw, "p_min", where), f"{where}.p_min")
     p_max = _number(_require(raw, "p_max", where), f"{where}.p_max")
     chi = _number(_require(raw, "chi", where), f"{where}.chi")
@@ -201,8 +203,9 @@ def _build_oracle(
         raw.get("cost_distortion", HiddenPowerOracle.cost_distortion), f"{where}.cost_distortion"
     )
     sigma = _number(raw.get("noise_sigma", HiddenPowerOracle.noise_sigma), f"{where}.noise_sigma")
-    try:
-        return HiddenPowerOracle(
+    return _built(
+        where,
+        lambda: HiddenPowerOracle(
             roster=roster,
             saturation=SaturationConstants(p_min, p_max, tuple(per_pass)),
             k_b=tuple(k_b),
@@ -211,26 +214,17 @@ def _build_oracle(
             cost_distortion=distortion,
             noise_sigma=sigma,
             seed=seed,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        ),
+    )
 
 
 def _build_curve(raw, where: str) -> CurveSpec:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    base = _number(_require(raw, "base", where), f"{where}.base")
-    options = _options(CurveSpec, raw, where, reads=("base",))
-    try:
-        return CurveSpec(base=base, **options)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    base = _number(_require(_object(raw, where), "base", where), f"{where}.base")
+    return _built(where, CurveSpec, base=base, **_options(CurveSpec, raw, where, reads=("base",)))
 
 
 def _build_trace(raw, roster: PassRoster, where: str = "trace") -> SceneTrace:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    _known(raw, where, ("frames", "passes", "events"))
+    _known(_object(raw, where), where, ("frames", "passes", "events"))
     frames = _int(_require(raw, "frames", where), f"{where}.frames")
     entries = _per_pass_section(_require(raw, "passes", where), roster, f"{where}.passes", True)
     curves, ls_b, ls_v, ls_f = [], [], [], []
@@ -259,9 +253,7 @@ def _build_trace(raw, roster: PassRoster, where: str = "trace") -> SceneTrace:
     model_names = {roster.passes[i].name for i in roster.model_pass_indices}
     for i, entry in enumerate(raw.get("events", [])):
         here = f"{where}.events[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{here}: expected an object")
-        pass_name = _require(entry, "pass", here)
+        pass_name = _require(_object(entry, here), "pass", here)
         if pass_name not in model_names:
             raise ScenarioError(f"{here}.pass: unknown model pass {pass_name!r}")
         events.append(
@@ -271,25 +263,22 @@ def _build_trace(raw, roster: PassRoster, where: str = "trace") -> SceneTrace:
                 **_options(TraceEvent, entry, here, reads=("frame", "pass")),
             )
         )
-    try:
-        return SceneTrace(
-            frame_count=frames,
-            curves=tuple(curves),
-            level_scale_batches=tuple(ls_b),
-            level_scale_vertices=tuple(ls_v),
-            level_scale_fragments=tuple(ls_f),
-            events=tuple(sorted(events, key=lambda e: e.frame)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    return _built(
+        where,
+        SceneTrace,
+        frame_count=frames,
+        curves=tuple(curves),
+        level_scale_batches=tuple(ls_b),
+        level_scale_vertices=tuple(ls_v),
+        level_scale_fragments=tuple(ls_f),
+        events=tuple(sorted(events, key=lambda e: e.frame)),
+    )
 
 
 def _build_synthesizer(
     raw, roster: PassRoster, seed: int, where: str = "synthesizer"
 ) -> FrameSynthesizer:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    _known(raw, where, ("size", "passes"))
+    _known(_object(raw, where), where, ("size", "passes"))
     size = _int(raw.get("size", FrameSynthesizer.height), f"{where}.size")
     entries = _per_pass_section(_require(raw, "passes", where), roster, f"{where}.passes", False)
     degradations = []
@@ -298,26 +287,20 @@ def _build_synthesizer(
         op = _require(entry, "op", here)
         strength = _numbers(_require(entry, "strength", here), f"{here}.strength")
         options = _options(PassDegradation, entry, here, reads=("op", "strength"))
-        try:
-            degradations.append(PassDegradation(op=op, strength=strength, **options))
-        except ValueError as exc:
-            raise ScenarioError(f"{here}: {exc}") from exc
-    try:
-        return FrameSynthesizer(
-            roster=roster,
-            degradations=tuple(degradations),
-            height=size,
-            width=size,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        degradations.append(_built(here, PassDegradation, op=op, strength=strength, **options))
+    return _built(
+        where,
+        FrameSynthesizer,
+        roster=roster,
+        degradations=tuple(degradations),
+        height=size,
+        width=size,
+        seed=seed,
+    )
 
 
 def _build_governor(raw, where: str = "governor") -> tuple[GovernorConfig, object]:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    initial_fit = raw.get("initial_fit", "window")
+    initial_fit = _object(raw, where).get("initial_fit", "window")
     if initial_fit not in ("window", "generic"):
         raise ScenarioError(f"{where}.initial_fit: expected 'window' or 'generic'")
     kwargs = _options(
@@ -325,13 +308,8 @@ def _build_governor(raw, where: str = "governor") -> tuple[GovernorConfig, objec
     )
     if "mode" in raw:
         kwargs["mode"] = raw["mode"]
-    try:
-        return (
-            GovernorConfig(**kwargs, initial_fit=initial_fit == "window"),
-            raw.get("initial_config", "best"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    config = _built(where, GovernorConfig, **kwargs, initial_fit=initial_fit == "window")
+    return config, raw.get("initial_config", "best")
 
 
 def _build_initial_config(spec, roster: PassRoster, where: str) -> RenderingConfiguration:
@@ -341,10 +319,7 @@ def _build_initial_config(spec, roster: PassRoster, where: str) -> RenderingConf
         return roster.worst_config()
     if isinstance(spec, list):
         cfg = RenderingConfiguration(tuple(_int(v, where) for v in spec))
-        try:
-            roster.validate_config(cfg)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
+        _built(where, roster.validate_config, cfg)
         return cfg
     raise ScenarioError(f"{where}: expected 'best', 'worst', or a level list")
 
@@ -368,18 +343,14 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         initial_config_spec, roster, "governor.initial_config"
     )
 
-    calibration = doc.get("calibration", {})
-    if not isinstance(calibration, dict):
-        raise ScenarioError("calibration: expected an object")
+    calibration = _object(doc.get("calibration", {}), "calibration")
     _known(calibration, "calibration", ("frames",))
     frames = calibration.get("frames", [trace.frame_count + 911 + 37 * i for i in range(3)])
     calibration_frames = tuple(_int(f, "calibration.frames") for f in frames)
     if not calibration_frames:
         raise ScenarioError("calibration.frames: needs at least one frame")
 
-    probe_raw = doc.get("probe", {})
-    if not isinstance(probe_raw, dict):
-        raise ScenarioError("probe: expected an object")
+    probe_raw = _object(doc.get("probe", {}), "probe")
     probe = ProbeOptions(**_options(ProbeOptions, probe_raw, "probe"))
     for name_ in ("min_power_frames", "frames_per_reading"):
         if getattr(probe, name_) < 1:

@@ -469,11 +469,11 @@ class FramePowers:
     Construction rejects a frame outside the trace, before any noise draw, and
     takes what every configuration shares at these frames
     (:meth:`SceneTrace.terms`). Each frame's :meth:`HiddenPowerOracle.noise`
-    draw is taken once, on the first measurement or part. :meth:`primitives`,
-    :meth:`exact` and :meth:`measured` give one configuration at every frame;
-    :meth:`table` and :meth:`exact_all` every configuration at one frame. The
-    most recent configuration's counts are kept, by identity, for a
-    prediction that follows its measurement.
+    draw is taken once, by :meth:`noises` or on the first measurement or
+    part. :meth:`primitives`, :meth:`exact` and :meth:`measured` give one
+    configuration at every frame; :meth:`table` and :meth:`exact_all` every
+    configuration at one frame. The most recent configuration's counts are
+    kept, by identity, for a prediction that follows its measurement.
     """
 
     def __init__(self, oracle: HiddenPowerOracle, trace: SceneTrace, frames) -> None:
@@ -485,7 +485,8 @@ class FramePowers:
         self._noise = None
         self._primitives_memo = None
 
-    def _noises(self) -> np.ndarray:
+    def noises(self) -> np.ndarray:
+        """Each frame's :meth:`HiddenPowerOracle.noise` draw."""
         if self._noise is None:
             self._noise = np.array([self.oracle.noise(frame) for frame in self.frames], dtype=float)
         return self._noise
@@ -496,7 +497,7 @@ class FramePowers:
         part = copy.copy(self)
         part.frames = self.frames[rows]
         part._values, part._counts = self._values[rows], self._counts[rows]
-        part._costs, part._noise = self._costs[rows], self._noises()[rows]
+        part._costs, part._noise = self._costs[rows], self.noises()[rows]
         part._primitives_memo = None
         return part
 
@@ -529,7 +530,7 @@ class FramePowers:
 
     def measured(self, config: RenderingConfiguration) -> np.ndarray:
         """:func:`measure_power` of ``config`` at each frame."""
-        return np.maximum(self.exact(config) + self._noises(), 1e-9)
+        return np.maximum(self.exact(config) + self.noises(), 1e-9)
 
 
 # --------------------------------------------------------------------------

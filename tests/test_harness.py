@@ -12,8 +12,7 @@ import sys
 import threading
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -439,14 +438,7 @@ def test_frame_truths_equal_serial_for_any_split(mini_scenario, demo_scenario):
 
 @needs_fork
 def test_frame_truths_child_error_reaches_caller(mini_scenario, monkeypatch):
-    started = []
-
-    class Recording(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    started = _recording_scorers(monkeypatch)
     roster = mini_scenario.roster
     bad = RenderingConfiguration(tuple(p.level_count for p in roster.passes))
     with pytest.raises(ValueError) as serial:
@@ -456,25 +448,33 @@ def test_frame_truths_child_error_reaches_caller(mini_scenario, monkeypatch):
     allowed = os.sched_getaffinity(0)
     with pytest.raises(ValueError) as forked:
         _scorer_truths(mini_scenario, jobs, workers=2)
-    assert started == [(1,)]
+    assert started == [1]
     assert os.sched_getaffinity(0) == allowed
     assert type(forked.value) is type(serial.value)
     assert str(forked.value) == str(serial.value) == "pass 0 has no level 2"
     assert multiprocessing.active_children() == []
 
 
-def test_frame_truths_starts_no_process_when_it_cannot_fork(mini_scenario, monkeypatch):
-    class NoProcesses:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a process pool was started")
+def _no_fork(monkeypatch) -> None:
+    """Make any ``os.fork`` raise, as every ``multiprocessing`` start does."""
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", NoProcesses)
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+
+
+def test_frame_truths_starts_no_process_when_it_cannot_fork(mini_scenario, monkeypatch):
+    _no_fork(monkeypatch)
     jobs = _truth_jobs(mini_scenario, 5)
     serial = [_true_errors(mini_scenario, frame, configs) for frame, configs in jobs]
     if "fork" in multiprocessing.get_all_start_methods():
         # The stub is reached whenever the scorer would fork.
-        with pytest.raises(AssertionError, match="a process pool was started"):
+        allowed = os.sched_getaffinity(0)
+        with pytest.raises(AssertionError, match="a process was forked"):
             _scorer_truths(mini_scenario, jobs, workers=2)
+        assert os.sched_getaffinity(0) == allowed
+        assert gc.get_freeze_count() == 0
 
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -505,27 +505,53 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 
-def _recording_pools(monkeypatch, tasks=None, futures=None) -> list:
-    """Record each pool's positional arguments in the returned list, each
-    submitted task's ``(fn, args)`` in ``tasks`` if given, and its
-    ``(fn, future)`` in ``futures`` if given."""
+def _recording_scorers(monkeypatch, tasks=None, scorers=None) -> list:
+    """Record how many workers each ``harness._Scorer`` that forks starts in
+    the returned list, each task handed to a scorer, ``(index, jobs)``, in
+    ``tasks`` if given, and each scorer in ``scorers`` if given."""
     started = []
+    init, submit = harness._Scorer.__init__, harness._Scorer.submit
 
-    class Recording(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(args)
-            super().__init__(*args, **kwargs)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.workers:
+            started.append(len(self.workers))
+        if scorers is not None:
+            scorers.append(self)
 
-        def submit(self, fn, /, *args, **kwargs):
-            if tasks is not None:
-                tasks.append((fn, args))
-            future = super().submit(fn, *args, **kwargs)
-            if futures is not None:
-                futures.append((fn, future))
-            return future
+    def recording_submit(self, jobs):
+        i = submit(self, jobs)
+        if tasks is not None:
+            tasks.append((i, jobs))
+        return i
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(harness._Scorer, "__init__", recording_init)
+    monkeypatch.setattr(harness._Scorer, "submit", recording_submit)
     return started
+
+
+def _recording_reads(monkeypatch, path: Path):
+    """Have every forked worker note, in ``path``, each task's bytes that it
+    reads off the task pipe; returns a function that lists them."""
+    take = harness._take
+
+    def recording(tasks, lock):
+        task = take(tasks, lock)
+        with open(path, "ab") as f:
+            f.write(len(task).to_bytes(4, "big") + task)
+        return task
+
+    monkeypatch.setattr(harness, "_take", recording)
+
+    def reads() -> list[bytes]:
+        data, found = path.read_bytes() if path.exists() else b"", []
+        while data:
+            size = int.from_bytes(data[:4], "big")
+            found.append(data[4 : 4 + size])
+            data = data[4 + size :]
+        return [task for task in found if task]
+
+    return reads
 
 
 @needs_two_cpus
@@ -543,9 +569,11 @@ def test_run_scored_beside_loop_equals_serial(
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
             serial = run(scenario, tmp_path / f"{base.name}_serial{every}")
         tasks = []
-        started = _recording_pools(monkeypatch, tasks)
-        forked = run(scenario, tmp_path / f"{base.name}_forked{every}")
-        assert started == [(len(allowed) - 1,)]
+        with monkeypatch.context() as m:
+            started = _recording_scorers(m, tasks)
+            reads = _recording_reads(m, tmp_path / f"{base.name}_reads{every}")
+            forked = run(scenario, tmp_path / f"{base.name}_forked{every}")
+        assert started == [len(allowed) - 1]
         # One task kind, SSIM jobs only. The worker calibrates first, one task
         # per calibration frame, while the caller probes, then takes the
         # background cycle, one task per reference frame, then the chunks
@@ -560,11 +588,11 @@ def test_run_scored_beside_loop_equals_serial(
         expected = [[(frame, degradations)] for frame in scenario.calibration_frames] + [
             [(frame, [pass_slot_config(roster, p) for p in passes])] for frame, passes in plan
         ]
-        assert [fn for fn, _ in tasks] == [harness._score_in_worker] * len(tasks)
-        assert [args[0] for _, args in tasks] == list(range(len(tasks)))
-        assert all(len(args) == 2 for _, args in tasks)
-        assert [jobs for _, (_, jobs) in tasks[: len(expected)]] == expected
-        chunks = [jobs for _, (_, jobs) in tasks[len(expected) :]]
+        # Every task crosses the task pipe once, as its (index, jobs).
+        assert sorted(map(pickle.loads, reads()), key=lambda task: task[0]) == tasks
+        assert [i for i, _ in tasks] == list(range(len(tasks)))
+        assert [jobs for _, jobs in tasks[: len(expected)]] == expected
+        chunks = [jobs for _, jobs in tasks[len(expected) :]]
         sampled = range(0, 203, every)
         assert [frame for jobs in chunks for frame, _ in jobs] == list(sampled)
         assert [len({frame // harness._CHUNK for frame, _ in jobs}) for jobs in chunks] == [
@@ -582,17 +610,12 @@ def test_run_scored_beside_loop_equals_serial(
 
 
 @needs_two_cpus
-def test_run_task_sends_coefficients_not_power_models(demo_scenario, monkeypatch):
-    tasks = []
-
-    class Measuring(ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            tasks.append(pickle.dumps((fn, args)))
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Measuring)
+def test_run_task_sends_coefficients_not_power_models(demo_scenario, monkeypatch, tmp_path):
+    reads = _recording_reads(monkeypatch, tmp_path / "reads")
     trace = dataclasses.replace(demo_scenario.trace, frame_count=6 * harness._CHUNK)
     run(dataclasses.replace(demo_scenario, trace=trace))
+    # The bytes of each task as a worker read them off the task pipe.
+    tasks = reads()
     # Tasks carry SSIM jobs only: the caller takes the powers, so no part of
     # a power model crosses to a worker. The whole PowerModel pickles to
     # 1,719 bytes on demo, numpy arrays included.
@@ -614,9 +637,10 @@ def test_replay_forked_equals_serial(mini_scenario, regime_scenario, monkeypatch
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
             serial = replay(scenario, worst, tmp_path / f"{base.name}_serial")
-        started = _recording_pools(monkeypatch)
-        forked = replay(scenario, worst, tmp_path / f"{base.name}_forked")
-        assert started == [(len(allowed) - 1,)]
+        with monkeypatch.context() as m:
+            started = _recording_scorers(m)
+            forked = replay(scenario, worst, tmp_path / f"{base.name}_forked")
+        assert started == [len(allowed) - 1]
         assert os.sched_getaffinity(0) == allowed
         for name in ("log_path", "summary_path"):
             assert getattr(forked, name).read_bytes() == getattr(serial, name).read_bytes()
@@ -670,6 +694,32 @@ def test_background_cycle_renders_its_frame_once(
         assert refs == planned + ([200] if scenario is cut else []), k
 
 
+def test_run_draws_no_meter_noise_inside_a_tick(mini_scenario, lattice_scenario, monkeypatch):
+    """``run`` draws every frame's meter noise before its loop, so that the
+    first tick that reads the meter does not pay for the whole trace."""
+    noise, tick = simgpu.HiddenPowerOracle.noise, Governor.tick
+    ticking, drawn, inside = [], [], []
+
+    def recorded_noise(self, frame):
+        (inside if ticking else drawn).append(frame)
+        return noise(self, frame)
+
+    def recorded_tick(self, frame):
+        ticking.append(frame)
+        try:
+            return tick(self, frame)
+        finally:
+            ticking.pop()
+
+    monkeypatch.setattr(simgpu.HiddenPowerOracle, "noise", recorded_noise)
+    monkeypatch.setattr(Governor, "tick", recorded_tick)
+    for scenario in (mini_scenario, lattice_scenario):
+        drawn.clear()
+        run(scenario)
+        assert inside == [], scenario.name
+        assert set(range(scenario.trace.frame_count)) <= set(drawn), scenario.name
+
+
 def _governed_powers(scenario) -> list[tuple[float, float]]:
     """Oracle for a run's power cells: (predicted, measured) of each frame's
     ``s_eff``, evaluated right after the governor's tick with the model it
@@ -716,7 +766,7 @@ def test_run_power_cells_equal_governed_oracle(
         expected = _governed_powers(scenario)
         with monkeypatch.context() as m:
             if forked:
-                started = _recording_pools(m)
+                started = _recording_scorers(m)
             else:
                 m.setattr(os, "sched_getaffinity", lambda pid: {0})
             result = run(scenario, tmp_path / f"{scenario.name}_{forked}")
@@ -850,12 +900,15 @@ def test_run_worker_error_reaches_caller(mini_scenario, monkeypatch):
         return true_errors(scenario, frame, configs)
 
     monkeypatch.setattr(harness, "_true_errors", failing_in_worker)
-    started = _recording_pools(monkeypatch)
+    started = _recording_scorers(monkeypatch)
     allowed = os.sched_getaffinity(0)
     with pytest.raises(ValueError) as raised:
         run(mini_scenario)
     assert type(raised.value) is ValueError
     assert str(raised.value) == "frame 8 cannot be scored"
+    # The worker's traceback comes along as the cause.
+    assert "in _serve" in str(raised.value.__cause__)
+    assert "in failing_in_worker" in str(raised.value.__cause__)
     assert len(started) == 1
     assert os.sched_getaffinity(0) == allowed
     assert multiprocessing.active_children() == []
@@ -976,22 +1029,21 @@ def test_run_background_scored_ahead_equals_serial(
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
             serial = run(scenario, out / "serial")
-        futures = []
+        scorers = []
         holds = len(allowed) - 1 if held else 0
         with monkeypatch.context() as m:
-            started = _recording_pools(m, futures=futures)
+            started = _recording_scorers(m, scorers=scorers)
             if held:
                 _hold_workers_in_run(m, out / "release", holds)
             forked = run(scenario, out / "forked")
-        assert started == [(len(allowed) - 1,)]
-        assert [f.result() for _, f in futures[:holds]] == [_RELEASED] * holds
+        assert started == [len(allowed) - 1]
+        (scored,) = [scorer.scored for scorer in scorers]
+        assert [scored.get(i) for i in range(holds)] == [_RELEASED] * holds
         plan = background_plan(scenario.roster, scenario.governor, scenario.trace.frame_count)
         # The hold tasks, then one task per calibration frame, then one per
-        # reference. A task the caller claimed reaches a worker and returns None.
+        # reference. A task the caller claimed reaches a worker, which skips it.
         first = holds + len(scenario.calibration_frames)
-        background = [
-            None if f.cancelled() else f.result() for _, f in futures[first : first + len(plan)]
-        ]
+        background = [scored.get(i) for i in range(first, first + len(plan))]
         assert len(background) == len(plan) > 1
         if held:
             # The caller claimed every background task; no worker scored one.
@@ -1021,14 +1073,14 @@ def test_run_background_error_reaches_caller(mini_scenario, monkeypatch):
         return true_errors(scenario, frame, configs)
 
     monkeypatch.setattr(harness, "_true_errors", failing_in_worker)
-    started = _recording_pools(monkeypatch)
+    started = _recording_scorers(monkeypatch)
     allowed = os.sched_getaffinity(0)
     with pytest.raises(ValueError) as raised:
         run(mini_scenario)
     assert type(raised.value) is ValueError
     assert re.fullmatch(r"reference \d+ cannot be scored", str(raised.value))
     # Raised in the worker, inside a reference's task the caller then read.
-    assert "_score_in_worker" in str(raised.value.__cause__)
+    assert "in _serve" in str(raised.value.__cause__)
     assert len(started) == 1
     assert os.sched_getaffinity(0) == allowed
     assert multiprocessing.active_children() == []
@@ -1089,6 +1141,7 @@ def test_worker_told_no_more_tasks_exits_while_the_caller_scores(
     serial = [_true_errors(mini_scenario, frame, configs) for frame, configs in jobs]
     release = tmp_path / "release"
     _hold_workers(monkeypatch, release)
+    reads = _recording_reads(monkeypatch, tmp_path / "reads")
     with harness._Scorer(mini_scenario, len(jobs) + 1, workers=2) as scorer:
         held = scorer.submit([(_HOLD, [])])
         chunks = [scorer.submit([job]) for job in jobs]
@@ -1100,7 +1153,9 @@ def test_worker_told_no_more_tasks_exits_while_the_caller_scores(
         release.touch()
         assert scorer.result(held) == _RELEASED
         assert _wait_for_no_children()
-        assert [future.result() for _, future in scorer.tasks[1:]] == [None] * len(jobs)
+        # Every task reached the worker, which scored only the hold task.
+        assert [pickle.loads(task)[0] for task in reads()] == [held, *chunks]
+        assert list(scorer.scored) == [held]
     assert truths == serial
 
 
@@ -1110,21 +1165,33 @@ def test_caller_claims_every_task_after_no_more_tasks(mini_scenario, monkeypatch
     serial = [_true_errors(mini_scenario, frame, configs) for frame, configs in jobs]
     release = tmp_path / "release"
     _hold_worker_start(monkeypatch, release)
+    reads = _recording_reads(monkeypatch, tmp_path / "reads")
     with harness._Scorer(mini_scenario, len(jobs), workers=2) as scorer:
         chunks = [scorer.submit([job]) for job in jobs]
         scorer.no_more_tasks()
         truths = [truths for (truths,) in scorer.results(chunks)]
         release.touch()
     assert truths == serial
-    assert [future.result() for _, future in scorer.tasks] == [None] * len(jobs)
+    # Every task reached the worker, which skipped each one.
+    assert [pickle.loads(task)[0] for task in reads()] == chunks
+    assert scorer.scored == {}
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
-def test_error_after_no_more_tasks_stops_the_worker(mini_scenario):
+def test_error_after_no_more_tasks_stops_the_worker(mini_scenario, monkeypatch, tmp_path):
     class Stop(Exception):
         pass
 
+    scored = tmp_path / "scored"
+    score_jobs = harness._score_jobs
+
+    def logged(scenario, jobs):
+        with open(scored, "a") as f:
+            f.write(f"{jobs[0][0]}\n")
+        return score_jobs(scenario, jobs)
+
+    monkeypatch.setattr(harness, "_score_jobs", logged)
     jobs = _truth_jobs(mini_scenario, 40)
     allowed = os.sched_getaffinity(0)
     with pytest.raises(Stop):
@@ -1133,9 +1200,10 @@ def test_error_after_no_more_tasks_stops_the_worker(mini_scenario):
                 scorer.submit([job])
             scorer.no_more_tasks()
             raise Stop
-    # The tasks no worker had started when the caller left were claimed, so
-    # the worker skipped them.
-    assert None in [future.result() for _, future in scorer.tasks]
+    # Leaving on an error stops the worker: it did not score the tasks it
+    # had not started.
+    done = scored.read_text().split() if scored.exists() else []
+    assert len(done) < len(jobs)
     assert multiprocessing.active_children() == []
     assert os.sched_getaffinity(0) == allowed
     assert threading.active_count() == 1
@@ -1200,12 +1268,12 @@ def test_run_probe_error_stops_the_worker(mini_scenario, monkeypatch):
     scenario = _dead_scenario(mini_scenario)
     with pytest.raises(simgpu.ProbeError) as serial:
         initialize(scenario)
-    started = _recording_pools(monkeypatch)
+    started = _recording_scorers(monkeypatch)
     allowed = os.sched_getaffinity(0)
     with pytest.raises(simgpu.ProbeError) as forked:
         run(scenario)
-    # The pool was alive, calibrating, when the probe failed.
-    assert started == [(len(allowed) - 1,)]
+    # The worker was alive, calibrating, when the probe failed.
+    assert started == [len(allowed) - 1]
     assert str(forked.value) == str(serial.value)
     assert multiprocessing.active_children() == []
     assert os.sched_getaffinity(0) == allowed
@@ -1254,11 +1322,11 @@ def test_run_calibration_error_reaches_caller(mini_scenario, monkeypatch):
         m.setattr(os, "sched_getaffinity", lambda pid: {0})
         with pytest.raises(ValueError) as serial:
             run(scenario)
-    started = _recording_pools(monkeypatch)
+    started = _recording_scorers(monkeypatch)
     allowed = os.sched_getaffinity(0)
     with pytest.raises(ValueError) as forked:
         run(scenario)
-    assert started == [(len(allowed) - 1,)]
+    assert started == [len(allowed) - 1]
     assert type(forked.value) is type(serial.value) is ValueError
     assert str(forked.value) == str(serial.value) == "calibration needs at least one frame"
     assert multiprocessing.active_children() == []
@@ -1266,31 +1334,144 @@ def test_run_calibration_error_reaches_caller(mini_scenario, monkeypatch):
     assert threading.active_count() == 1
 
 
-@needs_two_cpus
-def test_run_fails_when_no_worker_starts(mini_scenario, monkeypatch):
-    # A pool whose worker never starts must fail the run, not leave it
-    # waiting for a worker.
-    def no_worker(*args):
-        raise OSError("the worker cannot start")
+@contextmanager
+def _alarm(seconds: int = 30):
+    """Raise ``TimeoutError`` in the block if it has not ended after
+    ``seconds``, so that a wait that never ends fails the test."""
 
     def waited_too_long(signum, frame):
-        raise TimeoutError("run waited for a worker that never started")
+        raise TimeoutError(f"still waiting after {seconds} s")
 
-    monkeypatch.setattr(harness, "_start_worker", no_worker)
-    started = _recording_pools(monkeypatch)
-    allowed = os.sched_getaffinity(0)
     previous = signal.signal(signal.SIGALRM, waited_too_long)
-    signal.alarm(30)
+    signal.alarm(seconds)
     try:
-        with pytest.raises(BrokenProcessPool):
-            run(mini_scenario)
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@needs_two_cpus
+def test_run_fails_when_no_worker_starts(mini_scenario, monkeypatch):
+    # A worker that never starts must fail the run, with its error and
+    # traceback, not leave it waiting for a worker.
+    def no_worker(*args):
+        raise OSError("the worker cannot start")
+
+    monkeypatch.setattr(harness, "_start_worker", no_worker)
+    started = _recording_scorers(monkeypatch)
+    allowed = os.sched_getaffinity(0)
+    with _alarm(30), pytest.raises(OSError) as raised:
+        run(mini_scenario)
+    assert type(raised.value) is OSError
+    assert str(raised.value) == "the worker cannot start"
+    assert "in no_worker" in str(raised.value.__cause__)
     assert len(started) == 1
     assert multiprocessing.active_children() == []
     assert os.sched_getaffinity(0) == allowed
     assert threading.active_count() == 1
+    assert gc.get_freeze_count() == 0
+
+
+@needs_two_cpus
+def test_run_fails_when_a_worker_is_killed(mini_scenario, monkeypatch):
+    parent = os.getpid()
+    true_errors = harness._true_errors
+
+    def killed_in_worker(scenario, frame, configs):
+        # Frame 8 is in the first chunk, which a worker takes while the loop
+        # still runs.
+        if frame == 8 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return true_errors(scenario, frame, configs)
+
+    monkeypatch.setattr(harness, "_true_errors", killed_in_worker)
+    started = _recording_scorers(monkeypatch)
+    allowed = os.sched_getaffinity(0)
+    with _alarm(30), pytest.raises(ChildProcessError, match="exit code -9"):
+        run(mini_scenario)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == allowed
+    assert threading.active_count() == 1
+    assert gc.get_freeze_count() == 0
+
+
+@needs_fork
+def test_full_pipes_stall_neither_side(mini_scenario, monkeypatch, tmp_path):
+    """While the worker is held, the caller hands it 20,000 one-job tasks,
+    well over a pipe's 64 KB of task bytes, without waiting. Released, the
+    worker sends results of 5,000 scores each, well over 64 KB, before the
+    caller reads one. Every score arrives, and the scorer exits."""
+    best = mini_scenario.roster.best_config()
+    release = tmp_path / "release"
+    _hold_workers(monkeypatch, release)
+    wide = [(0, [best] * 5_000)] * 4
+    small = [(frame % 200, [best]) for frame in range(20_000)]
+    with _alarm(30):
+        with harness._Scorer(mini_scenario, 1 + len(wide) + len(small), workers=2) as scorer:
+            tasks = [scorer.submit([(_HOLD, [])])]
+            deadline = time.monotonic() + 20
+            while not release.with_suffix(".held").exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            tasks += [scorer.submit([job]) for job in wide + small]
+            queued = sum(len(pickle.dumps((i, [job]))) for i, job in enumerate(wide + small))
+            assert queued > 1 << 20 and scorer._backlog
+            release.touch()
+            # The worker scores the first two wide tasks; the second one's
+            # result does not fit in the pipe with the first one's.
+            assert len(pickle.dumps((1, [[0.0] * 5_000], None))) > 40_000
+            while not scorer.claims[tasks[2]] and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.2)
+            truths = scorer.results(tasks)
+    assert truths == [_RELEASED] + [[[0.0] * 5_000]] * len(wide) + [[[0.0]]] * len(small)
+    assert list(scorer.scored)[:3] == tasks[:3]
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+def _process_state():
+    """This process's open file descriptors, children and threads."""
+    return (
+        sorted(os.listdir("/proc/self/fd")),
+        multiprocessing.active_children(),
+        threading.active_count(),
+    )
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_forked_run_and_replay_leak_nothing(mini_scenario, monkeypatch, tmp_path):
+    started = _recording_scorers(monkeypatch)
+    threads, tick = [], Governor.tick
+
+    def counting(self, frame):
+        threads.append(threading.active_count())
+        return tick(self, frame)
+
+    monkeypatch.setattr(Governor, "tick", counting)
+    before = _process_state()
+    run(mini_scenario, tmp_path / "run")
+    assert _process_state() == before
+    replay(mini_scenario, mini_scenario.roster.worst_config(), tmp_path / "replay")
+    assert _process_state() == before
+    parent, true_errors = os.getpid(), harness._true_errors
+
+    def failing_in_worker(scenario, frame, configs):
+        if frame == 8 and os.getpid() != parent:
+            raise ValueError("frame 8 cannot be scored")
+        return true_errors(scenario, frame, configs)
+
+    monkeypatch.setattr(harness, "_true_errors", failing_in_worker)
+    with pytest.raises(ValueError, match="frame 8 cannot be scored"):
+        run(mini_scenario)
+    assert _process_state() == before
+    allowed = len(os.sched_getaffinity(0))
+    assert started == [allowed - 1] * 3
+    # No thread but the caller's runs while the governor ticks.
+    assert len(threads) >= mini_scenario.trace.frame_count
+    assert set(threads) == {1}
 
 
 def test_replay_and_probe_do_not_calibrate(mini_scenario, monkeypatch, tmp_path, capsys):
@@ -1312,11 +1493,7 @@ def test_replay_and_probe_do_not_calibrate(mini_scenario, monkeypatch, tmp_path,
 
 
 def test_frame_truths_starts_no_process_for_best_only_jobs(mini_scenario, monkeypatch, tmp_path):
-    class NoProcesses:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", NoProcesses)
+    _no_fork(monkeypatch)
     best = mini_scenario.roster.best_config()
     jobs = [(frame, [best, best]) for frame in range(0, 40, 2)]
     # replay_trace hands the all-best configuration's jobs to a scorer with

@@ -180,6 +180,28 @@ def test_fit_recovers_noiseless_coefficients_exactly():
             assert abs(g - w) / w <= 1e-6
 
 
+def test_models_and_fits_compare_by_identity_and_hold_read_only_arrays(demo_scenario):
+    """Two distinct but equal snapshots compare unequal and hash without
+    raising, and their arrays, the model's own coefficients that
+    ``coefficients_for`` returns included, cannot be written."""
+    model, other = (initialize(demo_scenario).power_model for _ in range(2))
+    assert model == model and model != other
+    assert len({model, other, model}) == 2
+    own = model.coefficients_for(model.fitted_config)
+    assert own is model.coefficients
+    with pytest.raises(ValueError, match="read-only"):
+        own[0, 0] = 1.0
+    samples = _synthetic_samples(np.random.default_rng(42), TWO_PASS_SAT, TRUE_COEFFS, 30)
+    fit, again = (fit_coefficients(TWO_PASS_SAT, *samples) for _ in range(2))
+    assert fit == fit and fit != again
+    assert len({fit, again, fit}) == 2
+    for array in (fit.coefficients, fit.identified):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+    replaced = dataclasses.replace(model, coefficients=np.ones_like(model.coefficients))
+    assert not replaced.coefficients.flags.writeable
+
+
 def test_fit_flags_identical_samples_as_degenerate():
     prims = ((30.0, 5e4, 1e5), (20.0, 3e4, 9e4))
     p = predict_power(TWO_PASS_SAT, TRUE_COEFFS, prims)
